@@ -161,18 +161,41 @@ func TestEarlyDequeueOnlyOnN1(t *testing.T) {
 	}
 }
 
-// A cycle limit must abort cleanly.
+// A cycle limit must abort cleanly at exactly the limit, also when the
+// limit falls inside a stretch of quiet cycles the run loop skips.
 func TestCycleLimit(t *testing.T) {
-	src := `
+	spin := `
 .func main
 main:
 loop:
     j loop
 .endfunc
 `
-	s := New(XeonW2195(), build(t, src), Options{})
-	if _, err := s.Run(1000); err == nil {
-		t.Error("cycle limit not enforced")
+	for _, c := range []struct {
+		src   string
+		limit uint64
+	}{
+		{spin, 1000},
+		{goldenStoreMiss, 1},
+		{goldenStoreMiss, 4097},
+		{goldenStoreMiss, 100_003},
+		{goldenStoreMiss, 150_001},
+		{goldenStoreMiss, 200_000},
+	} {
+		s := New(XeonW2195(), build(t, c.src), Options{TrueAttribution: true})
+		if _, err := s.Run(c.limit); err == nil {
+			t.Fatalf("limit %d: cycle limit not enforced", c.limit)
+		}
+		if s.cycle != c.limit {
+			t.Errorf("limit %d: stopped at cycle %d", c.limit, s.cycle)
+		}
+		var charged uint64
+		for _, n := range s.TrueCycles() {
+			charged += n
+		}
+		if charged != c.limit {
+			t.Errorf("limit %d: ground truth charged %d cycles", c.limit, charged)
+		}
 	}
 }
 

@@ -142,7 +142,8 @@ type Sim struct {
 	// architectural value is final.
 	lastWriter [64]*uop
 
-	// Store buffer: drain completion cycles of committed stores.
+	// Store buffer: drain completion cycles of committed stores, oldest
+	// first; drainDone never decreases along the slice.
 	sb []sbEntry
 	// lastDrain serializes store drains to memory.
 	lastDrain uint64
@@ -244,14 +245,16 @@ type Options struct {
 	// IntervalCycles, when non-zero, collects one telemetry Interval
 	// (IPC, ROB occupancy, mispredict rate, cache miss rates, stall
 	// causes) per this many cycles. Retrieve with Intervals. Zero (the
-	// default) keeps the run loop's per-cycle cost at one nil compare.
+	// default) disables it. Each interval boundary is one more event for
+	// the run loop's quiet-cycle skipping: it can end a skip early, but
+	// never turns skipping off, and skipped cycles are tallied in bulk.
 	IntervalCycles uint64
 	// WindowCycles, when non-zero, invokes OnWindow at every window
 	// boundary of this many cycles with the run's cumulative counters
 	// (see WindowMark) — the substrate of streaming windowed profiling.
 	// The callback runs synchronously on the simulation goroutine. Zero
-	// (the default) keeps the run loop's per-cycle cost at one nil
-	// compare.
+	// (the default) disables it. Like interval boundaries, window
+	// boundaries are events that a quiet-cycle skip stops short of.
 	WindowCycles uint64
 	// OnWindow receives each window boundary; ignored when WindowCycles
 	// is zero.
@@ -371,6 +374,13 @@ func (s *Sim) Run(maxCycles uint64) (Stats, error) {
 // the statistics accumulated so far together with an error wrapping
 // ctx.Err() — so errors.Is(err, context.DeadlineExceeded) and
 // errors.Is(err, context.Canceled) work as expected.
+//
+// After a quiet cycle — nothing committed, issued, finished, dispatched
+// or sampled — the loop jumps straight to the cycle before the next
+// event (see nextEvent) and accounts the skipped cycles in bulk. The
+// jump never crosses maxCycles or a cancellation/fault poll, so both
+// land on the same simulated cycle as they would stepping one cycle at
+// a time, and every observable output is unchanged.
 func (s *Sim) RunContext(ctx context.Context, maxCycles uint64) (Stats, error) {
 	done := ctx.Done()
 	// Fault injection shares the cancellation countdown so the per-cycle
@@ -378,6 +388,7 @@ func (s *Sim) RunContext(ctx context.Context, maxCycles uint64) (Stats, error) {
 	// (and zero when the context is uncancellable): faulty is hoisted to
 	// a single atomic load per run.
 	faulty := fault.Enabled()
+	polling := done != nil || faulty
 	countdown := uint64(1) // check on the first cycle: a dead ctx never simulates
 	for {
 		if s.fetchDone && s.robLen == 0 {
@@ -386,7 +397,7 @@ func (s *Sim) RunContext(ctx context.Context, maxCycles uint64) (Stats, error) {
 		if maxCycles != 0 && s.cycle >= maxCycles {
 			return s.stats, fmt.Errorf("ooo: cycle limit %d exceeded", maxCycles)
 		}
-		if done != nil || faulty {
+		if polling {
 			countdown--
 			if countdown == 0 {
 				countdown = cancelCheckInterval
@@ -414,20 +425,12 @@ func (s *Sim) RunContext(ctx context.Context, maxCycles uint64) (Stats, error) {
 			s.freeNext = s.freeNext[:0]
 		}
 		s.committedThis = false
+		seq, samples := s.seq, s.stats.Samples
 		s.commit()
-		s.issue()
+		issued := s.issue()
 		s.dispatch()
 		if s.trueAttr {
-			switch u := s.oldestSampleVisible(); {
-			case u != nil:
-				s.chargeTrue(u.pc)
-			case s.robLen > 0:
-				s.chargeTrue(s.robAt(0).pc)
-			case !s.fetchDone:
-				// Empty window (mispredict redirect shadow): a sampler
-				// would observe the next instruction to enter the machine.
-				s.chargeTrue(s.arch.St.PC)
-			}
+			s.chargeTrue(1)
 		}
 		if s.iv != nil {
 			s.iv.tick(s)
@@ -438,6 +441,37 @@ func (s *Sim) RunContext(ctx context.Context, maxCycles uint64) (Stats, error) {
 		s.maybeSample()
 		if s.err != nil {
 			return s.stats, s.err
+		}
+		if s.committedThis || issued || s.seq != seq || s.stats.Samples != samples ||
+			(s.fetchDone && s.robLen == 0) {
+			continue
+		}
+		// A quiet cycle (of a run that is not over): nothing committed,
+		// issued, finished, dispatched or sampled, so every cycle up to
+		// the next event repeats it exactly. Jump to the cycle before that event and account the
+		// skipped cycles in bulk; the event cycle itself runs normally.
+		next := s.nextEvent()
+		if maxCycles != 0 && maxCycles < next {
+			next = maxCycles
+		}
+		if polling && s.cycle+countdown < next {
+			// The cancellation/fault poll keeps its cadence of one per
+			// cancelCheckInterval simulated cycles.
+			next = s.cycle + countdown
+		}
+		if next == noEvent || next-1 <= s.cycle {
+			continue
+		}
+		k := next - 1 - s.cycle
+		s.cycle += k
+		if polling {
+			countdown -= k
+		}
+		if s.trueAttr {
+			s.chargeTrue(k)
+		}
+		if s.iv != nil {
+			s.iv.account(s, k)
 		}
 	}
 	s.iv.finish(s)
@@ -475,29 +509,87 @@ func (s *Sim) TrueCycles() map[uint64]uint64 {
 	return m
 }
 
-// chargeTrue attributes one ground-truth cycle to pc.
-func (s *Sim) chargeTrue(pc uint64) {
+// chargeTrue attributes n ground-truth cycles, spent in the machine's
+// current state, to the instruction a perfect sampler would observe.
+func (s *Sim) chargeTrue(n uint64) {
+	var pc uint64
+	switch u := s.oldestSampleVisible(); {
+	case u != nil:
+		pc = u.pc
+	case s.robLen > 0:
+		pc = s.robAt(0).pc
+	case !s.fetchDone:
+		// Empty window (mispredict redirect shadow): a sampler would
+		// observe the next instruction to enter the machine.
+		pc = s.arch.St.PC
+	default:
+		return
+	}
 	if pc >= s.trueBase {
 		if i := (pc - s.trueBase) / isa.InstBytes; i < uint64(len(s.trueDense)) {
-			s.trueDense[i]++
+			s.trueDense[i] += n
 			return
 		}
 	}
-	s.trueOverflow[pc]++
+	s.trueOverflow[pc] += n
+}
+
+// noEvent is nextEvent's answer when nothing is scheduled.
+const noEvent = ^uint64(0)
+
+// nextEvent returns the first cycle after a quiet one at which the
+// machine state can change: an executing uop finishes (which is also
+// what wakes its consumers and unblocks the ROB head), a full store
+// buffer frees the slot the finished head store waits for, a fetch
+// freeze or a non-pipelined divider expires, or a sampling interrupt,
+// telemetry interval or stream window falls due. A pending skid sample
+// needs no event of its own: it is delivered by the next commit.
+func (s *Sim) nextEvent() uint64 {
+	next := noEvent
+	at := func(c uint64) {
+		if c > s.cycle && c < next {
+			next = c
+		}
+	}
+	for _, u := range s.exec {
+		at(u.doneC)
+	}
+	if s.robLen > 0 && s.robAt(0).state == stDone && len(s.sb) >= s.cfg.SBSize {
+		at(s.sb[0].drainDone)
+	}
+	at(s.fetchStallUntil)
+	// A divider frees exactly when its uop finishes, which the exec list
+	// already covers; listing the units keeps the skip correct should
+	// occupancy and latency ever differ.
+	at(s.divBusyUntil)
+	at(s.fdivBusyUntil)
+	if s.samplePeriod > 0 && !s.samplePending {
+		at(s.nextSampleAt + s.kernelCycles) // the counter runs on user cycles
+	}
+	if s.iv != nil {
+		at(s.iv.nextAt)
+	}
+	if s.onWindow != nil {
+		at(s.winNext)
+	}
+	return next
 }
 
 // ---------------------------------------------------------------------------
 // Commit stage
 
 func (s *Sim) commit() {
-	// Retire drained store-buffer entries.
-	keep := s.sb[:0]
-	for _, e := range s.sb {
-		if e.drainDone > s.cycle {
-			keep = append(keep, e)
-		}
+	// Retire drained store-buffer entries. Drains are serialized through
+	// lastDrain and kernel-time shifts move every entry alike, so
+	// drainDone never decreases along the buffer: the drained entries are
+	// a prefix, and a cycle with nothing drained costs one compare.
+	drained := 0
+	for drained < len(s.sb) && s.sb[drained].drainDone <= s.cycle {
+		drained++
 	}
-	s.sb = keep
+	if drained > 0 {
+		s.sb = s.sb[:copy(s.sb, s.sb[drained:])]
+	}
 
 	for n := 0; n < s.cfg.CommitWidth && s.robLen > 0; n++ {
 		u := s.robAt(0)
@@ -563,7 +655,9 @@ func (s *Sim) recordTrace(u *uop) {
 // Issue stage: pick ready uops from the IQ, oldest first, respecting
 // per-kind issue bandwidth and non-pipelined units.
 
-func (s *Sim) issue() {
+// issue runs one cycle of the stage and reports whether anything issued
+// or finished.
+func (s *Sim) issue() bool {
 	issued := 0
 	aluUsed, mulUsed, fpuUsed, loadUsed, storeUsed := 0, 0, 0, 0, 0
 	keep := s.iq[:0]
@@ -667,6 +761,7 @@ func (s *Sim) issue() {
 	// of the exec list can change state here, so the broadcast scans
 	// executing work rather than the whole ROB.
 	branchResolved := false
+	executing := len(s.exec)
 	keepExec := s.exec[:0]
 	for _, u := range s.exec {
 		if u.doneC <= s.cycle {
@@ -695,6 +790,7 @@ func (s *Sim) issue() {
 			}
 		}
 	}
+	return issued > 0 || len(s.exec) < executing
 }
 
 func isBranchKind(k isa.Kind) bool {

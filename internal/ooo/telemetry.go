@@ -9,10 +9,12 @@ package ooo
 // state each cycle (who is blocking the head of the ROB, and why).
 //
 // Discipline: the feature is off by default (Options.IntervalCycles ==
-// 0); the run loop then pays exactly one nil pointer compare per cycle.
-// When on, the per-cycle tick is a handful of integer adds against
-// tracker-local fields; the window flush (every N cycles) snapshots the
-// shared counters.
+// 0); the run loop then pays exactly one nil pointer compare per
+// simulated cycle. When on, the per-cycle tick is a handful of integer
+// adds against tracker-local fields; the window flush (every N cycles)
+// snapshots the shared counters. Quiet cycles the run loop skips are
+// added in one multiply-add (account), and a skip always stops short of
+// the next flush.
 
 import "optiwise/internal/isa"
 
@@ -138,31 +140,38 @@ func (iv *intervalTracker) open(s *Sim) {
 // tolerates kernel-time jumps (advanceKernel) by closing the window at
 // whatever length the jump produced.
 func (iv *intervalTracker) tick(s *Sim) {
-	iv.robSum += uint64(s.robLen)
+	iv.account(s, 1)
+	if s.cycle >= iv.nextAt {
+		iv.flush(s)
+		iv.open(s)
+		iv.nextAt = s.cycle + iv.window
+	}
+}
+
+// account adds n cycles spent in the machine's current state to the open
+// window without flushing it; the run loop calls it directly for the
+// quiet cycles it skips.
+func (iv *intervalTracker) account(s *Sim, n uint64) {
+	iv.robSum += n * uint64(s.robLen)
 	switch {
 	case s.committedThis:
-		iv.stalls.Commit++
+		iv.stalls.Commit += n
 	case s.robLen == 0:
-		iv.stalls.Frontend++
+		iv.stalls.Frontend += n
 	default:
 		head := s.robAt(0)
 		switch {
 		case head.state == stDone:
 			// Finished but unretirable: store-buffer pressure (figure 8)
 			// or the result lands later this cycle.
-			iv.stalls.StoreBuffer++
+			iv.stalls.StoreBuffer += n
 		case head.kind == isa.KindLoad || head.kind == isa.KindStore:
-			iv.stalls.Memory++
+			iv.stalls.Memory += n
 		case head.state == stIssued:
-			iv.stalls.Execute++
+			iv.stalls.Execute += n
 		default:
-			iv.stalls.Other++
+			iv.stalls.Other += n
 		}
-	}
-	if s.cycle >= iv.nextAt {
-		iv.flush(s)
-		iv.open(s)
-		iv.nextAt = s.cycle + iv.window
 	}
 }
 

@@ -9,11 +9,13 @@ package ooo
 // what a "profile" is.
 //
 // Discipline: off by default (Options.WindowCycles == 0); the run loop
-// then pays exactly one nil function compare per cycle, mirroring the
-// interval tracker. When on, the per-cycle cost is one integer compare
-// until the boundary, where the callback fires synchronously on the
-// simulation goroutine (so callbacks may read simulator-owned state
-// such as the sample stream without locking).
+// then pays exactly one nil function compare per simulated cycle,
+// mirroring the interval tracker. When on, the per-cycle cost is one
+// integer compare until the boundary, where the callback fires
+// synchronously on the simulation goroutine (so callbacks may read
+// simulator-owned state such as the sample stream without locking). A
+// boundary is an event for the run loop's quiet-cycle skipping, so a
+// skip never jumps over one.
 
 // WindowMark describes one window boundary: the cumulative counters of
 // the run at the moment the boundary was crossed. Consumers diff
