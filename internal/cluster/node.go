@@ -87,9 +87,9 @@ type Config struct {
 	// key's next ReplicaCount-1 successors (default 2). Only meaningful
 	// on durable nodes (serve.Config.DataDir).
 	ReplicaCount int
-	// AntiEntropyInterval is the cadence of the replica repair pass:
-	// hinted handoffs are retried and digest maps exchanged with live
-	// peers (default 3s; <0 disables the loop — Node.AntiEntropyNow
+	// AntiEntropyInterval is the cadence of the replica repair pass,
+	// which exchanges digest maps with live peers and repairs both
+	// directions (default 3s; <0 disables the loop — Node.AntiEntropyNow
 	// still runs passes on demand).
 	AntiEntropyInterval time.Duration
 	// Client overrides the HTTP client used for probes, forwards,
@@ -132,23 +132,17 @@ func (c Config) withDefaults() Config {
 // Node wires one serve.Server into the cluster: it owns the membership
 // view, wraps the server's HTTP handler with submission routing and
 // job-lookup proxying, answers the /cluster/v1 protocol, and installs
-// the peer-cache fetch and stats hooks on the server.
+// itself as the server's result-store ring tier plus the stats hook.
 type Node struct {
 	cfg    Config
 	srv    *serve.Server
 	mem    *membership
 	client *http.Client
 
-	routes  *routeTable
-	fetchMu sync.Mutex
-	fetches map[string]*fetchCall
-	fed     *federator
+	routes *routeTable
+	fed    *federator
 
-	// hints are keys whose replication could not reach their successor
-	// (hinted handoff); retried every anti-entropy tick. stopAE ends the
-	// anti-entropy loop; wg waits for it on shutdown.
-	hintMu sync.Mutex
-	hints  map[string]bool
+	// stopAE ends the anti-entropy loop; wg waits for it on shutdown.
 	stopAE chan struct{}
 	aeOnce sync.Once
 	wg     sync.WaitGroup
@@ -198,13 +192,11 @@ func New(cfg Config, srv *serve.Server) (*Node, error) {
 		}
 	}
 	n := &Node{
-		cfg:     cfg,
-		srv:     srv,
-		client:  client,
-		routes:  newRouteTable(4096),
-		fetches: make(map[string]*fetchCall),
-		hints:   make(map[string]bool),
-		stopAE:  make(chan struct{}),
+		cfg:    cfg,
+		srv:    srv,
+		client: client,
+		routes: newRouteTable(4096),
+		stopAE: make(chan struct{}),
 		metrics: nodeMetrics{
 			forwards:         obs.Counter(obs.MClusterForwards),
 			forwardFailovers: obs.Counter(obs.MClusterForwardFailovers),
@@ -218,12 +210,7 @@ func New(cfg Config, srv *serve.Server) (*Node, error) {
 	}
 	n.mem = newMembership(cfg, n.probeClient())
 	n.fed = newFederator(n)
-	// Replication only makes sense when this node persists results.
-	var replicate func(key string, payload []byte, checksum, traceID string)
-	if srv.Durable() {
-		replicate = n.replicate
-	}
-	srv.SetClusterHooks(n.peerFetch, n.clusterStats, replicate)
+	srv.SetClusterHooks(n, n.clusterStats)
 	// Stitched traces: local segments plus whatever the live peers
 	// recorded for the same trace ID.
 	srv.SetTraceSegmentsHook(n.traceSegments)
@@ -281,15 +268,7 @@ func (n *Node) clusterStats() *serve.ClusterStats {
 		ProxiedLookups:     n.proxiedLookups.Load(),
 		Replications:       n.replications.Load(),
 		AntiEntropyRepairs: n.aeRepairs.Load(),
-		HintedKeys:         n.hintedKeys(),
 	}
-}
-
-// hintedKeys counts keys currently parked for hinted handoff.
-func (n *Node) hintedKeys() int {
-	n.hintMu.Lock()
-	defer n.hintMu.Unlock()
-	return len(n.hints)
 }
 
 // routeTable remembers which node answered for a job ID, so status

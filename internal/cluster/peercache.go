@@ -2,58 +2,40 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"time"
 
-	"optiwise"
 	"optiwise/internal/fault"
 	"optiwise/internal/obs"
 	"optiwise/internal/serve"
 )
 
-// hdrChecksum carries the SHA-256 of the peer-result payload as the
-// sender computed it. The fetcher recomputes and compares before
-// decoding: a corrupted transfer (the cluster.peer.fetch corrupt fault
-// models one) becomes a miss and a local recomputation, never a
-// poisoned cache entry.
+// A Node is the ring tier of its server's result store
+// (serve.RingTier): Fetch pulls a result from the sibling that may hold
+// it, Push (replicate.go) sends a newly persisted one to the key's
+// replica owner. Payloads are opaque here — the serve layer verifies
+// checksums and decodes against the program image, which never travels
+// (the fetching node necessarily holds it, because the job key it asks
+// about is derived from that image).
+
+// hdrChecksum carries the SHA-256 of a result payload as the sender
+// computed it. The receiver recomputes and compares before trusting a
+// byte: a corrupted transfer (the cluster.peer.fetch and
+// cluster.replicate corrupt faults model one) is rejected, never
+// stored.
 const hdrChecksum = "X-Optiwise-Checksum"
 
-// The transfer envelope is serve.WireResult — one format shared by the
-// peer-cache protocol, result replication, and the durable result
-// store, so replication and anti-entropy move stored segments without
-// re-encoding. The program image never travels — the fetching node
-// necessarily holds it, because the job key it is asking about is
-// derived from that image.
+// errNotHeld is a sibling's clean 404 for a result key.
+var errNotHeld = errors.New("cluster: result not held by peer")
 
-// encodeWireResult serializes res for transfer and returns the payload
-// plus its hex SHA-256.
-func encodeWireResult(res *optiwise.Result) ([]byte, string, error) {
-	return serve.EncodeWireResult(res)
-}
-
-// decodeWireResult verifies and rebuilds a fetched peer result. The
-// checksum gate runs before any decoding; a full Profile comes back,
-// reconstructed against the local program image.
-func decodeWireResult(payload []byte, checksum string, prog *optiwise.Program) (*optiwise.Result, error) {
-	if got := serve.WireChecksum(payload); got != checksum {
-		return nil, fmt.Errorf("cluster: peer result checksum mismatch (got %.12s, want %.12s)", got, checksum)
-	}
-	return serve.DecodeWireResult(payload, prog)
-}
-
-// fetchCall is one in-flight peer fetch; concurrent fetches for the
-// same key coalesce onto it (single-flight).
-type fetchCall struct {
-	done chan struct{}
-	res  *optiwise.Result
-	ok   bool
-}
-
-// peerFetch is the serve.Config.PeerFetch hook: asked by a worker
-// about to simulate key, it decides whether a sibling might already
-// hold the finished result, and if so fetches it.
+// Fetch asks the siblings that may already hold key's finished result
+// for its payload. serve calls it from a worker about to simulate key;
+// serve's group dedup means at most one call per key per node is in
+// flight.
 //
 // Candidate selection keeps the steady state free: when this node is
 // the key's stable owner (current owner, and membership never moved
@@ -63,79 +45,46 @@ type fetchCall struct {
 // submission landed here anyway (stale client ring, failover), and the
 // previous ring's owner right after a rebalance (the node that
 // computed the key's result before ownership moved).
-func (n *Node) peerFetch(ctx context.Context, key string, prog *optiwise.Program) (*optiwise.Result, bool) {
+func (n *Node) Fetch(ctx context.Context, key string) ([]byte, string, bool) {
 	var cands []string
-	add := func(m string) {
-		if m == "" || m == n.cfg.Self {
-			return
-		}
-		for _, c := range cands {
-			if c == m {
-				return
-			}
-		}
-		cands = append(cands, m)
-	}
-	ring := n.mem.Ring()
-	if o := ring.Owner(key); o != n.cfg.Self {
-		add(o)
-	}
-	if prev := n.mem.PrevRing(); prev != nil {
-		add(prev.Owner(key))
-	}
-	if len(cands) == 0 {
-		return nil, false
-	}
-
-	// Single-flight: one fetch per key at a time; followers share the
-	// leader's outcome.
-	n.fetchMu.Lock()
-	if c, ok := n.fetches[key]; ok {
-		n.fetchMu.Unlock()
-		select {
-		case <-c.done:
-			return c.res, c.ok
-		case <-ctx.Done():
-			return nil, false
-		}
-	}
-	c := &fetchCall{done: make(chan struct{})}
-	n.fetches[key] = c
-	n.fetchMu.Unlock()
-	defer func() {
-		n.fetchMu.Lock()
-		delete(n.fetches, key)
-		n.fetchMu.Unlock()
-		close(c.done)
-	}()
-
-	for _, addr := range cands {
-		res, err := n.fetchFrom(ctx, addr, key, prog)
-		if err != nil {
-			obs.Warn("cluster: peer fetch failed",
-				obs.F("peer", addr), obs.F("digest", shortKey(key)), obs.F("err", err.Error()))
+	for _, ring := range []*Ring{n.mem.Ring(), n.mem.PrevRing()} {
+		if ring == nil {
 			continue
 		}
-		if res != nil {
+		if o := ring.Owner(key); o != "" && o != n.cfg.Self && !slices.Contains(cands, o) {
+			cands = append(cands, o)
+		}
+	}
+	if len(cands) == 0 {
+		return nil, "", false
+	}
+	for _, addr := range cands {
+		payload, sum, err := n.fetchFrom(ctx, addr, key)
+		if err == nil {
 			n.peerFetchHits.Add(1)
 			n.metrics.peerFetchHits.Inc()
-			c.res, c.ok = res, true
-			return res, true
+			return payload, sum, true
+		}
+		if !errors.Is(err, errNotHeld) {
+			obs.Warn("cluster: peer fetch failed",
+				obs.F("peer", addr), obs.F("digest", shortKey(key)), obs.F("err", err.Error()))
 		}
 	}
 	n.peerFetchMisses.Add(1)
 	n.metrics.peerFetchMisses.Inc()
-	return nil, false
+	return nil, "", false
 }
 
-// fetchFrom asks one sibling's cache for key. (nil, nil) is a clean
-// miss; errors cover the injected cluster.peer.fetch faults, transport
-// failures, and checksum/decode rejections. The job's trace ID (riding
-// the worker's context) travels as a traceparent header so the serving
-// peer's segment lands in the same stitched trace as this node's.
-func (n *Node) fetchFrom(ctx context.Context, addr, key string, prog *optiwise.Program) (*optiwise.Result, error) {
+// fetchFrom GETs key's payload and the sender's checksum from one
+// sibling's result store: the transfer behind both Fetch and the
+// anti-entropy pull. Errors cover the injected cluster.peer.fetch
+// faults, transport failures, and errNotHeld. The job's trace ID (riding
+// ctx, when a job is asking) travels as a traceparent header so the
+// serving peer's segment lands in the same stitched trace as this
+// node's.
+func (n *Node) fetchFrom(ctx context.Context, addr, key string) ([]byte, string, error) {
 	if err := fault.Err(fault.SiteClusterPeerFetch); err != nil {
-		return nil, err
+		return nil, "", err
 	}
 	start := time.Now()
 	traceID := obs.TraceIDFromContext(ctx)
@@ -144,57 +93,49 @@ func (n *Node) fetchFrom(ctx context.Context, addr, key string, prog *optiwise.P
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
 		"http://"+addr+"/cluster/v1/results/"+key, nil)
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
 	if traceID != "" {
 		req.Header.Set("traceparent", "00-"+traceID+"-0000000000000001-01")
 	}
 	resp, err := n.client.Do(req)
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
 	defer resp.Body.Close()
 	n.recordSegment(traceID, "cluster.peer_fetch", start, map[string]string{
 		"peer": addr, "digest": shortKey(key), "status": resp.Status,
 	})
-	switch resp.StatusCode {
-	case http.StatusOK:
-	case http.StatusNotFound:
+	if resp.StatusCode != http.StatusOK {
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096)) //nolint:errcheck // drain for reuse
-		return nil, nil
-	default:
-		return nil, fmt.Errorf("cluster: peer %s answered %s", addr, resp.Status)
+		if resp.StatusCode == http.StatusNotFound {
+			return nil, "", errNotHeld
+		}
+		return nil, "", fmt.Errorf("cluster: peer %s answered %s", addr, resp.Status)
 	}
 	payload, err := io.ReadAll(io.LimitReader(resp.Body, n.srv.Config().MaxBodyBytes*4))
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
-	return decodeWireResult(payload, resp.Header.Get(hdrChecksum), prog)
+	return payload, resp.Header.Get(hdrChecksum), nil
 }
 
-// handlePeerResult serves GET /cluster/v1/results/{digest}: this
-// node's half of the peer-cache protocol and the anti-entropy pull
-// path. The in-memory cache answers first; on a durable node an
-// evicted (or pre-restart, or replicated-in) result is served from its
-// verified segment — same envelope, no decode. Only full-fidelity
-// results exist in either place (degraded results never enter a cache
-// or the store), so a hit is always safe to export. The payload passes
-// through the cluster.peer.fetch corrupt fault site after the checksum
-// is taken, modelling wire corruption the fetcher must catch.
+// handlePeerResult serves GET /cluster/v1/results/{digest} from the
+// server's memory or disk tier: the serving half of Fetch and of the
+// anti-entropy pull. Only full-fidelity results exist in either tier,
+// so a hit is always safe to export. The payload passes through the
+// cluster.peer.fetch corrupt fault site after the checksum is taken,
+// modelling wire corruption the fetcher must catch.
 func (n *Node) handlePeerResult(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	key := r.PathValue("digest")
-	var payload []byte
-	var sum string
-	if res, ok := n.srv.CachedResult(key); ok {
-		var err error
-		payload, sum, err = encodeWireResult(res)
-		if err != nil {
-			writeJSONError(w, http.StatusInternalServerError, err.Error())
-			return
-		}
-	} else if payload, sum, ok = n.srv.PersistedResultPayload(key); !ok {
-		writeJSONError(w, http.StatusNotFound, "result not cached on this node")
+	payload, sum, err := n.srv.ResultPayload(key)
+	if errors.Is(err, serve.ErrBadKey) {
+		writeJSONError(w, http.StatusBadRequest, err.Error())
+		return
+	}
+	if err != nil {
+		writeJSONError(w, http.StatusNotFound, "result not held on this node")
 		return
 	}
 	n.peerServed.Add(1)

@@ -15,34 +15,27 @@ import (
 
 // Result replication and anti-entropy repair (DESIGN.md §13). A durable
 // node pushes every newly persisted result to its key's next ring
-// successor, so losing one node's disk loses no completed work. When
-// the successor is suspect, dead, or simply unreachable, the key is
-// parked as a hint and retried on anti-entropy ticks (hinted handoff).
-// The periodic anti-entropy pass then closes whatever the push path
-// missed: partners exchange their persisted-segment digest maps, and
-// each side pulls (checksum-verified, through the existing peer-fetch
-// wire path) any result it should own but holds missing or corrupt —
-// repair moves bytes between stores, it never recomputes.
+// successor (Push), so losing one node's disk loses no completed work.
+// A push that fails, or finds the successor not alive, only logs: the
+// periodic anti-entropy pass is the one repair mechanism. Partners
+// exchange their persisted-segment digest maps; each side pushes the
+// intact segments an owner-chain partner lacks, and pulls
+// (checksum-verified, over the peer-result endpoint) any result it
+// should own but holds missing or corrupt — repair moves bytes between
+// stores, it never recomputes.
 
-// replicate is the serve.Config.Replicate hook: called asynchronously
-// with every newly persisted result payload. The payload is pushed to
-// the key's first ring successor after self; any failure (or an
-// unhealthy successor) parks the key as a hint for the anti-entropy
-// loop to retry. The job's trace ID rides along so both ends of the
-// transfer appear in the stitched trace.
-func (n *Node) replicate(key string, payload []byte, checksum, traceID string) {
-	target, healthy := n.replicaTarget(key)
+// Push sends a newly persisted result payload to the key's first
+// owner-chain member after self (the serve.RingTier half serve calls on
+// its own goroutine). The job's trace ID rides along so both ends of
+// the transfer appear in the stitched trace.
+func (n *Node) Push(key string, payload []byte, checksum, traceID string) {
+	target := n.replicaTarget(key)
 	if target == "" {
-		return // single-node ring (or self not durable enough to matter)
+		return // single-node ring, or a successor anti-entropy will reach
 	}
-	if !healthy {
-		n.hint(key)
-		return
-	}
-	if err := n.sendReplicaTraced(context.Background(), target, key, payload, checksum, traceID); err != nil {
-		obs.Warn("cluster: replication failed, key hinted",
+	if err := n.sendReplica(target, key, payload, checksum, traceID); err != nil {
+		obs.Warn("cluster: replication failed, left to anti-entropy",
 			obs.F("peer", target), obs.F("digest", shortKey(key)), obs.F("err", err.Error()))
-		n.hint(key)
 		return
 	}
 	n.replications.Add(1)
@@ -50,46 +43,34 @@ func (n *Node) replicate(key string, payload []byte, checksum, traceID string) {
 }
 
 // replicaTarget picks the key's replication destination: the first
-// member of the key's owner chain that is not self. healthy reports
-// whether that member currently looks alive (suspect and dead peers
-// get hints, not sends).
-func (n *Node) replicaTarget(key string) (target string, healthy bool) {
+// member of the key's owner chain that is not self, provided it looks
+// alive (a suspect successor is left to the anti-entropy pass).
+func (n *Node) replicaTarget(key string) string {
 	for _, m := range n.mem.Ring().Owners(key, n.cfg.ReplicaCount) {
 		if m == n.cfg.Self {
 			continue
 		}
-		st, known := n.mem.peerState(m)
-		return m, known && st == PeerAlive
+		if st, known := n.mem.peerState(m); known && st == PeerAlive {
+			return m
+		}
+		return ""
 	}
-	return "", false
+	return ""
 }
 
-// hint parks a key for the anti-entropy loop to re-replicate.
-func (n *Node) hint(key string) {
-	n.hintMu.Lock()
-	n.hints[key] = true
-	n.hintMu.Unlock()
-}
-
-// sendReplica pushes one persisted payload to addr (anti-entropy and
-// hint retries, which have no job trace to join).
-func (n *Node) sendReplica(ctx context.Context, addr, key string, payload []byte, checksum string) error {
-	return n.sendReplicaTraced(ctx, addr, key, payload, checksum, "")
-}
-
-// sendReplicaTraced pushes one persisted payload to addr, stamping the
+// sendReplica pushes one persisted payload to addr, stamping the
 // transfer as a cluster.replicate_send segment when a trace ID is
-// known. The cluster.replicate fault site injects both outright
-// failures and wire corruption; the receiver's checksum gate turns the
-// latter into a rejected (and re-hinted) transfer, never a poisoned
-// replica.
-func (n *Node) sendReplicaTraced(ctx context.Context, addr, key string, payload []byte, checksum, traceID string) error {
+// known (anti-entropy pushes have none). The cluster.replicate fault
+// site injects both outright failures and wire corruption; the
+// receiver's checksum gate turns the latter into a rejected transfer,
+// never a poisoned replica.
+func (n *Node) sendReplica(addr, key string, payload []byte, checksum, traceID string) error {
 	if err := fault.Err(fault.SiteClusterReplicate); err != nil {
 		return err
 	}
 	start := time.Now()
 	payload = fault.Bytes(fault.SiteClusterReplicate, payload)
-	ctx, cancel := context.WithTimeout(ctx, n.cfg.FetchTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), n.cfg.FetchTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
 		"http://"+addr+"/cluster/v1/replicas/"+key, bytes.NewReader(payload))
@@ -117,8 +98,9 @@ func (n *Node) sendReplicaTraced(ctx context.Context, addr, key string, payload 
 }
 
 // handleReplica serves POST /cluster/v1/replicas/{digest}: the
-// receiving half of replication. The serve layer verifies the checksum
-// and payload structure before any byte reaches the store.
+// receiving half of replication. The serve layer checks the key's shape,
+// the checksum, and the payload structure before any byte reaches the
+// store.
 func (n *Node) handleReplica(w http.ResponseWriter, r *http.Request) {
 	if !n.srv.Durable() {
 		writeJSONError(w, http.StatusNotImplemented, "node has no durable store")
@@ -131,7 +113,7 @@ func (n *Node) handleReplica(w http.ResponseWriter, r *http.Request) {
 		writeJSONError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if err := n.srv.StoreReplica(key, payload, r.Header.Get(hdrChecksum)); err != nil {
+	if err := n.srv.IngestResult(key, payload, r.Header.Get(hdrChecksum)); err != nil {
 		writeJSONError(w, http.StatusBadRequest, err.Error())
 		return
 	}
@@ -148,7 +130,7 @@ func (n *Node) handleReplica(w http.ResponseWriter, r *http.Request) {
 // failed verification — advertised so a partner repairs them). The
 // anti-entropy exchange unit.
 func (n *Node) handleDigests(w http.ResponseWriter, _ *http.Request) {
-	digests, err := n.srv.PersistedDigests()
+	digests, err := n.srv.ResultDigests()
 	if err != nil {
 		writeJSONError(w, http.StatusNotImplemented, err.Error())
 		return
@@ -177,21 +159,15 @@ func (n *Node) startAntiEntropy() {
 	}()
 }
 
-// antiEntropyRound runs one full repair pass: retry hinted
-// replications, then exchange digests with every live peer and
-// reconcile both directions. Exported to the test suite via
-// Node.AntiEntropyNow.
+// antiEntropyRound runs one full repair pass: exchange digests with
+// every live peer and reconcile both directions. Exported to the test
+// suite via Node.AntiEntropyNow.
 func (n *Node) antiEntropyRound() {
-	n.retryHints()
-	if !n.srv.Durable() {
-		return
-	}
-	local, err := n.srv.PersistedDigests()
+	local, err := n.srv.ResultDigests()
 	if err != nil {
-		return
+		return // not durable
 	}
-	snap := n.mem.snapshot()
-	for _, addr := range snap.livePeers {
+	for _, addr := range n.mem.snapshot().livePeers {
 		n.reconcile(addr, local)
 	}
 }
@@ -199,48 +175,6 @@ func (n *Node) antiEntropyRound() {
 // AntiEntropyNow forces one synchronous anti-entropy pass (tests and
 // operational tooling; the background loop runs the same code).
 func (n *Node) AntiEntropyNow() { n.antiEntropyRound() }
-
-// retryHints re-attempts replication for every hinted key whose target
-// has come back. Payloads are re-read from the store — the hint is just
-// the key, so a hint survives any amount of membership churn and always
-// replicates to the key's current successor.
-func (n *Node) retryHints() {
-	n.hintMu.Lock()
-	keys := make([]string, 0, len(n.hints))
-	for k := range n.hints {
-		keys = append(keys, k)
-	}
-	n.hintMu.Unlock()
-	for _, key := range keys {
-		target, healthy := n.replicaTarget(key)
-		if target == "" {
-			n.unhint(key) // ring shrank to self; nothing to hand off to
-			continue
-		}
-		if !healthy {
-			continue // still down; keep the hint
-		}
-		payload, sum, ok := n.srv.PersistedResultPayload(key)
-		if !ok {
-			n.unhint(key) // segment gone or corrupt; anti-entropy pull owns it now
-			continue
-		}
-		if err := n.sendReplica(context.Background(), target, key, payload, sum); err != nil {
-			obs.Warn("cluster: hinted handoff still failing",
-				obs.F("peer", target), obs.F("digest", shortKey(key)), obs.F("err", err.Error()))
-			continue
-		}
-		n.unhint(key)
-		n.replications.Add(1)
-		n.metrics.replications.Inc()
-	}
-}
-
-func (n *Node) unhint(key string) {
-	n.hintMu.Lock()
-	delete(n.hints, key)
-	n.hintMu.Unlock()
-}
 
 // reconcile exchanges digest maps with one partner and repairs both
 // directions: keys the partner should hold but does not are pushed;
@@ -260,11 +194,11 @@ func (n *Node) reconcile(addr string, local map[string]string) {
 		if sum == "" || remote[key] != "" || !n.inOwners(key, addr) {
 			continue
 		}
-		payload, psum, ok := n.srv.PersistedResultPayload(key)
-		if !ok {
+		payload, psum, err := n.srv.ResultPayload(key)
+		if err != nil {
 			continue
 		}
-		if err := n.sendReplica(context.Background(), addr, key, payload, psum); err == nil {
+		if err := n.sendReplica(addr, key, payload, psum, ""); err == nil {
 			n.replications.Add(1)
 			n.metrics.replications.Inc()
 		}
@@ -280,13 +214,13 @@ func (n *Node) reconcile(addr string, local map[string]string) {
 				obs.F("peer", addr), obs.F("digest", shortKey(key)))
 			continue
 		}
-		payload, checksum, err := n.fetchPayload(addr, key)
+		payload, checksum, err := n.fetchFrom(context.Background(), addr, key)
 		if err != nil {
 			obs.Warn("cluster: anti-entropy pull failed",
 				obs.F("peer", addr), obs.F("digest", shortKey(key)), obs.F("err", err.Error()))
 			continue
 		}
-		if err := n.srv.StoreReplica(key, payload, checksum); err != nil {
+		if err := n.srv.IngestResult(key, payload, checksum); err != nil {
 			obs.Warn("cluster: anti-entropy repair rejected",
 				obs.F("peer", addr), obs.F("digest", shortKey(key)), obs.F("err", err.Error()))
 			continue
@@ -331,32 +265,4 @@ func (n *Node) fetchDigests(addr string) (map[string]string, error) {
 		return nil, err
 	}
 	return digests, nil
-}
-
-// fetchPayload pulls one raw result payload (plus its checksum header)
-// from a partner — the repair-side reuse of the peer-result endpoint,
-// without the decode (repair has no program image and needs none; the
-// checksum is the integrity gate).
-func (n *Node) fetchPayload(addr, key string) ([]byte, string, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), n.cfg.FetchTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		"http://"+addr+"/cluster/v1/results/"+key, nil)
-	if err != nil {
-		return nil, "", err
-	}
-	resp, err := n.client.Do(req)
-	if err != nil {
-		return nil, "", err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096)) //nolint:errcheck // drain for reuse
-		return nil, "", fmt.Errorf("cluster: peer %s answered %s", addr, resp.Status)
-	}
-	payload, err := io.ReadAll(io.LimitReader(resp.Body, n.srv.Config().MaxBodyBytes*4))
-	if err != nil {
-		return nil, "", err
-	}
-	return payload, resp.Header.Get(hdrChecksum), nil
 }

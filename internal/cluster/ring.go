@@ -1,10 +1,10 @@
 // Package cluster turns N optiwise serve processes into one logical
 // profiling service: a consistent-hash ring routes every submission to
 // the node that owns its content-addressed job key, probe-based
-// membership removes dead nodes from the ring, and the result cache
-// becomes peer-aware — a node that misses locally single-flights a
-// fetch from the key's previous owner before recomputing (DESIGN.md
-// §11).
+// membership removes dead nodes from the ring, and each node becomes
+// the ring tier of its server's result store — a node that misses
+// locally fetches from the key's owner or previous owner before
+// recomputing (DESIGN.md §11).
 //
 // Routing on the content address is what makes the cluster cheap:
 // identical submissions hash to the same owner no matter which

@@ -308,9 +308,6 @@ func TestStoreSegments(t *testing.T) {
 	if string(got) != string(payload) {
 		t.Fatalf("result = %q", got)
 	}
-	if !s.HasResult(key) {
-		t.Error("HasResult = false after write")
-	}
 
 	digests, err := s.ResultDigests()
 	if err != nil {
@@ -340,13 +337,6 @@ func TestStoreSegments(t *testing.T) {
 	}
 	if digests[key] != "" {
 		t.Fatalf("corrupt segment digest = %q, want empty", digests[key])
-	}
-
-	if err := s.RemoveResult(key); err != nil {
-		t.Fatal(err)
-	}
-	if s.HasResult(key) {
-		t.Error("HasResult = true after remove")
 	}
 
 	if err := s.WriteCheckpoint(key, []byte("ckpt")); err != nil {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"optiwise/internal/trailer"
@@ -20,12 +19,13 @@ import (
 //	<root>/checkpoints/<key>.ckpt trailer-framed stream-combiner state
 //
 // Keys are the serve layer's content-addressed job digests (SHA-256
-// hex), so every filename is filesystem-safe by construction and a
-// segment's identity doubles as its lookup key. Program images are
-// written once at submit so the journal stays small and replay can
-// reconstruct a runnable job without the client; result segments carry
-// the exact wire-encoded payload the cluster peer-fetch path serves,
-// so replication and anti-entropy move bytes, never re-encode.
+// hex; serve rejects any other key that arrives over the network), so
+// every filename is filesystem-safe and a segment's identity doubles as
+// its lookup key. Program images are written once at submit so the
+// journal stays small and replay can reconstruct a runnable job without
+// the client; result segments carry the exact wire-encoded payload the
+// cluster's ring transfers move, so replication and anti-entropy move
+// bytes, never re-encode.
 type Store struct {
 	root    string
 	journal *Journal
@@ -95,23 +95,6 @@ func (s *Store) ReadResult(key string) ([]byte, error) {
 	return s.readFramed(s.resultPath(key))
 }
 
-// HasResult reports whether a result segment exists for key (without
-// verifying it).
-func (s *Store) HasResult(key string) bool {
-	_, err := os.Stat(s.resultPath(key))
-	return err == nil
-}
-
-// RemoveResult deletes the result segment for key (used when
-// anti-entropy finds it corrupt and will re-pull from a peer).
-func (s *Store) RemoveResult(key string) error {
-	err := os.Remove(s.resultPath(key))
-	if os.IsNotExist(err) {
-		return nil
-	}
-	return err
-}
-
 // ResultDigests maps every stored result key to the SHA-256 hex of its
 // verified payload — the same digest the peer-cache wire protocol
 // carries in X-Optiwise-Checksum, so two owners comparing maps are
@@ -140,20 +123,6 @@ func (s *Store) ResultDigests() (map[string]string, error) {
 		out[key] = hex.EncodeToString(sum[:])
 	}
 	return out, nil
-}
-
-// ResultKeys returns the stored result keys in sorted order.
-func (s *Store) ResultKeys() ([]string, error) {
-	digests, err := s.ResultDigests()
-	if err != nil {
-		return nil, err
-	}
-	keys := make([]string, 0, len(digests))
-	for k := range digests {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys, nil
 }
 
 // WriteCheckpoint persists a stream-combiner checkpoint for key. Each

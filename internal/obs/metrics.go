@@ -495,9 +495,9 @@ func helpFor(name string) string {
 	case MClusterProbeFailures:
 		return "Failed membership health probes."
 	case MClusterPeerFetchHits:
-		return "Cache misses satisfied by fetching the result from a sibling node."
+		return "Ring fetches a sibling node answered with a result payload (verified by the fetcher before use)."
 	case MClusterPeerFetchMisses:
-		return "Peer-cache fetch attempts that found nothing (or failed verification) and fell back to recomputation."
+		return "Ring fetch attempts that found no sibling holding the result and fell back to recomputation."
 	case MClusterPeerServed:
 		return "Cached results served to sibling nodes over the peer-cache endpoint."
 	case MClusterProxiedLookups:
@@ -511,7 +511,7 @@ func helpFor(name string) string {
 	case MDurableWindowsCheckpointed:
 		return "Stream windows whose cumulative combiner state reached durable storage."
 	case MClusterReplications:
-		return "Completed results replicated to the key's ring successor (including hinted handoffs delivered late)."
+		return "Completed results replicated to the key's ring successor, by the completion push or an anti-entropy pass."
 	case MClusterAntiEntropyRepairs:
 		return "Replica divergences repaired by the anti-entropy pass via the checksum-verified peer-fetch path."
 	case MBuildInfo:

@@ -35,19 +35,26 @@ func cacheTestResult(t *testing.T) *optiwise.Result {
 	return res
 }
 
+// wireSize is res's memory-tier entry size: its wire payload's length.
+func wireSize(t *testing.T, res *optiwise.Result) int64 {
+	t.Helper()
+	payload, _, err := EncodeWireResult(res)
+	if err != nil || len(payload) == 0 {
+		t.Fatalf("EncodeWireResult: %d bytes, %v", len(payload), err)
+	}
+	return int64(len(payload))
+}
+
 // TestCacheLRUEviction checks the byte-budget discipline: inserting
 // beyond the budget evicts the least recently used entry, and a get
 // refreshes recency.
 func TestCacheLRUEviction(t *testing.T) {
 	res := cacheTestResult(t)
-	size := resultSize(res)
-	if size <= 0 {
-		t.Fatalf("resultSize = %d", size)
-	}
+	size := wireSize(t, res)
 	// Budget for exactly two entries.
 	c := newResultCache(2 * size)
-	c.put("a", res)
-	c.put("b", res)
+	c.put("a", res, size)
+	c.put("b", res, size)
 	if c.len() != 2 || c.usedBytes() != 2*size {
 		t.Fatalf("after two puts: len=%d bytes=%d", c.len(), c.usedBytes())
 	}
@@ -55,7 +62,7 @@ func TestCacheLRUEviction(t *testing.T) {
 	if _, ok := c.get("a"); !ok {
 		t.Fatal("a missing")
 	}
-	c.put("c", res)
+	c.put("c", res, size)
 	if _, ok := c.get("b"); ok {
 		t.Error("b survived eviction despite being least recently used")
 	}
@@ -69,7 +76,7 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 
 	// Re-putting an existing key must not double-count bytes.
-	c.put("a", res)
+	c.put("a", res, size)
 	if c.len() != 2 || c.usedBytes() != 2*size {
 		t.Errorf("after re-put: len=%d bytes=%d", c.len(), c.usedBytes())
 	}
@@ -78,13 +85,14 @@ func TestCacheLRUEviction(t *testing.T) {
 // TestCacheDisabledAndOversized covers the degenerate budgets.
 func TestCacheDisabledAndOversized(t *testing.T) {
 	res := cacheTestResult(t)
+	size := wireSize(t, res)
 	disabled := newResultCache(-1)
-	disabled.put("k", res)
+	disabled.put("k", res, size)
 	if _, ok := disabled.get("k"); ok {
 		t.Error("disabled cache stored an entry")
 	}
 	tiny := newResultCache(1) // smaller than any serialized profile
-	tiny.put("k", res)
+	tiny.put("k", res, size)
 	if _, ok := tiny.get("k"); ok {
 		t.Error("cache stored an entry larger than its whole budget")
 	}

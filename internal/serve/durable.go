@@ -2,15 +2,11 @@ package serve
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
-	"fmt"
 	"os"
 	"time"
 
 	"optiwise"
-	"optiwise/internal/cfg"
 	"optiwise/internal/core"
 	"optiwise/internal/durable"
 	"optiwise/internal/obs"
@@ -22,53 +18,6 @@ import (
 // streamed executions checkpoint per window, and a restarting server
 // replays the journal to rebuild its cache index, lineage histories,
 // and regression counters and to re-enqueue whatever was in flight.
-
-// WireResult is the transfer and storage envelope shared by the
-// cluster peer-cache protocol, result replication, and the durable
-// result store: the profile's serialized analysis tables plus its
-// flattened CFG. The program image never travels or persists here —
-// the node asking about (or replaying) a key necessarily holds the
-// image, because the key is derived from it.
-type WireResult struct {
-	Export *core.Export   `json:"export"`
-	Graph  *cfg.FlatGraph `json:"graph,omitempty"`
-}
-
-// EncodeWireResult serializes res into the shared envelope and returns
-// the payload plus its hex SHA-256 — the digest the peer-cache
-// protocol carries in X-Optiwise-Checksum and the anti-entropy pass
-// compares between owners.
-func EncodeWireResult(res *optiwise.Result) ([]byte, string, error) {
-	payload, err := json.Marshal(WireResult{Export: res.Export(), Graph: res.Graph.Flatten()})
-	if err != nil {
-		return nil, "", fmt.Errorf("serve: encode result: %w", err)
-	}
-	return payload, WireChecksum(payload), nil
-}
-
-// WireChecksum returns the hex SHA-256 of a wire payload.
-func WireChecksum(payload []byte) string {
-	sum := sha256.Sum256(payload)
-	return hex.EncodeToString(sum[:])
-}
-
-// DecodeWireResult rebuilds a full Result from a wire payload against
-// the local program image. Callers verify the payload's checksum (or
-// its segment frame) first.
-func DecodeWireResult(payload []byte, prog *optiwise.Program) (*optiwise.Result, error) {
-	var w WireResult
-	if err := json.Unmarshal(payload, &w); err != nil {
-		return nil, fmt.Errorf("serve: decode result payload: %w", err)
-	}
-	if w.Export == nil {
-		return nil, fmt.Errorf("serve: result payload missing export tables")
-	}
-	g, err := w.Graph.Unflatten()
-	if err != nil {
-		return nil, err
-	}
-	return core.FromExport(w.Export, prog.Raw(), g), nil
-}
 
 // journalSubmit is the submit record's payload: everything needed to
 // reconstruct and re-enqueue the execution after a restart. The
@@ -223,25 +172,13 @@ func (s *Server) persistSubmission(g *group, leader *Job, sub Submission, timeou
 	s.appendJournal(durable.RecSubmit, leader.ID, g.key, js)
 }
 
-// persistCompleted makes a finished full-fidelity result durable —
-// segment first, then the journal's complete record, so a complete
-// record never points at a missing segment — drops the execution's
-// stream checkpoint, and hands the payload to the cluster replication
-// hook. members are the jobs that observed the outcome; their lineage
-// keys ride on the complete record so replay rebuilds the histories.
-func (s *Server) persistCompleted(g *group, res *optiwise.Result, members []*Job) {
-	if s.store == nil {
-		return
-	}
-	payload, sum, err := EncodeWireResult(res)
-	if err != nil {
-		obs.Warn("serve: persist result failed", obs.F("digest", shortDigest(g.key)), obs.F("err", err.Error()))
-		return
-	}
-	if err := s.store.WriteResult(g.key, payload); err != nil {
-		obs.Warn("serve: persist result failed", obs.F("digest", shortDigest(g.key)), obs.F("err", err.Error()))
-		return
-	}
+// persistCompleted finishes making a completed result durable once
+// putResult wrote its segment: the journal's complete record follows the
+// segment, so it never points at a missing one; the execution's stream
+// checkpoint is dropped; and the payload is pushed to the ring tier.
+// members are the jobs that observed the outcome; their lineage keys
+// ride on the complete record so replay rebuilds the histories.
+func (s *Server) persistCompleted(g *group, res *optiwise.Result, w wire, members []*Job) {
 	exp := res.Export()
 	jc := journalComplete{Module: g.prog.Module(), Cycles: exp.TotalCycles, IPC: exp.IPC,
 		SeenUnixNano: time.Now().UnixNano()}
@@ -257,8 +194,8 @@ func (s *Server) persistCompleted(g *group, res *optiwise.Result, members []*Job
 	if err := s.store.RemoveCheckpoint(g.key); err != nil {
 		obs.Warn("serve: drop checkpoint failed", obs.F("digest", shortDigest(g.key)), obs.F("err", err.Error()))
 	}
-	if s.cfg.Replicate != nil {
-		go s.cfg.Replicate(g.key, payload, sum, g.traceID)
+	if s.ring != nil {
+		go s.ring.Push(g.key, w.payload, w.sum, g.traceID)
 	}
 }
 
@@ -360,8 +297,7 @@ func (s *Server) replayJournal(sum *durable.ReplaySummary) {
 		}
 		var exp *core.Export
 		if payload, err := s.store.ReadResult(key); err == nil {
-			var w WireResult
-			if jsonErr := json.Unmarshal(payload, &w); jsonErr == nil {
+			if w, err := parseWire(payload); err == nil {
 				exp = w.Export
 			}
 		}
@@ -481,79 +417,5 @@ func (s *Server) resubmitPending() {
 	}
 }
 
-// rehydrate serves a cache miss from the durable result store: the
-// segment is frame-verified, decoded against the submitted program,
-// and admitted into the in-memory LRU like any fresh completion. This
-// is what makes "restart loses no completed result" true without
-// loading every segment at boot.
-func (s *Server) rehydrate(key string, prog *optiwise.Program) (*optiwise.Result, bool) {
-	if s.store == nil || prog == nil {
-		return nil, false
-	}
-	payload, err := s.store.ReadResult(key)
-	if err != nil {
-		if !os.IsNotExist(err) {
-			obs.Warn("serve: result segment unreadable",
-				obs.F("digest", shortDigest(key)), obs.F("err", err.Error()))
-		}
-		return nil, false
-	}
-	res, err := DecodeWireResult(payload, prog)
-	if err != nil {
-		obs.Warn("serve: result segment invalid",
-			obs.F("digest", shortDigest(key)), obs.F("err", err.Error()))
-		return nil, false
-	}
-	s.cache.put(key, res)
-	return res, true
-}
-
 // Durable reports whether the server persists to a data dir.
 func (s *Server) Durable() bool { return s.store != nil }
-
-// PersistedResultPayload returns the stored, frame-verified wire
-// payload for key plus its checksum. The cluster layer serves sibling
-// fetches and anti-entropy repairs from it without decoding (decoding
-// needs the program image, which only the fetcher holds).
-func (s *Server) PersistedResultPayload(key string) ([]byte, string, bool) {
-	if s.store == nil {
-		return nil, "", false
-	}
-	payload, err := s.store.ReadResult(key)
-	if err != nil {
-		return nil, "", false
-	}
-	return payload, WireChecksum(payload), true
-}
-
-// PersistedDigests maps every stored result key to the SHA-256 of its
-// verified payload (empty for corrupt segments — visible as divergent,
-// never trusted). The anti-entropy pass exchanges these maps between
-// ring owners.
-func (s *Server) PersistedDigests() (map[string]string, error) {
-	if s.store == nil {
-		return nil, fmt.Errorf("serve: no durable store")
-	}
-	return s.store.ResultDigests()
-}
-
-// StoreReplica verifies and persists a result payload replicated from
-// a sibling node: checksum first, then a structural decode check, then
-// the framed segment write. The in-memory cache is left alone — a
-// replica is insurance for this node's successors, not working-set.
-func (s *Server) StoreReplica(key string, payload []byte, checksum string) error {
-	if s.store == nil {
-		return fmt.Errorf("serve: no durable store")
-	}
-	if got := WireChecksum(payload); got != checksum {
-		return fmt.Errorf("serve: replica checksum mismatch (got %.12s, want %.12s)", got, checksum)
-	}
-	var w WireResult
-	if err := json.Unmarshal(payload, &w); err != nil {
-		return fmt.Errorf("serve: replica payload invalid: %w", err)
-	}
-	if w.Export == nil {
-		return fmt.Errorf("serve: replica payload missing export tables")
-	}
-	return s.store.WriteResult(key, payload)
-}

@@ -41,12 +41,12 @@ func TestCacheEligible(t *testing.T) {
 // inside the cache itself, behind the runGroup predicate.
 func TestCachePutRefusesDegradedAndNil(t *testing.T) {
 	c := newResultCache(1 << 20)
-	c.put("nil", nil)
-	c.put("degraded", &optiwise.Result{Degraded: true})
+	c.put("nil", nil, 1)
+	c.put("degraded", &optiwise.Result{Degraded: true}, 1)
 	if n := c.len(); n != 0 {
 		t.Fatalf("cache admitted %d ineligible results", n)
 	}
-	c.put("full", &optiwise.Result{})
+	c.put("full", &optiwise.Result{}, 1)
 	if n := c.len(); n != 1 {
 		t.Fatalf("cache refused a full result (len=%d)", n)
 	}

@@ -54,8 +54,9 @@ type Config struct {
 	// executions; submissions beyond it fail with ErrQueueFull
 	// (default 64).
 	QueueDepth int
-	// CacheBytes is the result cache's byte budget (default 256 MiB);
-	// <0 disables caching.
+	// CacheBytes is the memory tier's byte budget (default 256 MiB); <0
+	// disables it. An entry counts its wire payload's length, which runs
+	// 3–8% above the result's export-JSON size.
 	CacheBytes int64
 	// MaxBodyBytes caps an HTTP submission body (default 32 MiB).
 	MaxBodyBytes int64
@@ -125,25 +126,6 @@ type Config struct {
 	// servers stay API-only; the serve command enables it unless
 	// -ui=false.
 	UI bool
-	// Replicate, when set (by the cluster layer), receives every newly
-	// persisted result payload plus its checksum for asynchronous
-	// replication to the key's ring successors, along with the
-	// originating job's trace ID so the transfer can be stitched into
-	// the job's distributed trace. Nil on single-node or non-durable
-	// servers.
-	Replicate func(key string, payload []byte, checksum, traceID string)
-	// PeerFetch, when set (by the cluster layer, DESIGN.md §11), is
-	// consulted by a worker after it dequeues a cache-missing execution
-	// and before it simulates: a true return supplies the finished
-	// result from a sibling node's cache, the execution is skipped, and
-	// the result is admitted into the local cache like any full
-	// success. The callback must be safe for concurrent use and should
-	// bound its own network timeouts; failures of any kind (including
-	// panics) demote to a normal local computation. The submission's
-	// program is passed so the callback can reconstruct a full result
-	// from the wire tables (the program never travels — the fetching
-	// node holds it already; the key is derived from it).
-	PeerFetch func(ctx context.Context, key string, prog *optiwise.Program) (*optiwise.Result, bool)
 	// ClusterStats, when set, contributes the cluster section of Stats
 	// and the cluster fields on /readyz. Nil on single-node servers.
 	ClusterStats func() *ClusterStats
@@ -171,21 +153,20 @@ type ClusterStats struct {
 	// to a backup owner after a peer connection failure.
 	Forwarded        uint64 `json:"forwarded"`
 	ForwardFailovers uint64 `json:"forward_failovers"`
-	// PeerFetchHits / PeerFetchMisses count cache misses satisfied (or
-	// not) from a sibling's cache; PeerServed counts results this node
-	// served to siblings; ProxiedLookups counts job lookups relayed to
-	// the node owning the job.
+	// PeerFetchHits / PeerFetchMisses count ring fetches a sibling
+	// answered with a payload (or not) — Stats.JobsPeerFetched counts
+	// the ones that verified and served a job; PeerServed counts results
+	// this node served to siblings; ProxiedLookups counts job lookups
+	// relayed to the node owning the job.
 	PeerFetchHits   uint64 `json:"peer_fetch_hits"`
 	PeerFetchMisses uint64 `json:"peer_fetch_misses"`
 	PeerServed      uint64 `json:"peer_results_served"`
 	ProxiedLookups  uint64 `json:"proxied_lookups"`
 	// Replications counts persisted results this node pushed to ring
 	// successors; AntiEntropyRepairs counts missing or corrupt replicas
-	// this node pulled back from partners, checksum-verified;
-	// HintedKeys is the current hinted-handoff backlog.
+	// this node pulled back from partners, checksum-verified.
 	Replications       uint64 `json:"replications"`
 	AntiEntropyRepairs uint64 `json:"antientropy_repairs"`
-	HintedKeys         int    `json:"hinted_keys,omitempty"`
 }
 
 // maxRetainedDumps bounds the in-memory flight-dump history.
@@ -243,19 +224,22 @@ func (c Config) withDefaults() Config {
 }
 
 // Server is the profiling service: a bounded queue of deduplicated
-// executions, a fixed worker pool, a job-status table, and the result
-// cache. Construct with New, launch workers with Start, serve HTTP via
-// Handler, and stop with Shutdown.
+// executions, a fixed worker pool, a job-status table, and the tiered
+// result store (store.go). Construct with New, launch workers with
+// Start, serve HTTP via Handler, and stop with Shutdown.
 type Server struct {
 	cfg      Config
 	queue    chan *group
-	cache    *resultCache
 	lineages *lineageStore
 	metrics  serverMetrics
-	// store is the durable layer (nil without Config.DataDir): the job
-	// journal plus program/result/checkpoint segments. pending holds the
-	// executions journal replay proved incomplete, re-enqueued by Start.
+	// The result store's tiers: cache is memory; store is the durable
+	// layer (nil without Config.DataDir) — the disk tier plus the job
+	// journal and program/checkpoint segments; ring is the cluster tier
+	// (nil on a single node). pending holds the executions journal
+	// replay proved incomplete, re-enqueued by Start.
+	cache   *resultCache
 	store   *durable.Store
+	ring    RingTier
 	pending []pendingReplay
 
 	mu       sync.Mutex
@@ -367,19 +351,13 @@ func NewDurable(cfg Config) (*Server, error) {
 // Config returns the server's effective (default-resolved) config.
 func (s *Server) Config() Config { return s.cfg }
 
-// SetClusterHooks installs the cluster layer's callbacks (see
-// Config.PeerFetch, Config.ClusterStats, and Config.Replicate;
-// replicate may be nil on non-durable nodes). The cluster node is
-// built around an existing Server, so the hooks cannot be part of the
+// SetClusterHooks installs the cluster layer: the result store's ring
+// tier and the stats hook (Config.ClusterStats). The cluster node is
+// built around an existing Server, so neither can be part of the
 // construction-time Config; call this after New and before Start.
-func (s *Server) SetClusterHooks(
-	peerFetch func(ctx context.Context, key string, prog *optiwise.Program) (*optiwise.Result, bool),
-	stats func() *ClusterStats,
-	replicate func(key string, payload []byte, checksum, traceID string),
-) {
-	s.cfg.PeerFetch = peerFetch
+func (s *Server) SetClusterHooks(ring RingTier, stats func() *ClusterStats) {
+	s.ring = ring
 	s.cfg.ClusterStats = stats
-	s.cfg.Replicate = replicate
 }
 
 // SetTraceSegmentsHook installs the cluster layer's cross-node trace
@@ -525,11 +503,11 @@ func (s *Server) SubmitWith(prog *optiwise.Program, opts optiwise.Options, sub S
 	j := newJob(key, prog.Module(), opts.Machine.Name, traceID)
 	j.lineage = sub.Lineage
 
-	// Fast path: the cache already holds this exact profile. The cached
-	// result still records into the job's lineage — the version history
-	// tracks what was submitted, not what was simulated — where the
-	// consecutive-digest dedup keeps resubmissions from flooding it.
-	if res, ok := s.cacheGet(key, prog); ok {
+	// Fast path: memory or disk already holds this exact profile. The
+	// cached result still records into the job's lineage — the version
+	// history tracks what was submitted, not what was simulated — where
+	// the consecutive-digest dedup keeps resubmissions from flooding it.
+	if res, ok := s.getResult(key, prog); ok {
 		j.mu.Lock()
 		j.cached = true
 		j.mu.Unlock()
@@ -618,13 +596,6 @@ func (s *Server) CanonicalKey(prog *optiwise.Program, opts optiwise.Options) (st
 		return "", err
 	}
 	return jobKey(prog, s.canonicalize(opts))
-}
-
-// CachedResult probes the local result cache by job key, bypassing the
-// submission path (no job is created, no fault site consulted). The
-// cluster layer serves sibling peer-fetches from it.
-func (s *Server) CachedResult(key string) (*optiwise.Result, bool) {
-	return s.cache.get(key)
 }
 
 // onDeadline records a deadline expiry in the failure counter.
@@ -737,16 +708,16 @@ func (s *Server) runGroup(g *group) {
 	var res *optiwise.Result
 	var err error
 	attempts := 0
-	// Cluster peer fetch: before burning a simulation, ask the layer
-	// above whether a sibling node already finished this key (ring
-	// rebalances move ownership; the result may live on the previous
-	// owner). A fetched result is full-fidelity by protocol — degraded
-	// results never enter any node's cache — and flows through the
-	// normal cache-admission and fan-out below.
+	// Ring tier: before burning a simulation, ask whether a sibling node
+	// already finished this key (ring rebalances move ownership; the
+	// result may live on the previous owner). A fetched result arrives
+	// encoded and verified, and flows through the normal admission and
+	// fan-out below without being encoded again.
+	var w wire
 	peerFetched := false
-	if s.cfg.PeerFetch != nil && ctx.Err() == nil {
-		if fetched, ok := s.peerFetch(runCtx, g.key, g.prog); ok && fetched != nil && !fetched.Degraded {
-			res, peerFetched = fetched, true
+	if s.ring != nil && ctx.Err() == nil {
+		if fetched, fw, ok := s.fetchResult(runCtx, g.key, g.prog); ok {
+			res, w, peerFetched = fetched, fw, true
 			s.peerFetches.Add(1)
 			s.metrics.peerFetched.Inc()
 			span.SetAttr("peer_fetched", true)
@@ -779,8 +750,12 @@ func (s *Server) runGroup(g *group) {
 	}
 	span.End()
 
-	if cacheEligible(res, err, ctx.Err()) {
-		s.cachePut(g.key, res)
+	// Admission (memory, then the disk segment) precedes dropGroup, so a
+	// submission arriving after the group is gone finds the result.
+	eligible := cacheEligible(res, err, ctx.Err())
+	persisted := false
+	if eligible {
+		w, persisted = s.putResult(g.key, res, w)
 	}
 	if err == nil && res != nil && res.Degraded {
 		s.degradeds.Add(1)
@@ -801,13 +776,16 @@ func (s *Server) runGroup(g *group) {
 	if err != nil {
 		errMsg = err.Error()
 	}
-	// Journal the terminal outcome. A cache-eligible result is persisted
-	// as a segment before its complete record lands; a degraded success is
-	// terminal too (re-running it on restart would re-degrade), but its
-	// partial result is never persisted or cached.
+	// Journal the terminal outcome. A cache-eligible result's segment
+	// landed before its complete record; a degraded success is terminal
+	// too (re-running it on restart would re-degrade), but its partial
+	// result is never persisted or cached.
 	switch {
-	case cacheEligible(res, err, ctx.Err()):
-		s.persistCompleted(g, res, members)
+	case persisted:
+		s.persistCompleted(g, res, w, members)
+	case eligible:
+		// No segment (no disk tier, or the write failed): no record, so
+		// a durable replay re-runs the key.
 	case ctx.Err() != nil:
 		s.appendJournal(durable.RecCancel, "", g.key, nil)
 	case err != nil:
@@ -820,6 +798,12 @@ func (s *Server) runGroup(g *group) {
 		if peerFetched {
 			j.markPeerFetched()
 		}
+		// The lineage version (and any regress record) is journaled before
+		// the job reads done, so a restart right after keeps what the
+		// client saw.
+		if err == nil {
+			s.recordLineage(j, res)
+		}
 		if !j.finish(res, errMsg) {
 			continue // lost the race against its deadline or a cancel
 		}
@@ -827,7 +811,6 @@ func (s *Server) runGroup(g *group) {
 			s.metrics.failed.Inc()
 		} else {
 			s.metrics.completed.Inc()
-			s.recordLineage(j, res)
 		}
 		j.mu.Lock()
 		lat := j.finished.Sub(j.submitted)
@@ -1161,53 +1144,6 @@ func (s *Server) recordLineage(j *Job, res *optiwise.Result) {
 // (DESIGN.md §8).
 func cacheEligible(res *optiwise.Result, err, ctxErr error) bool {
 	return err == nil && res != nil && !res.Degraded && ctxErr == nil
-}
-
-// peerFetch invokes the cluster PeerFetch hook defensively: a panic in
-// the callback demotes to a miss, so a broken peer protocol degrades to
-// local recomputation, never to a failed job.
-func (s *Server) peerFetch(ctx context.Context, key string, prog *optiwise.Program) (res *optiwise.Result, ok bool) {
-	defer func() {
-		if recover() != nil {
-			res, ok = nil, false
-		}
-	}()
-	return s.cfg.PeerFetch(ctx, key, prog)
-}
-
-// cacheGet probes the result cache through the serve.cache.get fault
-// site: any injected failure (including a panic) demotes the probe to
-// a miss, so a flaky cache degrades to recomputation, never to a
-// client-visible error. On a durable server an LRU miss falls through
-// to the result store, rehydrating evicted (or pre-restart) results
-// from their segments instead of re-simulating.
-func (s *Server) cacheGet(key string, prog *optiwise.Program) (res *optiwise.Result, ok bool) {
-	defer func() {
-		if recover() != nil {
-			res, ok = nil, false
-		}
-	}()
-	if err := fault.Err(fault.SiteCacheGet); err != nil {
-		return nil, false
-	}
-	if res, ok := s.cache.get(key); ok {
-		return res, true
-	}
-	return s.rehydrate(key, prog)
-}
-
-// cachePut stores a fully successful result through the
-// serve.cache.put fault site: injected failures (including panics)
-// drop the store — the cache is an optimization, losing an entry is
-// always safe.
-func (s *Server) cachePut(key string, res *optiwise.Result) {
-	defer func() {
-		_ = recover() //nolint:errcheck // losing a cache store is safe
-	}()
-	if err := fault.Err(fault.SiteCachePut); err != nil {
-		return
-	}
-	s.cache.put(key, res)
 }
 
 // dropGroup removes g from the dedup index (if it is still the indexed
