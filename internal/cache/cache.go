@@ -18,10 +18,12 @@ type Level struct {
 	lineBits uint
 	latency  uint64
 
-	tags [][]uint64
-	// lru[s][w] is the last-touch stamp for way w of set s.
-	lru   [][]uint64
-	valid [][]bool
+	// Way w of set s lives at index s*ways+w of each array, so a level
+	// is three allocations however many sets it has.
+	tags []uint64
+	// lru holds each way's last-touch stamp.
+	lru   []uint64
+	valid []bool
 	stamp uint64
 
 	// Stats.
@@ -48,14 +50,9 @@ func NewLevel(name string, size, ways, lineSize int, latency uint64) *Level {
 	}
 	l := &Level{
 		name: name, sets: sets, ways: ways, lineBits: lineBits, latency: latency,
-		tags:  make([][]uint64, sets),
-		lru:   make([][]uint64, sets),
-		valid: make([][]bool, sets),
-	}
-	for i := 0; i < sets; i++ {
-		l.tags[i] = make([]uint64, ways)
-		l.lru[i] = make([]uint64, ways)
-		l.valid[i] = make([]bool, ways)
+		tags:  make([]uint64, sets*ways),
+		lru:   make([]uint64, sets*ways),
+		valid: make([]bool, sets*ways),
 	}
 	return l
 }
@@ -66,14 +63,19 @@ func (l *Level) Name() string { return l.name }
 // Latency returns the hit latency in cycles.
 func (l *Level) Latency() uint64 { return l.latency }
 
+// set returns the first array index of addr's set, and addr's line.
+func (l *Level) set(addr uint64) (int, uint64) {
+	line := addr >> l.lineBits
+	return int(line&uint64(l.sets-1)) * l.ways, line
+}
+
 // lookup probes for addr and updates LRU on hit.
 func (l *Level) lookup(addr uint64) bool {
-	line := addr >> l.lineBits
-	set := line & uint64(l.sets-1)
+	base, line := l.set(addr)
 	l.stamp++
-	for w := 0; w < l.ways; w++ {
-		if l.valid[set][w] && l.tags[set][w] == line {
-			l.lru[set][w] = l.stamp
+	for i := base; i < base+l.ways; i++ {
+		if l.valid[i] && l.tags[i] == line {
+			l.lru[i] = l.stamp
 			return true
 		}
 	}
@@ -82,22 +84,21 @@ func (l *Level) lookup(addr uint64) bool {
 
 // fill installs addr's line, evicting LRU.
 func (l *Level) fill(addr uint64) {
-	line := addr >> l.lineBits
-	set := line & uint64(l.sets-1)
-	victim := 0
-	for w := 0; w < l.ways; w++ {
-		if !l.valid[set][w] {
-			victim = w
+	base, line := l.set(addr)
+	victim := base
+	for i := base; i < base+l.ways; i++ {
+		if !l.valid[i] {
+			victim = i
 			break
 		}
-		if l.lru[set][w] < l.lru[set][victim] {
-			victim = w
+		if l.lru[i] < l.lru[victim] {
+			victim = i
 		}
 	}
 	l.stamp++
-	l.tags[set][victim] = line
-	l.valid[set][victim] = true
-	l.lru[set][victim] = l.stamp
+	l.tags[victim] = line
+	l.valid[victim] = true
+	l.lru[victim] = l.stamp
 }
 
 // Hierarchy is an inclusive multi-level cache hierarchy backed by a

@@ -121,15 +121,22 @@ func (c Config) Validate() error {
 				c.Name, ch.name, ch.v)
 		}
 	}
-	lats := []struct {
+	type latency struct {
 		name string
 		v    uint64
-	}{
+	}
+	lats := []latency{
 		{"MulLat", c.MulLat},
 		{"DivLat", c.DivLat},
 		{"FPLat", c.FPLat},
 		{"FDivLat", c.FDivLat},
 		{"SyscallLat", c.SyscallLat},
+		{"Cache.MemLatency", c.Cache.MemLatency},
+	}
+	// Cache latencies count too: the issue stage relies on nothing
+	// finishing in the cycle it issues (see Sim.issue).
+	for _, lc := range c.Cache.Levels {
+		lats = append(lats, latency{"Cache " + lc.Name + " latency", lc.Latency})
 	}
 	for _, l := range lats {
 		if l.v < 1 {

@@ -169,6 +169,38 @@ func goldenSettings() []goldenSetting {
 	}
 }
 
+// goldenNarrowMachines are the production machines squeezed until issue
+// contention is the common case: ready uops queue behind one another for
+// bandwidth and ports, and the small windows keep dispatch backing up.
+// They pin the order in which the issue stage picks among ready uops,
+// which the wide machines rarely exercise.
+func goldenNarrowMachines() []Config {
+	xeon := XeonW2195()
+	xeon.Name += "-narrow"
+	xeon.IssueWidth = 2
+	xeon.ALUs, xeon.MulUnits, xeon.FPUs, xeon.LoadPorts, xeon.StorePorts = 1, 1, 1, 1, 1
+	xeon.IQSize, xeon.ROBSize, xeon.SBSize = 6, 16, 2
+
+	n1 := NeoverseN1()
+	n1.Name += "-narrow"
+	n1.IssueWidth = 1
+	n1.ALUs, n1.LoadPorts = 1, 1
+	n1.IQSize, n1.ROBSize = 4, 12
+	return []Config{xeon, n1}
+}
+
+// goldenNarrowSettings is the subset of goldenSettings run on the narrow
+// machines: plain skid sampling, and everything interleaved at once.
+func goldenNarrowSettings() []goldenSetting {
+	var out []goldenSetting
+	for _, gs := range goldenSettings() {
+		if gs.name == "skid" || gs.name == "all" {
+			out = append(out, gs)
+		}
+	}
+	return out
+}
+
 // goldenDigest runs one case and hashes everything it observed.
 func goldenDigest(t *testing.T, p *program.Image, cfg Config, opts Options) string {
 	t.Helper()
@@ -251,19 +283,30 @@ func tag(h hash.Hash, name string, n uint64) {
 func TestGoldenDigests(t *testing.T) {
 	got := map[string]string{}
 	var order []string
-	for _, gp := range goldenPrograms() {
+	gps := goldenPrograms()
+	progs := make([]*program.Program, len(gps))
+	for i, gp := range gps {
 		prog, err := asm.Assemble(gp.name, gp.src)
 		if err != nil {
 			t.Fatalf("%s: %v", gp.name, err)
 		}
-		for _, cfg := range []Config{XeonW2195(), NeoverseN1()} {
-			for _, gs := range goldenSettings() {
-				key := gp.name + "/" + cfg.Name + "/" + gs.name
-				got[key] = goldenDigest(t, program.Load(prog, program.LoadOptions{}), cfg, gs.opts)
-				order = append(order, key)
+		progs[i] = prog
+	}
+	run := func(machines []Config, settings []goldenSetting) {
+		for i, prog := range progs {
+			for _, cfg := range machines {
+				for _, gs := range settings {
+					key := gps[i].name + "/" + cfg.Name + "/" + gs.name
+					got[key] = goldenDigest(t, program.Load(prog, program.LoadOptions{}), cfg, gs.opts)
+					order = append(order, key)
+				}
 			}
 		}
 	}
+	run([]Config{XeonW2195(), NeoverseN1()}, goldenSettings())
+	// The narrow machines come after every production case, so the
+	// production lines keep their place in the file.
+	run(goldenNarrowMachines(), goldenNarrowSettings())
 
 	if *updateGolden {
 		var b strings.Builder

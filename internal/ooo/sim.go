@@ -28,9 +28,12 @@ type uop struct {
 	inst isa.Instruction
 	kind isa.Kind
 
-	// Dataflow: producing uops for each source register; nil when the
-	// value was already architecturally available at dispatch.
-	deps [3]*uop
+	// Dataflow. pending counts source operands whose producer had not
+	// finished at dispatch and has not broadcast since; the uop is ready
+	// to issue at zero. consumers lists the waiting uops this one wakes
+	// when it finishes; its backing array survives recycling.
+	pending   uint8
+	consumers []*uop
 
 	// Dynamic facts from the functional trace.
 	addr   uint64 // effective address for memory ops
@@ -123,7 +126,12 @@ type Sim struct {
 	robLen  int
 	robMask int
 
-	iq []*uop
+	// iqLen counts dispatched uops that have not issued yet; it gates
+	// dispatch at IQSize. readyQ holds those whose operands are all
+	// available, in dispatch (seq) order, which is the order the issue
+	// stage selects in.
+	iqLen  int
+	readyQ []*uop
 
 	// exec holds issued-but-unfinished uops so the per-cycle result
 	// broadcast (and kernel-time shifts) touch only executing work
@@ -131,10 +139,12 @@ type Sim struct {
 	exec []*uop
 
 	// free/freeNext recycle uop records. Commit parks retired uops on
-	// freeNext for one full cycle — the same cycle's issue() prunes the
-	// last dependence edges to them and dispatch() drops pendingSyscall
-	// — and the next cycle's top moves them to free for reuse. The
-	// steady state allocates no uops at all.
+	// freeNext for one full cycle — the same cycle's dispatch() still
+	// reads a committed pendingSyscall before dropping it — and the next
+	// cycle's top moves them to free for reuse. No dependence edge can
+	// reach a retired uop: a producer empties its consumer list when it
+	// finishes, before it can commit. The steady state allocates no uops
+	// at all.
 	free     []*uop
 	freeNext []*uop
 
@@ -313,7 +323,7 @@ func New(cfg Config, img *program.Image, opts Options) *Sim {
 	}
 	s.robBuf = make([]*uop, robCap)
 	s.robMask = robCap - 1
-	s.iq = make([]*uop, 0, cfg.IQSize)
+	s.readyQ = make([]*uop, 0, cfg.IQSize)
 	s.exec = make([]*uop, 0, cfg.IQSize)
 	// One uop record per possible in-flight slot plus the commit group
 	// parked on freeNext, carved from a single backing array for
@@ -418,8 +428,8 @@ func (s *Sim) RunContext(ctx context.Context, maxCycles uint64) (Stats, error) {
 			}
 		}
 		s.cycle++
-		// Uops that committed last cycle have been unreferenced by that
-		// cycle's issue/dispatch; recycle them now.
+		// Uops that committed last cycle have been released by that
+		// cycle's dispatch; recycle them now.
 		if len(s.freeNext) > 0 {
 			s.free = append(s.free, s.freeNext...)
 			s.freeNext = s.freeNext[:0]
@@ -652,24 +662,26 @@ func (s *Sim) recordTrace(u *uop) {
 }
 
 // ---------------------------------------------------------------------------
-// Issue stage: pick ready uops from the IQ, oldest first, respecting
-// per-kind issue bandwidth and non-pipelined units.
+// Issue stage: broadcast the results that arrive this cycle, which wakes
+// their consumers, then pick ready uops oldest first, respecting per-kind
+// issue bandwidth and non-pipelined units.
 
 // issue runs one cycle of the stage and reports whether anything issued
 // or finished.
+//
+// Broadcasting before selecting is exact: every latency is at least one
+// cycle (Config.Validate), so nothing selected this cycle could have
+// finished in it, and a producer finishing this cycle is exactly one
+// whose consumers may issue this cycle.
 func (s *Sim) issue() bool {
+	finished := s.broadcast()
 	issued := 0
 	aluUsed, mulUsed, fpuUsed, loadUsed, storeUsed := 0, 0, 0, 0, 0
-	keep := s.iq[:0]
-	for _, u := range s.iq {
-		// ready runs for every queue entry even once issue bandwidth is
-		// exhausted: it prunes satisfied dependence edges as a side
-		// effect, which keeps retired producers unreferenced (so their
-		// records recycle) and makes later wakeups cheaper. The issue
-		// decision itself is unchanged: ready AND bandwidth available.
-		if !s.ready(u) || issued >= s.cfg.IssueWidth {
-			keep = append(keep, u)
-			continue
+	keep := s.readyQ[:0]
+	for i, u := range s.readyQ {
+		if issued >= s.cfg.IssueWidth {
+			keep = append(keep, s.readyQ[i:]...)
+			break
 		}
 		ok := true
 		var lat uint64
@@ -749,30 +761,42 @@ func (s *Sim) issue() bool {
 			continue
 		}
 		issued++
+		s.iqLen--
 		u.state = stIssued
 		u.execStartC = s.cycle
 		u.doneC = s.cycle + lat
 		s.exec = append(s.exec, u)
 		s.finishAt(u)
 	}
-	s.iq = keep
+	s.readyQ = keep
+	return issued > 0 || finished
+}
 
-	// Promote issued uops whose result time has arrived. Only members
-	// of the exec list can change state here, so the broadcast scans
-	// executing work rather than the whole ROB.
+// broadcast promotes issued uops whose result time has arrived and wakes
+// the consumers whose last outstanding operand that was, then runs the
+// early-dequeue pass. Only members of the exec list can change state
+// here, so it scans executing work rather than the whole ROB. It reports
+// whether anything finished.
+func (s *Sim) broadcast() bool {
 	branchResolved := false
 	executing := len(s.exec)
 	keepExec := s.exec[:0]
 	for _, u := range s.exec {
-		if u.doneC <= s.cycle {
-			u.state = stDone
-			if isBranchKind(u.kind) {
-				s.unresolvedBranches--
-				branchResolved = true
-			}
-		} else {
+		if u.doneC > s.cycle {
 			keepExec = append(keepExec, u)
+			continue
 		}
+		u.state = stDone
+		if isBranchKind(u.kind) {
+			s.unresolvedBranches--
+			branchResolved = true
+		}
+		for _, c := range u.consumers {
+			if c.pending--; c.pending == 0 {
+				s.wake(c)
+			}
+		}
+		u.consumers = u.consumers[:0]
 	}
 	s.exec = keepExec
 	// Early-dequeue model: ops that stayed ROB-resident only because an
@@ -790,7 +814,20 @@ func (s *Sim) issue() bool {
 			}
 		}
 	}
-	return issued > 0 || len(s.exec) < executing
+	return len(s.exec) < executing
+}
+
+// wake inserts u into the ready queue at its place in seq order. Woken
+// uops are usually among the youngest waiting, so the backward walk is
+// short.
+func (s *Sim) wake(u *uop) {
+	q := append(s.readyQ, u)
+	i := len(q) - 1
+	for ; i > 0 && q[i-1].seq > u.seq; i-- {
+		q[i] = q[i-1]
+	}
+	q[i] = u
+	s.readyQ = q
 }
 
 func isBranchKind(k isa.Kind) bool {
@@ -831,25 +868,6 @@ func canAbort(k isa.Kind) bool {
 	return false
 }
 
-// ready reports whether all of u's producers have broadcast. Satisfied
-// edges are pruned in place: a nil dep means the value is (or was)
-// architecturally available, and once every consumer has pruned its edge
-// to a retired producer, that producer's record is free to recycle.
-func (s *Sim) ready(u *uop) bool {
-	ok := true
-	for i, d := range u.deps {
-		if d == nil {
-			continue
-		}
-		if d.state == stWaiting || d.doneC > s.cycle {
-			ok = false
-			continue
-		}
-		u.deps[i] = nil
-	}
-	return ok
-}
-
 // loadLatency computes a load's latency, checking store forwarding first.
 func (s *Sim) loadLatency(u *uop) uint64 {
 	line := u.addr >> 3
@@ -882,7 +900,7 @@ func (s *Sim) dispatch() {
 		return
 	}
 	for n := 0; n < s.cfg.FetchWidth; n++ {
-		if s.robLen >= s.cfg.ROBSize || len(s.iq) >= s.cfg.IQSize {
+		if s.robLen >= s.cfg.ROBSize || s.iqLen >= s.cfg.IQSize {
 			return
 		}
 		if s.arch.Exited {
@@ -897,6 +915,7 @@ func (s *Sim) dispatch() {
 		}
 		s.seq++
 		u := s.newUop()
+		consumers := u.consumers[:0]
 		*u = uop{
 			seq:         s.seq,
 			pc:          step.PC,
@@ -908,6 +927,7 @@ func (s *Sim) dispatch() {
 			state:       stWaiting,
 			inSampleROB: true,
 			writes:      [2]int8{-1, -1},
+			consumers:   consumers,
 		}
 		s.resolveDeps(u, step)
 		if isBranchKind(u.kind) {
@@ -921,7 +941,11 @@ func (s *Sim) dispatch() {
 			u.inSampleROB = false
 		}
 		s.robPush(u)
-		s.iq = append(s.iq, u)
+		s.iqLen++
+		if u.pending == 0 {
+			// The youngest uop: appending keeps the queue in seq order.
+			s.readyQ = append(s.readyQ, u)
+		}
 		s.predict(u)
 		if u.kind == isa.KindSyscall {
 			// Syscalls serialize the front end until they commit.
@@ -950,10 +974,11 @@ func (s *Sim) clearPendingSyscall() {
 }
 
 // resolveDeps renames u's sources against in-flight producers and records
-// its effective address; it also updates the writer table.
+// its effective address; it also updates the writer table. A producer
+// that has not finished gains u as a consumer. Dispatch runs after this
+// cycle's broadcast, so an issued producer is still executing.
 func (s *Sim) resolveDeps(u *uop, step interp.StepResult) {
 	op := u.inst.Op
-	nd := 0
 	addDep := func(r isa.Reg, fp bool) {
 		if !fp && r == isa.X0 {
 			return
@@ -962,9 +987,9 @@ func (s *Sim) resolveDeps(u *uop, step interp.StepResult) {
 		if fp {
 			idx += 32
 		}
-		if w := s.lastWriter[idx]; w != nil {
-			u.deps[nd] = w
-			nd++
+		if w := s.lastWriter[idx]; w != nil && w.state != stDone {
+			u.pending++
+			w.consumers = append(w.consumers, u)
 		}
 	}
 

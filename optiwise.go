@@ -123,6 +123,9 @@ type RunResult struct {
 // Run executes the program natively on machine m — the baseline the
 // paper's figure 7 overheads are measured against.
 func (p *Program) Run(m Machine) (RunResult, error) {
+	if err := m.Validate(); err != nil {
+		return RunResult{}, err
+	}
 	img := program.Load(p.prog, program.LoadOptions{})
 	sim := ooo.New(m, img, ooo.Options{RandSeed: 7})
 	st, err := sim.Run(0)
@@ -364,8 +367,10 @@ const (
 // cannot sensibly patch. Zero values are not errors — they select the
 // documented defaults — but explicit out-of-range values, interrupt
 // costs that would starve user execution, malformed machines, and
-// cycle bounds that would overflow are all rejected. Both the CLI and
-// the profiling service call this before running a pipeline.
+// cycle bounds that would overflow are all rejected. Every entry point
+// that runs a pass (Profile, SampleOnly, InstrumentOnly,
+// TieredInstrumentOnly, MeasureOverhead and their Context forms) calls
+// it on the caller's options before filling defaults.
 func (o Options) Validate() error {
 	if o.SamplePeriod > maxSamplePeriod {
 		return fmt.Errorf("optiwise: sampling period %d exceeds maximum %d",
@@ -379,7 +384,10 @@ func (o Options) Validate() error {
 	if period == 0 {
 		period = 2000 // the documented default, see fill
 	}
-	if o.InterruptCost >= period {
+	// The default cost is exempt: it is what fill gives an unset cost,
+	// which is accepted at any period, so a filled (Canonical) copy of
+	// valid options stays valid.
+	if o.InterruptCost >= period && o.InterruptCost != sampler.DefaultInterruptCost {
 		return fmt.Errorf("optiwise: interrupt cost %d must be smaller than the sampling period %d (the sampler would never make user progress)",
 			o.InterruptCost, period)
 	}
@@ -462,6 +470,9 @@ func Profile(prog *Program, opts Options) (*Result, error) {
 // crashing the process, so long-lived callers (the profiling service)
 // degrade or fail the one job rather than dying.
 func ProfileContext(ctx context.Context, prog *Program, opts Options) (*Result, error) {
+	if err := opts.Validate(); err != nil {
+		return nil, err
+	}
 	opts.fill()
 	if opts.FaultSpec != "" {
 		if err := fault.EnsureSpec(opts.FaultSpec); err != nil {
@@ -766,6 +777,9 @@ func SampleOnly(prog *Program, opts Options) (*SampleProfile, ooo.Stats, error) 
 // SampleOnlyContext is SampleOnly with cooperative cancellation (see
 // ProfileContext).
 func SampleOnlyContext(ctx context.Context, prog *Program, opts Options) (*SampleProfile, ooo.Stats, error) {
+	if err := opts.Validate(); err != nil {
+		return nil, ooo.Stats{}, err
+	}
 	opts.fill()
 	span := obs.StartCtx(ctx, "sample").
 		SetAttr("module", prog.Module()).
@@ -810,6 +824,9 @@ func InstrumentOnly(prog *Program, opts Options) (*EdgeProfile, error) {
 // InstrumentOnlyContext is InstrumentOnly with cooperative cancellation
 // (see ProfileContext).
 func InstrumentOnlyContext(ctx context.Context, prog *Program, opts Options) (*EdgeProfile, error) {
+	if err := opts.Validate(); err != nil {
+		return nil, err
+	}
 	opts.fill()
 	span := obs.StartCtx(ctx, "instrument").SetAttr("module", prog.Module())
 	defer span.End()
@@ -833,11 +850,11 @@ func TieredInstrumentOnly(prog *Program, sp *SampleProfile, opts Options) (*Edge
 // TieredInstrumentOnlyContext is TieredInstrumentOnly with cooperative
 // cancellation (see ProfileContext).
 func TieredInstrumentOnlyContext(ctx context.Context, prog *Program, sp *SampleProfile, opts Options) (*EdgeProfile, error) {
-	opts.Tiered = true
-	opts.fill()
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
+	opts.Tiered = true
+	opts.fill()
 	sel := core.DeriveSelection(prog.prog, sp, opts.HotThreshold)
 	span := obs.StartCtx(ctx, "instrument").
 		SetAttr("module", prog.Module()).
@@ -1012,6 +1029,9 @@ type Overhead struct {
 
 // MeasureOverhead runs the full figure 7 measurement for one program.
 func MeasureOverhead(prog *Program, opts Options) (Overhead, error) {
+	if err := opts.Validate(); err != nil {
+		return Overhead{}, err
+	}
 	opts.fill()
 	span := obs.Start("measure_overhead").SetAttr("module", prog.Module())
 	defer span.End()
