@@ -534,23 +534,30 @@ func suiteProgram(b *testing.B, name string, f float64) *Program {
 
 // BenchmarkInterpDispatch pins the execution-engine speedup: the same
 // instrumentation pass over 525.x264 on the direct-threaded engine
-// (default) and on the legacy switch interpreter. The two arms produce
-// byte-identical Results (dispatch_test.go); this benchmark is the gate
-// that keeps the threaded engine actually paying for its complexity.
+// (InstrumentOnly) and on the switch-interpreter reference. The two
+// arms produce byte-identical Results (dispatch_test.go); this
+// benchmark is the gate that keeps the threaded engine actually paying
+// for its complexity.
 func BenchmarkInterpDispatch(b *testing.B) {
 	prog := suiteProgram(b, "525.x264", 0.25)
+	opts := Options{RandSeed: 7}
 	for _, arm := range []struct {
-		name   string
-		legacy bool
-	}{{"threaded", false}, {"switch", true}} {
+		name string
+		run  func(b *testing.B) *EdgeProfile
+	}{
+		{"threaded", func(b *testing.B) *EdgeProfile {
+			ep, err := InstrumentOnly(prog, opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return ep
+		}},
+		{"switch", func(b *testing.B) *EdgeProfile { return switchInstrument(b, prog, opts) }},
+	} {
 		b.Run(arm.name, func(b *testing.B) {
 			var insts uint64
 			for i := 0; i < b.N; i++ {
-				ep, err := InstrumentOnly(prog, Options{RandSeed: 7, LegacyDispatch: arm.legacy})
-				if err != nil {
-					b.Fatal(err)
-				}
-				insts = ep.BaseInstructions
+				insts = arm.run(b).BaseInstructions
 			}
 			b.ReportMetric(float64(insts)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Minst/s")
 		})
@@ -558,25 +565,40 @@ func BenchmarkInterpDispatch(b *testing.B) {
 }
 
 // BenchmarkTieredPipeline prices the two-pass pipeline full vs tiered
-// on the same workload. Both arms run the passes sequentially so the
-// comparison is sum-of-passes vs sum-of-passes; the tiered arm reports
-// the cold fraction it extrapolated instead of instrumenting. The
+// on the same workload. Both arms run the passes back to back — the
+// full arm as SampleOnly, InstrumentOnly and Analyze, the tiered arm
+// as Profile, whose passes are ordered — so the comparison is
+// sum-of-passes vs sum-of-passes; the tiered arm reports the cold
+// fraction it extrapolated instead of instrumenting. The
 // instrumentation-side saving is measured precisely by `owbench tiered`
 // (README "Tiered profiling"); this benchmark pins the end-to-end cost
 // so tier selection itself can never quietly become a regression.
 func BenchmarkTieredPipeline(b *testing.B) {
 	prog := suiteProgram(b, "525.x264", 0.25)
+	full := Options{SamplePeriod: 2000, RandSeed: 7}
+	tiered := full
+	tiered.Tiered = true
 	for _, arm := range []struct {
 		name string
-		opts Options
+		run  func() (*Result, error)
 	}{
-		{"full", Options{SamplePeriod: 2000, RandSeed: 7, Sequential: true}},
-		{"tiered", Options{SamplePeriod: 2000, RandSeed: 7, Sequential: true, Tiered: true}},
+		{"full", func() (*Result, error) {
+			sp, _, err := SampleOnly(prog, full)
+			if err != nil {
+				return nil, err
+			}
+			ep, err := InstrumentOnly(prog, full)
+			if err != nil {
+				return nil, err
+			}
+			return Analyze(prog, sp, ep, full)
+		}},
+		{"tiered", func() (*Result, error) { return Profile(prog, tiered) }},
 	} {
 		b.Run(arm.name, func(b *testing.B) {
 			var coldPct float64
 			for i := 0; i < b.N; i++ {
-				prof, err := Profile(prog, arm.opts)
+				prof, err := arm.run()
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -137,7 +137,6 @@ type commonFlags struct {
 	noStack       *bool
 	thresh        *uint64
 	attr          *string
-	sequential    *bool
 	faultSpec     *string
 	allowDegraded *bool
 	telemetry     *uint64
@@ -156,7 +155,6 @@ func newFlags(name string) *commonFlags {
 		noStack:       fs.Bool("no-stack", false, "disable stack profiling"),
 		thresh:        fs.Uint64("T", 3, "loop-merging threshold"),
 		attr:          fs.String("attr", "auto", "sample attribution: auto, none, pred"),
-		sequential:    fs.Bool("sequential", false, "run the two profiling passes one after the other (identical output; for debugging and timing comparisons)"),
 		faultSpec:     fs.String("fault", "", "fault-injection spec, e.g. 'seed=1;dbi.run:error:nth=1' (also OPTIWISE_FAULT)"),
 		allowDegraded: fs.Bool("allow-degraded", false, "produce a flagged single-pass report when exactly one profiling pass fails"),
 		telemetry:     fs.Uint64("telemetry", 0, "interval-telemetry window in cycles (0 = off): streams IPC, ROB occupancy, mispredict and cache-miss rates, and stall causes per window into the report's phase summary and the -trace counter tracks"),
@@ -188,7 +186,6 @@ func (c *commonFlags) options() (optiwise.Options, error) {
 		Precise:               *c.precise,
 		DisableStackProfiling: *c.noStack,
 		LoopThreshold:         *c.thresh,
-		Sequential:            *c.sequential,
 		FaultSpec:             *c.faultSpec,
 		AllowDegraded:         *c.allowDegraded,
 		TelemetryWindow:       *c.telemetry,

@@ -88,7 +88,7 @@ s_loop:
 	if err != nil {
 		return err
 	}
-	prof, err := profile(prog, optiwise.Options{SamplePeriod: 300})
+	prof, err := optiwise.Profile(prog, optiwise.Options{SamplePeriod: 300})
 	if err != nil {
 		return err
 	}
@@ -113,7 +113,7 @@ func ablateAttribution() error {
 	}
 	show := func(name string, opts optiwise.Options) error {
 		opts.SamplePeriod = 500
-		prof, err := profile(prog, opts)
+		prof, err := optiwise.Profile(prog, opts)
 		if err != nil {
 			return err
 		}
@@ -144,7 +144,7 @@ func ablateWeighting() error {
 		return err
 	}
 	for _, unweighted := range []bool{false, true} {
-		prof, err := profile(prog, optiwise.Options{
+		prof, err := optiwise.Profile(prog, optiwise.Options{
 			SamplePeriod: 500, Unweighted: unweighted,
 		})
 		if err != nil {

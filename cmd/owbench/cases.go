@@ -15,7 +15,7 @@ func caseMCF() error {
 	if err != nil {
 		return err
 	}
-	prof, err := profile(prog, optiwise.Options{SamplePeriod: 1000})
+	prof, err := optiwise.Profile(prog, optiwise.Options{SamplePeriod: 1000})
 	if err != nil {
 		return err
 	}
@@ -78,7 +78,7 @@ func caseDeepsjeng() error {
 	if err != nil {
 		return err
 	}
-	prof, err := profile(prog, optiwise.Options{SamplePeriod: 1000})
+	prof, err := optiwise.Profile(prog, optiwise.Options{SamplePeriod: 1000})
 	if err != nil {
 		return err
 	}
@@ -140,7 +140,7 @@ func caseBwaves() error {
 	if err != nil {
 		return err
 	}
-	prof, err := profile(prog, optiwise.Options{SamplePeriod: 1000})
+	prof, err := optiwise.Profile(prog, optiwise.Options{SamplePeriod: 1000})
 	if err != nil {
 		return err
 	}

@@ -21,7 +21,7 @@ func fig1() error {
 	if err != nil {
 		return err
 	}
-	prof, err := profile(prog, optiwise.Options{SamplePeriod: 500})
+	prof, err := optiwise.Profile(prog, optiwise.Options{SamplePeriod: 500})
 	if err != nil {
 		return err
 	}
@@ -256,7 +256,7 @@ func fig10() error {
 	if err != nil {
 		return err
 	}
-	prof, err := profile(prog, optiwise.Options{SamplePeriod: 1000})
+	prof, err := optiwise.Profile(prog, optiwise.Options{SamplePeriod: 1000})
 	if err != nil {
 		return err
 	}

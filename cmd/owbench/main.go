@@ -33,7 +33,6 @@ import (
 	"fmt"
 	"os"
 
-	"optiwise"
 	"optiwise/internal/fault"
 	"optiwise/internal/obs"
 )
@@ -58,29 +57,15 @@ var commands = []struct {
 	{"ablate", "design-choice ablations", ablate},
 }
 
-// sequential, when set, makes every experiment run its two profiling
-// passes back-to-back instead of overlapped. The output is identical
-// either way (see DESIGN.md §7); the flag exists for timing
-// comparisons and for debugging with a deterministic goroutine count.
-var sequential *bool
-
 // obsCfg is the activated observability configuration; progress output
 // is owned by the config (not a package global) so that library users
 // of obs can run concurrently, but the single-process owbench keeps one
 // shared handle.
 var obsCfg *obs.Config
 
-// profile runs the standard pipeline with the global -sequential
-// execution strategy applied.
-func profile(prog *optiwise.Program, opts optiwise.Options) (*optiwise.Result, error) {
-	opts.Sequential = *sequential
-	return optiwise.Profile(prog, opts)
-}
-
 func main() {
 	fs := flag.NewFlagSet("owbench", flag.ExitOnError)
 	fs.Usage = usage
-	sequential = fs.Bool("sequential", false, "run profiling passes sequentially (identical output; for timing comparisons)")
 	faultSpec := fs.String("fault", "", "fault-injection spec (also OPTIWISE_FAULT); benchmarks must normally run fault-free")
 	obsCfg = obs.BindFlags(fs)
 	if err := fs.Parse(os.Args[1:]); err != nil {

@@ -248,28 +248,11 @@ func TestFaultSpecOption(t *testing.T) {
 		t.Error("FaultSpec plan did not take effect")
 	}
 	// Canonical clears FaultSpec but keeps AllowDegraded.
-	c := Options{FaultSpec: "dbi.run:error:nth=1", AllowDegraded: true, Sequential: true}.Canonical()
-	if c.FaultSpec != "" || c.Sequential {
-		t.Errorf("Canonical kept FaultSpec=%q Sequential=%v", c.FaultSpec, c.Sequential)
+	c := Options{FaultSpec: "dbi.run:error:nth=1", AllowDegraded: true}.Canonical()
+	if c.FaultSpec != "" {
+		t.Errorf("Canonical kept FaultSpec=%q", c.FaultSpec)
 	}
 	if !c.AllowDegraded {
 		t.Error("Canonical dropped AllowDegraded")
-	}
-}
-
-// TestSequentialDegraded: the sequential path also degrades — the
-// instrumentation pass still runs after a sampling failure.
-func TestSequentialDegraded(t *testing.T) {
-	p, err := Assemble("quick", quickSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	withFault(t, "ooo.run:error:nth=1")
-	prof, err := Profile(p, Options{SamplePeriod: 500, AllowDegraded: true, Sequential: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !prof.Degraded || prof.FailedPass != "sampling" {
-		t.Errorf("sequential degraded: Degraded=%v FailedPass=%q", prof.Degraded, prof.FailedPass)
 	}
 }

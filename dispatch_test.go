@@ -2,8 +2,27 @@ package optiwise
 
 import (
 	"bytes"
+	"context"
 	"testing"
+
+	"optiwise/internal/dbi"
 )
+
+// switchInstrument runs the instrumentation pass InstrumentOnly would
+// run for opts, with block bodies forced through the per-instruction
+// switch interpreter: the reference the direct-threaded engine is
+// pinned to.
+func switchInstrument(tb testing.TB, prog *Program, opts Options) *EdgeProfile {
+	tb.Helper()
+	opts.fill()
+	dopts := dbiOptions(opts, nil)
+	dopts.LegacyDispatch = true
+	ep, err := dbi.RunContext(context.Background(), prog.prog, dopts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ep
+}
 
 // TestDispatchEquivalenceSuite pins the direct-threaded engine to the
 // switch interpreter it replaced: for every program in the 23-workload
@@ -26,10 +45,7 @@ func TestDispatchEquivalenceSuite(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			legacy, err := InstrumentOnly(prog, Options{RandSeed: 7, LegacyDispatch: true})
-			if err != nil {
-				t.Fatal(err)
-			}
+			legacy := switchInstrument(t, prog, Options{RandSeed: 7})
 			var tb, lb bytes.Buffer
 			if err := threaded.Write(&tb); err != nil {
 				t.Fatal(err)
@@ -50,9 +66,7 @@ func TestDispatchEquivalenceSuite(t *testing.T) {
 
 // TestDispatchEquivalenceFullResult extends the equivalence to the
 // combined pipeline on representative workloads: the end-to-end Result
-// export must be byte-identical under either dispatch strategy, and
-// LegacyDispatch must not split cache identity (it is an execution
-// strategy, like Sequential).
+// export must be byte-identical under either dispatch strategy.
 func TestDispatchEquivalenceFullResult(t *testing.T) {
 	for _, name := range []string{"505.mcf", "523.xalancbmk", "519.lbm"} {
 		name := name
@@ -76,17 +90,16 @@ func TestDispatchEquivalenceFullResult(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			lopts := base
-			lopts.LegacyDispatch = true
-			legacy, err := Profile(prog, lopts)
+			sp, _, err := SampleOnly(prog, base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			legacy, err := Analyze(prog, sp, switchInstrument(t, prog, base), base)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(exportBytes(t, threaded), exportBytes(t, legacy)) {
 				t.Error("Result exports differ between dispatch strategies")
-			}
-			if c := lopts.Canonical(); c.LegacyDispatch {
-				t.Error("Canonical kept LegacyDispatch")
 			}
 		})
 	}

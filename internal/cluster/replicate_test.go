@@ -173,8 +173,17 @@ func TestClusterReplicationToSuccessor(t *testing.T) {
 	if replicaSum != ownerSum {
 		t.Fatalf("replica digest %.12s differs from the owner's %.12s", replicaSum, ownerSum)
 	}
-	if cs := clusterSection(t, byAddr(t, nodes, owners[0])); cs.Replications == 0 {
-		t.Errorf("owner counted no replications: %+v", cs)
+	// The owner counts the push when the successor's reply arrives,
+	// which can be after the replica is already visible there.
+	owner := byAddr(t, nodes, owners[0])
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+		cs := clusterSection(t, owner)
+		if cs.Replications > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("owner counted no replications: %+v", cs)
+		}
 	}
 	// The successor serves the replica from its segment (it never
 	// executed the job, so only the store can answer).

@@ -203,11 +203,12 @@ type Options struct {
 	// head, once, against the selection — not per instruction.
 	Select *Selection
 	// LegacyDispatch forces block bodies through the per-instruction
-	// switch interpreter instead of the direct-threaded code. It is an
-	// execution strategy, not a semantic option — profiles are
-	// byte-identical either way (the equivalence suite proves it) — so
-	// it is deliberately excluded from serve cache keys. Tiered runs
-	// ignore it: the cold path exists only in the threaded engine.
+	// switch interpreter instead of the direct-threaded code. It is the
+	// reference the threaded engine is tested and benchmarked against,
+	// not a profile parameter: profiles are byte-identical either way
+	// (the dispatch equivalence suite proves it), and no public option
+	// reaches it. Tiered runs ignore it: the cold path exists only in
+	// the threaded engine.
 	LegacyDispatch bool
 }
 

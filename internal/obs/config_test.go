@@ -24,7 +24,7 @@ func TestBindFlagsDefaultsOff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ActiveTracer() != nil || ActiveRegistry() != nil {
+	if activeTracer.Load() != nil || ActiveRegistry() != nil {
 		t.Fatal("disabled config must not install instruments")
 	}
 	if err := flush(); err != nil {
@@ -62,7 +62,7 @@ func TestConfigActivateWritesFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	// flush restores the previous (nil) instruments.
-	if ActiveTracer() != nil || ActiveRegistry() != nil || ActiveLogger() != nil {
+	if activeTracer.Load() != nil || ActiveRegistry() != nil || ActiveLogger() != nil {
 		t.Error("flush should uninstall the global instruments")
 	}
 
@@ -124,7 +124,7 @@ func TestConfigActivateUnwritableTrace(t *testing.T) {
 	if !strings.Contains(err.Error(), "obs: trace output") {
 		t.Errorf("error %q should identify the trace output", err)
 	}
-	if ActiveTracer() != nil || ActiveRegistry() != nil || ActiveFlight() != nil {
+	if activeTracer.Load() != nil || ActiveRegistry() != nil || ActiveFlight() != nil {
 		t.Error("failed Activate must not leave instruments installed")
 	}
 }
@@ -147,7 +147,7 @@ func TestConfigActivateUnwritableFlightRestores(t *testing.T) {
 	if !strings.Contains(err.Error(), "obs: flight output") {
 		t.Errorf("error %q should identify the flight output", err)
 	}
-	if ActiveTracer() != sentinel {
+	if activeTracer.Load() != sentinel {
 		t.Error("failed Activate must restore the previously installed tracer")
 	}
 	if ActiveFlight() != nil {

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -147,36 +146,6 @@ func Warn(msg string, attrs ...Attr) { globalLogger().Warn(msg, attrs...) }
 
 // Error logs an error on the global logger.
 func Error(msg string, attrs ...Attr) { globalLogger().Error(msg, attrs...) }
-
-// stampTrace appends a trace_id attribute from ctx when one is carried
-// and the caller did not already provide one.
-func stampTrace(ctx context.Context, attrs []Attr) []Attr {
-	id := TraceIDFromContext(ctx)
-	if id == "" {
-		return attrs
-	}
-	for _, a := range attrs {
-		if a.Key == "trace_id" {
-			return attrs
-		}
-	}
-	return append(attrs, F("trace_id", id))
-}
-
-// InfoCtx logs an info event stamped with the context's trace ID.
-func InfoCtx(ctx context.Context, msg string, attrs ...Attr) {
-	globalLogger().Info(msg, stampTrace(ctx, attrs)...)
-}
-
-// WarnCtx logs a warning stamped with the context's trace ID.
-func WarnCtx(ctx context.Context, msg string, attrs ...Attr) {
-	globalLogger().Warn(msg, stampTrace(ctx, attrs)...)
-}
-
-// ErrorCtx logs an error stamped with the context's trace ID.
-func ErrorCtx(ctx context.Context, msg string, attrs ...Attr) {
-	globalLogger().Error(msg, stampTrace(ctx, attrs)...)
-}
 
 // Progress output lives on Config (see config.go): the old package
 // globals let two concurrent serve jobs interleave their progress

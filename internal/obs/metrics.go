@@ -208,21 +208,6 @@ func (r *Registry) EnableRuntimeInfo(bi BuildInfo) {
 	}
 }
 
-// RuntimeInfo returns the build info installed by EnableRuntimeInfo
-// and the registry uptime, or ok=false when runtime info is disabled.
-// Nil-safe.
-func (r *Registry) RuntimeInfo() (bi BuildInfo, uptime time.Duration, ok bool) {
-	if r == nil {
-		return BuildInfo{}, 0, false
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.buildInfo == nil {
-		return BuildInfo{}, 0, false
-	}
-	return *r.buildInfo, time.Since(r.start), true
-}
-
 // Counter returns (creating if needed) the named counter. Nil-safe:
 // a nil registry yields a nil, no-op counter.
 func (r *Registry) Counter(name string) *CounterMetric {

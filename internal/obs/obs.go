@@ -45,9 +45,6 @@ var (
 // tracing). It returns the previously installed tracer.
 func SetTracer(t *Tracer) *Tracer { return activeTracer.Swap(t) }
 
-// ActiveTracer returns the installed tracer, or nil when disabled.
-func ActiveTracer() *Tracer { return activeTracer.Load() }
-
 // SetRegistry installs r as the process-global metrics registry (nil
 // disables metrics). It returns the previously installed registry.
 func SetRegistry(r *Registry) *Registry { return activeRegistry.Swap(r) }

@@ -312,22 +312,6 @@ func TestGlobalInstallUninstall(t *testing.T) {
 	}
 }
 
-func TestTracerJSONL(t *testing.T) {
-	tr := fakeTracer()
-	tr.Start("a").SetAttr("module", "m").End()
-	var buf bytes.Buffer
-	if err := tr.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var rec map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &rec); err != nil {
-		t.Fatalf("span JSONL not valid JSON: %v", err)
-	}
-	if rec["name"] != "a" || rec["attr_module"] != "m" {
-		t.Errorf("unexpected span record: %v", rec)
-	}
-}
-
 func TestStopwatchMonotonic(t *testing.T) {
 	sw := StartTimer()
 	prev := 0.0

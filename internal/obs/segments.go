@@ -78,12 +78,3 @@ func SegmentsFor(traceID string) []TraceSegment {
 	sort.Slice(out, func(i, j int) bool { return out[i].StartUnixNano < out[j].StartUnixNano })
 	return out
 }
-
-// ResetSegments clears the segment store (tests).
-func ResetSegments() {
-	s := segments
-	s.mu.Lock()
-	s.byID = make(map[string][]TraceSegment)
-	s.order = nil
-	s.mu.Unlock()
-}

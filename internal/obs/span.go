@@ -334,29 +334,3 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	enc.SetIndent("", " ")
 	return enc.Encode(out)
 }
-
-// WriteJSONL exports the completed spans as one structured event per
-// line (the machine-greppable counterpart of the Chrome trace).
-func (t *Tracer) WriteJSONL(w io.Writer) error {
-	if t == nil {
-		return fmt.Errorf("obs: no tracer installed")
-	}
-	enc := json.NewEncoder(w)
-	for _, s := range t.Spans() {
-		rec := map[string]any{
-			"ev":     "span",
-			"name":   s.Name,
-			"id":     s.ID,
-			"parent": s.Parent,
-			"us":     float64(s.Duration.Nanoseconds()) / 1e3,
-			"ts_us":  float64(s.Start.Nanoseconds()) / 1e3,
-		}
-		for _, a := range s.Attrs {
-			rec["attr_"+a.Key] = a.Value
-		}
-		if err := enc.Encode(rec); err != nil {
-			return err
-		}
-	}
-	return nil
-}

@@ -122,16 +122,6 @@ func TestJobKey(t *testing.T) {
 	if k3, _ := jobKey(prog, optiwise.Options{SamplePeriod: 2000}.Canonical()); k3 != k1 {
 		t.Error("default-equivalent options produced a different key")
 	}
-	// Sequential selects an execution strategy, not a result: it must
-	// not fragment the cache (Canonical clears it).
-	if k4, _ := jobKey(prog, optiwise.Options{Sequential: true}.Canonical()); k4 != k1 {
-		t.Error("Sequential option produced a different key")
-	}
-	// LegacyDispatch likewise selects a dispatch strategy with a
-	// byte-identical Result; it must collide with the base key.
-	if k5, _ := jobKey(prog, optiwise.Options{LegacyDispatch: true}.Canonical()); k5 != k1 {
-		t.Error("LegacyDispatch option produced a different key")
-	}
 	// A hot threshold without tiered mode is inert (Canonical strips
 	// it), so it must not fragment the cache either.
 	if k6, _ := jobKey(prog, optiwise.Options{HotThreshold: 0.3}.Canonical()); k6 != k1 {

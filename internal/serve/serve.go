@@ -665,9 +665,8 @@ func (s *Server) worker() {
 // runGroup executes one deduplicated profiling job and fans the
 // outcome out to every member. The execution is skipped entirely when
 // all members expired while queued, and canceled mid-flight when the
-// last member leaves (see group.remove). Options are canonicalized at
-// submission, which clears Sequential: service jobs always run the
-// concurrent two-pass pipeline, holding this one worker slot for the
+// last member leaves (see group.remove). Service jobs run the same
+// two-pass pipeline as Profile, holding this one worker slot for the
 // job's whole duration.
 //
 // Transient failures — injected transient faults and recovered panics

@@ -3,6 +3,7 @@ package optiwise
 import (
 	"context"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -49,6 +50,7 @@ func TestOptionsValidate(t *testing.T) {
 		{"period under default cost", Options{SamplePeriod: 20}, ""},
 		{"threshold too large", Options{LoopThreshold: 1 << 30}, "loop threshold"},
 		{"max cycles overflow", Options{MaxCycles: 1 << 63}, "overflow"},
+		{"hot threshold NaN", Options{Tiered: true, HotThreshold: math.NaN()}, "hot threshold"},
 		{"bad machine", Options{Machine: Machine{Name: "broken"}}, "invalid machine"},
 		{"zero cache latency", Options{Machine: func() Machine {
 			m := XeonW2195()

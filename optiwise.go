@@ -205,24 +205,6 @@ type Options struct {
 	// callers (the profiling service) set it so a runaway program cannot
 	// pin a worker forever.
 	MaxCycles uint64
-	// Sequential forces Profile to run the sampling and instrumentation
-	// passes back to back on the calling goroutine instead of
-	// concurrently. The two passes are independent executions of the
-	// same program (§IV), so the combined Result is byte-identical
-	// either way; Sequential exists for debugging, single-core hosts,
-	// and the equivalence tests that prove that determinism claim.
-	Sequential bool
-	// LegacyDispatch forces the instrumentation pass's block bodies
-	// through the per-instruction switch interpreter instead of the
-	// direct-threaded engine. The two dispatch strategies retire the
-	// same architectural state and counts — the equivalence suite pins
-	// byte-identical Results across all 23 workloads — so, like
-	// Sequential, this is an execution strategy, not a profile
-	// parameter: Canonical clears it and it never splits cache
-	// identity. It exists for debugging and as the baseline arm of the
-	// dispatch benchmarks. Ignored (the threaded engine is required) in
-	// tiered mode.
-	LegacyDispatch bool
 	// TelemetryWindow, when non-zero, collects cycle-windowed interval
 	// telemetry from the sampled run's simulated core: one record of
 	// IPC, ROB occupancy, branch-mispredict rate, per-level cache miss
@@ -262,9 +244,9 @@ type Options struct {
 	// sequential (the DBI pass consumes the sampling pass's output), so
 	// the pass-overlap schedule does not apply. Tiered is a profile
 	// parameter: it changes what is measured, so it is part of cache
-	// identity (unlike Sequential). Applies to Profile/ProfileContext;
-	// InstrumentOnly ignores it (there is no sampling profile to derive
-	// a selection from).
+	// identity. Applies to Profile/ProfileContext; InstrumentOnly
+	// ignores it (there is no sampling profile to derive a selection
+	// from).
 	Tiered bool
 	// HotThreshold is the tiered-mode hotness cutoff: an aligned
 	// region of core.RegionInsts instructions whose sampled cycle share
@@ -319,11 +301,8 @@ func (o *Options) fill() {
 // Canonical returns o with every defaulted (zero) field resolved to its
 // documented default. Two Options values that profile identically have
 // identical Canonical forms, which is what makes them usable as part of
-// a content-addressed cache key. Sequential is cleared: it selects an
-// execution strategy, not a different profile, so sequential and
-// parallel submissions of the same program must collide in the cache.
-// FaultSpec is cleared for the same reason — injected faults change
-// whether a run succeeds, never what a successful run computes (a
+// a content-addressed cache key. FaultSpec is cleared: injected faults
+// change whether a run succeeds, never what a successful run computes (a
 // corrupted or aborted run yields an error or a degraded result, and
 // those are cache-ineligible). AllowDegraded survives: it changes
 // execution policy, but full successes are identical either way and
@@ -331,8 +310,6 @@ func (o *Options) fill() {
 // cache key separately (see serve.jobKey).
 func (o Options) Canonical() Options {
 	o.fill()
-	o.Sequential = false
-	o.LegacyDispatch = false
 	o.FaultSpec = ""
 	// A threshold without tiered mode is inert; clear it so it cannot
 	// split cache identity between otherwise identical submissions.
@@ -424,7 +401,8 @@ func (o Options) Validate() error {
 			return fmt.Errorf("optiwise: stream window %d exceeds maximum 2^40", o.StreamWindow)
 		}
 	}
-	if o.HotThreshold < 0 || o.HotThreshold > 1 {
+	// Written so that NaN, which fails every comparison, is rejected.
+	if !(o.HotThreshold >= 0 && o.HotThreshold <= 1) {
 		return fmt.Errorf("optiwise: hot threshold %g outside (0, 1]", o.HotThreshold)
 	}
 	if o.FaultSpec != "" {
@@ -454,13 +432,13 @@ func Profile(prog *Program, opts Options) (*Result, error) {
 // expired context aborts a profiling run within a bounded number of
 // simulated cycles. The returned error wraps ctx.Err().
 //
-// Unless Options.Sequential is set, the sampling and instrumentation
-// passes run concurrently: they are independent executions of the same
-// binary (§IV), so overlapping them hides the cheaper pass entirely.
-// The first pass to fail cancels its sibling (errgroup semantics), and
-// the combined Result is byte-identical to the sequential path — each
-// pass is deterministic in isolation and the combining analysis sees
-// exactly the same two profiles.
+// Outside tiered mode the sampling and instrumentation passes run
+// concurrently: they are independent executions of the same binary
+// (§IV), so overlapping them hides the cheaper pass entirely. The first
+// pass to fail cancels its sibling (errgroup semantics), and the
+// combined Result is byte-identical to SampleOnly, InstrumentOnly and
+// Analyze run back to back — each pass is deterministic in isolation
+// and the combining analysis sees exactly the same two profiles.
 //
 // With Options.AllowDegraded the failure semantics soften: a failing
 // pass no longer cancels its sibling, and when exactly one pass fails
@@ -523,10 +501,10 @@ func (e *PanicError) Error() string {
 }
 
 // selectPassError picks the error to surface when at least one pass
-// failed, mirroring the sequential order deterministically: the
-// sampling pass's error wins. When only the instrumentation pass
-// failed for its own reasons, the sampling pass may still have been
-// torn down by the shared cancel — prefer the root cause.
+// failed, deterministically in the paper's sample-then-instrument
+// order: the sampling pass's error wins. When only the instrumentation
+// pass failed for its own reasons, the sampling pass may still have
+// been torn down by the shared cancel — prefer the root cause.
 func selectPassError(sampleErr, instrErr error) error {
 	if sampleErr != nil && (instrErr == nil || !isCancellation(sampleErr) || isCancellation(instrErr)) {
 		return sampleErr
@@ -557,22 +535,13 @@ func analyzeDegraded(ctx context.Context, prog *Program, sp *SampleProfile, ep *
 	return core.CombineCountsOnlyContext(ctx, prog.prog, ep, copts, failure.Error())
 }
 
-// runPasses executes the sampling and instrumentation passes, either
-// back to back (Options.Sequential) or overlapped on two goroutines,
-// and returns each pass's profile and error separately so the caller
-// can implement degraded mode. Pass panics are recovered into
-// *PanicError values.
+// runPasses executes the sampling and instrumentation passes,
+// overlapped on two goroutines (ordered in tiered mode), and returns
+// each pass's profile and error separately so the caller can implement
+// degraded mode. Pass panics are recovered into *PanicError values.
 func runPasses(ctx context.Context, prog *Program, opts Options, span *obs.Span) (*SampleProfile, *EdgeProfile, error, error) {
 	if opts.Tiered {
 		return runTieredPasses(ctx, prog, opts, span)
-	}
-	if opts.Sequential {
-		sp, _, sampleErr := guardedSamplePass(ctx, prog, opts, span, nil)
-		if sampleErr != nil && !opts.AllowDegraded {
-			return nil, nil, sampleErr, nil
-		}
-		ep, instrErr := guardedInstrumentPass(ctx, prog, opts, span, nil, nil)
-		return sp, ep, sampleErr, instrErr
 	}
 
 	// Errgroup-style fan-out: a derived context cancels the sibling pass
@@ -868,14 +837,7 @@ func TieredInstrumentOnlyContext(ctx context.Context, prog *Program, sp *SampleP
 // same reason as samplePass. opts must be filled. sel, when non-nil,
 // is the tiered hotness selection.
 func instrumentPass(ctx context.Context, prog *Program, opts Options, sel *dbi.Selection) (*EdgeProfile, error) {
-	dopts := dbi.Options{
-		StackProfiling:  !opts.DisableStackProfiling,
-		ASLRSeed:        opts.InstrASLRSeed,
-		RandSeed:        opts.RandSeed,
-		MaxInstructions: opts.MaxCycles,
-		Select:          sel,
-		LegacyDispatch:  opts.LegacyDispatch,
-	}
+	dopts := dbiOptions(opts, sel)
 	if opts.StreamWindow > 0 && opts.OnIncrement != nil {
 		emit := opts.OnIncrement
 		seq := 0 // emission is synchronous on this pass's goroutine
@@ -888,6 +850,18 @@ func instrumentPass(ctx context.Context, prog *Program, opts Options, sel *dbi.S
 	return dbi.RunContext(ctx, prog.prog, dopts)
 }
 
+// dbiOptions maps the public profiling options onto the DBI engine's
+// options, streaming hooks aside. opts must be filled.
+func dbiOptions(opts Options, sel *dbi.Selection) dbi.Options {
+	return dbi.Options{
+		StackProfiling:  !opts.DisableStackProfiling,
+		ASLRSeed:        opts.InstrASLRSeed,
+		RandSeed:        opts.RandSeed,
+		MaxInstructions: opts.MaxCycles,
+		Select:          sel,
+	}
+}
+
 // Analyze combines previously collected profiles (optiwise analyze).
 func Analyze(prog *Program, sp *SampleProfile, ep *EdgeProfile, opts Options) (*Result, error) {
 	return AnalyzeContext(context.Background(), prog, sp, ep, opts)
@@ -896,8 +870,14 @@ func Analyze(prog *Program, sp *SampleProfile, ep *EdgeProfile, opts Options) (*
 // AnalyzeContext is Analyze with a single up-front cancellation check.
 // The combining analysis is orders of magnitude cheaper than the two
 // profiled executions, so it is not internally interruptible; a context
-// that is already done still fails fast here.
+// that is already done still fails fast here. Like every other entry
+// point it validates and fills opts, so the Result records the same
+// resolved machine Profile would.
 func AnalyzeContext(ctx context.Context, prog *Program, sp *SampleProfile, ep *EdgeProfile, opts Options) (*Result, error) {
+	if err := opts.Validate(); err != nil {
+		return nil, err
+	}
+	opts.fill()
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("optiwise: analyze canceled: %w", err)
 	}

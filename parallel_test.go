@@ -28,12 +28,14 @@ func renderAll(t *testing.T, prof *Result) []byte {
 	return buf.Bytes()
 }
 
-// TestSequentialParallelEquivalence is the determinism contract of the
-// concurrent pipeline: with parallelism forced on and off, Profile must
-// produce identical Results — down to every rendered report byte —
-// because both passes are deterministic in isolation and the combining
-// analysis merges its shards in deterministic order (DESIGN.md §7).
-func TestSequentialParallelEquivalence(t *testing.T) {
+// TestProfileSplitEquivalence is the determinism contract of the
+// concurrent pipeline: Profile, which overlaps its two passes, must
+// produce the same Result — down to every rendered report byte — as
+// the split pipeline SampleOnly, InstrumentOnly and Analyze run back to
+// back, because both passes are deterministic in isolation and the
+// combining analysis merges its shards in deterministic order
+// (DESIGN.md §7).
+func TestProfileSplitEquivalence(t *testing.T) {
 	cfg := DefaultMCFConfig()
 	cfg.Arcs = 256
 	cfg.ScanInvocations = 2
@@ -44,24 +46,30 @@ func TestSequentialParallelEquivalence(t *testing.T) {
 	for _, seed := range []uint64{1, 7, 42} {
 		opts := Options{SamplePeriod: 1000, SampleJitter: true, RandSeed: seed}
 
-		opts.Sequential = true
-		seq, err := Profile(prog, opts)
+		sp, _, err := SampleOnly(prog, opts)
 		if err != nil {
-			t.Fatalf("seed %d sequential: %v", seed, err)
+			t.Fatalf("seed %d sample: %v", seed, err)
 		}
-		opts.Sequential = false
+		ep, err := InstrumentOnly(prog, opts)
+		if err != nil {
+			t.Fatalf("seed %d instrument: %v", seed, err)
+		}
+		split, err := Analyze(prog, sp, ep, opts)
+		if err != nil {
+			t.Fatalf("seed %d analyze: %v", seed, err)
+		}
 		par, err := Profile(prog, opts)
 		if err != nil {
-			t.Fatalf("seed %d parallel: %v", seed, err)
+			t.Fatalf("seed %d profile: %v", seed, err)
 		}
 
-		if !reflect.DeepEqual(seq, par) {
-			t.Errorf("seed %d: parallel Result differs from sequential", seed)
+		if !reflect.DeepEqual(split, par) {
+			t.Errorf("seed %d: Profile Result differs from the split pipeline's", seed)
 		}
-		seqOut, parOut := renderAll(t, seq), renderAll(t, par)
-		if !bytes.Equal(seqOut, parOut) {
+		splitOut, parOut := renderAll(t, split), renderAll(t, par)
+		if !bytes.Equal(splitOut, parOut) {
 			t.Errorf("seed %d: rendered reports differ (%d vs %d bytes)",
-				seed, len(seqOut), len(parOut))
+				seed, len(splitOut), len(parOut))
 		}
 	}
 }
