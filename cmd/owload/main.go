@@ -5,13 +5,13 @@
 // cluster's cross-node dedup. It records sustained throughput, the
 // job-latency percentile curve, and the dedup/cache counters the
 // cluster claims (cached / coalesced / peer-fetched shares, forwards),
-// and can merge labelled runs into one JSON file (BENCH_PR7.json) so a
-// single-node baseline and a cluster run sit side by side.
+// and can merge labelled runs into one JSON file so a single-node
+// baseline and a cluster run sit side by side.
 //
 // Usage:
 //
 //	owload -addr 127.0.0.1:8077,127.0.0.1:8078 -clients 200 -duration 30s \
-//	       -dup 0.5 -label cluster3 -out BENCH_PR7.json
+//	       -dup 0.5 -label cluster3 -out owload.json
 package main
 
 import (
@@ -68,7 +68,7 @@ func run(args []string) error {
 	timeout := fs.Duration("timeout", 60*time.Second, "per-job deadline")
 	seed := fs.Int64("seed", 1, "base RNG seed")
 	label := fs.String("label", "run", "label for this run in the output JSON")
-	out := fs.String("out", "", "merge this run's results into a JSON file keyed by label (e.g. BENCH_PR7.json); empty prints to stdout")
+	out := fs.String("out", "", "merge this run's results into a JSON file keyed by label; empty prints to stdout")
 	jsonOut := fs.Bool("json", false, "print the per-run summary JSON to stdout even when -out is set (the dashboard-ingestion shape)")
 	push := fs.Bool("push", false, "POST the per-run summary to each frontend's /api/v1/owload so the dashboard's cluster view renders it")
 	if err := fs.Parse(args); err != nil {

@@ -24,8 +24,8 @@ import (
 // to a temporary file in the same directory, are fsynced, renamed
 // over path, and the directory entry is fsynced. Every file the
 // process persists for later reads — journal segments, result and
-// checkpoint segments, the serve addr-file, flight-recorder dumps,
-// benchgate baselines — funnels through here.
+// checkpoint segments, the serve addr-file, flight-recorder dumps —
+// funnels through here.
 func AtomicWrite(path string, data []byte, perm os.FileMode) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp*")

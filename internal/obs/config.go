@@ -62,26 +62,15 @@ func (c *Config) Enabled() bool {
 		c.LogPath != "" || c.PprofAddr != "" || c.Progress || c.FlightPath != "")
 }
 
-// SetProgressWriter directs this config's Progressf lines to w (nil
+// setProgressWriter directs this config's Progressf lines to w (nil
 // disables). Activate calls it with os.Stderr when -progress was set.
-func (c *Config) SetProgressWriter(w io.Writer) {
+func (c *Config) setProgressWriter(w io.Writer) {
 	if c == nil {
 		return
 	}
 	c.progressMu.Lock()
 	c.progressW = w
 	c.progressMu.Unlock()
-}
-
-// ProgressEnabled reports whether this config is emitting progress
-// lines. Nil-safe.
-func (c *Config) ProgressEnabled() bool {
-	if c == nil {
-		return false
-	}
-	c.progressMu.Lock()
-	defer c.progressMu.Unlock()
-	return c.progressW != nil
 }
 
 // Progressf emits one progress line (e.g. "[3/23] 505.mcf ...") when
@@ -129,7 +118,7 @@ func (c *Config) Activate() (flush func() error, err error) {
 			SetRegistry(prevRegistry)
 		}
 		if loggerSet {
-			SetLogger(prevLogger)
+			setLogger(prevLogger)
 		}
 		if flightSet {
 			SetFlightRecorder(prevFlight)
@@ -146,7 +135,7 @@ func (c *Config) Activate() (flush func() error, err error) {
 			flightFile.Close()
 			flightFile = nil
 		}
-		c.SetProgressWriter(nil)
+		c.setProgressWriter(nil)
 	}
 	if c.TracePath != "" {
 		f, err := os.Create(c.TracePath)
@@ -183,14 +172,14 @@ func (c *Config) Activate() (flush func() error, err error) {
 			logFile = f
 			w = f
 		}
-		prevLogger = SetLogger(NewJSONLLogger(w, LevelDebug))
+		prevLogger = setLogger(newJSONLLogger(w, LevelDebug))
 		loggerSet = true
 	}
 	if c.Progress {
-		c.SetProgressWriter(os.Stderr)
+		c.setProgressWriter(os.Stderr)
 	}
 	if c.PprofAddr != "" {
-		addr, err := StartPprofServer(c.PprofAddr)
+		addr, err := startPprofServer(c.PprofAddr)
 		if err != nil {
 			restore()
 			return func() error { return nil }, fmt.Errorf("obs: pprof server: %w", err)

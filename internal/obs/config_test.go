@@ -174,7 +174,7 @@ func TestConfigActivateBadPprofAddr(t *testing.T) {
 // TestStartPprofServerBindsEphemeral: ":0" binds an ephemeral port and
 // the returned address serves expvar with the metrics snapshot wired in.
 func TestStartPprofServerBindsEphemeral(t *testing.T) {
-	addr, err := StartPprofServer("127.0.0.1:0")
+	addr, err := startPprofServer("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

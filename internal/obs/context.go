@@ -16,7 +16,7 @@ import (
 // wrong as soon as two jobs (or the two overlapped profiling passes)
 // share a process. Context carries the parent explicitly instead:
 //
-//   - ContextWithSpan / SpanFromContext thread the current parent span.
+//   - ContextWithSpan threads the current parent span.
 //   - StartCtx opens a child of the context's span when one is present,
 //     falling back to the global ambient tracer otherwise — existing
 //     single-CLI behavior is unchanged.
@@ -36,22 +36,15 @@ func ContextWithSpan(ctx context.Context, s *Span) context.Context {
 	return context.WithValue(ctx, ctxKeySpan{}, s)
 }
 
-// SpanFromContext returns the parent span carried by ctx, or nil.
-func SpanFromContext(ctx context.Context) *Span {
-	if ctx == nil {
-		return nil
-	}
-	s, _ := ctx.Value(ctxKeySpan{}).(*Span)
-	return s
-}
-
 // StartCtx opens a span named name under the span carried by ctx. When
 // ctx carries no span it behaves exactly like Start (ambient global
 // tracer), so call sites can migrate incrementally. Nil-safe: returns a
 // nil no-op span when tracing is disabled on the relevant tracer.
 func StartCtx(ctx context.Context, name string) *Span {
-	if parent := SpanFromContext(ctx); parent != nil {
-		return parent.StartChild(name)
+	if ctx != nil {
+		if parent, _ := ctx.Value(ctxKeySpan{}).(*Span); parent != nil {
+			return parent.StartChild(name)
+		}
 	}
 	return Start(name)
 }

@@ -131,7 +131,7 @@ func federatedFamily(nodes []NodeSnapshot, name string) (string, func(io.Writer)
 					up = 0
 				}
 				if _, err := fmt.Fprintf(w, "%s{node=\"%s\"} %d\n",
-					name, EscapeLabelValue(nodes[i].Node), up); err != nil {
+					name, escapeLabelValue(nodes[i].Node), up); err != nil {
 					return err
 				}
 			}
@@ -145,8 +145,8 @@ func federatedFamily(nodes []NodeSnapshot, name string) (string, func(io.Writer)
 					continue
 				}
 				if _, err := fmt.Fprintf(w, "%s{commit=\"%s\",go_version=\"%s\",node=\"%s\",version=\"%s\"} 1\n",
-					name, EscapeLabelValue(bi.Commit), EscapeLabelValue(bi.GoVersion),
-					EscapeLabelValue(nodes[i].Node), EscapeLabelValue(bi.Version)); err != nil {
+					name, escapeLabelValue(bi.Commit), escapeLabelValue(bi.GoVersion),
+					escapeLabelValue(nodes[i].Node), escapeLabelValue(bi.Version)); err != nil {
 					return err
 				}
 			}
@@ -159,7 +159,7 @@ func federatedFamily(nodes []NodeSnapshot, name string) (string, func(io.Writer)
 					continue
 				}
 				if _, err := fmt.Fprintf(w, "%s{node=\"%s\"} %d\n",
-					name, EscapeLabelValue(nodes[i].Node), int64(nodes[i].Snapshot.UptimeSeconds)); err != nil {
+					name, escapeLabelValue(nodes[i].Node), int64(nodes[i].Snapshot.UptimeSeconds)); err != nil {
 					return err
 				}
 			}
@@ -169,7 +169,7 @@ func federatedFamily(nodes []NodeSnapshot, name string) (string, func(io.Writer)
 	kind := fedKind(nodes, name)
 	return kind, func(w io.Writer) error {
 		for i := range nodes {
-			node := EscapeLabelValue(nodes[i].Node)
+			node := escapeLabelValue(nodes[i].Node)
 			s := &nodes[i].Snapshot
 			switch kind {
 			case "counter":

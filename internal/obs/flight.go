@@ -124,14 +124,6 @@ func NewFlightRecorder(size int) *FlightRecorder {
 	}
 }
 
-// Cap returns the ring capacity.
-func (fr *FlightRecorder) Cap() int {
-	if fr == nil {
-		return 0
-	}
-	return len(fr.slots)
-}
-
 // redactAttrs replaces program content with placeholders. Dumps are
 // meant to be attached to bug reports and CI artifacts; the profiled
 // program's bytes (proprietary source, binaries) must never ride along.
@@ -200,7 +192,7 @@ func (fr *FlightRecorder) RecordMetricDeltas(r *Registry) {
 	if fr == nil || r == nil {
 		return
 	}
-	cur := r.CounterValues()
+	cur := r.counterValues()
 	fr.metricMu.Lock()
 	prev := fr.lastMetrics
 	fr.lastMetrics = cur

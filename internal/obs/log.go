@@ -47,21 +47,17 @@ type Logger struct {
 	now func() time.Time
 }
 
-// NewTextLogger returns a human-readable logger writing to w at min
+// newTextLogger returns a human-readable logger writing to w at min
 // severity and above.
-func NewTextLogger(w io.Writer, min Level) *Logger {
+func newTextLogger(w io.Writer, min Level) *Logger {
 	return &Logger{w: w, min: min, now: time.Now}
 }
 
-// NewJSONLLogger returns a JSONL structured-event logger writing to w
+// newJSONLLogger returns a JSONL structured-event logger writing to w
 // at min severity and above.
-func NewJSONLLogger(w io.Writer, min Level) *Logger {
+func newJSONLLogger(w io.Writer, min Level) *Logger {
 	return &Logger{w: w, min: min, jsonl: true, now: time.Now}
 }
-
-// StderrLogger is the default diagnostics sink: warn-and-above,
-// human-readable, on standard error.
-func StderrLogger() *Logger { return NewTextLogger(os.Stderr, LevelWarn) }
 
 // Log writes one event. Nil-safe. Warn-and-above events are mirrored
 // into the flight recorder (one atomic load when none is installed) so
@@ -134,7 +130,7 @@ var (
 )
 
 func fallbackLogger() *Logger {
-	fallbackOnce.Do(func() { fallback = StderrLogger() })
+	fallbackOnce.Do(func() { fallback = newTextLogger(os.Stderr, LevelWarn) })
 	return fallback
 }
 

@@ -136,21 +136,6 @@ func (h *HistogramMetric) ObserveTrace(v uint64, traceID string) {
 // nowNanos is a test seam for exemplar timestamps.
 var nowNanos = func() int64 { return time.Now().UnixNano() }
 
-// Exemplars returns the per-bucket exemplars currently held, sorted by
-// bucket index. Nil-safe.
-func (h *HistogramMetric) Exemplars() []Exemplar {
-	if h == nil {
-		return nil
-	}
-	var out []Exemplar
-	for i := range h.exemplars {
-		if e := h.exemplars[i].Load(); e != nil {
-			out = append(out, *e)
-		}
-	}
-	return out
-}
-
 // Count returns the number of observations (0 on nil).
 func (h *HistogramMetric) Count() uint64 {
 	if h == nil {
@@ -254,9 +239,9 @@ func (r *Registry) Histogram(name string) *HistogramMetric {
 	return h
 }
 
-// CounterValues returns a snapshot of all counter values by name, used
+// counterValues returns a snapshot of all counter values by name, used
 // by the flight recorder to log metric deltas at dump time. Nil-safe.
-func (r *Registry) CounterValues() map[string]uint64 {
+func (r *Registry) counterValues() map[string]uint64 {
 	if r == nil {
 		return nil
 	}

@@ -52,9 +52,9 @@ func SetRegistry(r *Registry) *Registry { return activeRegistry.Swap(r) }
 // ActiveRegistry returns the installed registry, or nil when disabled.
 func ActiveRegistry() *Registry { return activeRegistry.Load() }
 
-// SetLogger installs l as the process-global structured logger (nil
+// setLogger installs l as the process-global structured logger (nil
 // disables logging). It returns the previously installed logger.
-func SetLogger(l *Logger) *Logger { return activeLogger.Swap(l) }
+func setLogger(l *Logger) *Logger { return activeLogger.Swap(l) }
 
 // ActiveLogger returns the installed logger, or nil when disabled.
 func ActiveLogger() *Logger { return activeLogger.Load() }

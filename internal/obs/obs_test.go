@@ -219,7 +219,7 @@ func TestPrometheusExpositionShape(t *testing.T) {
 
 func TestJSONLLogger(t *testing.T) {
 	var buf bytes.Buffer
-	l := NewJSONLLogger(&buf, LevelInfo)
+	l := newJSONLLogger(&buf, LevelInfo)
 	l.now = func() time.Time { return time.Unix(1700000000, 0) }
 	l.Debug("dropped") // below min level
 	l.Info("hello", F("k", "v"), F("n", 3))
@@ -243,7 +243,7 @@ func TestJSONLLogger(t *testing.T) {
 
 func TestTextLogger(t *testing.T) {
 	var buf bytes.Buffer
-	l := NewTextLogger(&buf, LevelWarn)
+	l := newTextLogger(&buf, LevelWarn)
 	l.Info("dropped")
 	l.Warn("watch out", F("module", "505.mcf"))
 	got := buf.String()
@@ -349,15 +349,15 @@ func TestHistogramBuckets(t *testing.T) {
 func TestProgress(t *testing.T) {
 	var buf bytes.Buffer
 	c := &Config{}
-	c.SetProgressWriter(&buf)
-	if !c.ProgressEnabled() {
+	c.setProgressWriter(&buf)
+	if c.progressW == nil {
 		t.Fatal("progress should be enabled")
 	}
 	c.Progressf("[%d/%d] %s", 1, 23, "505.mcf")
 	if buf.String() != "[1/23] 505.mcf\n" {
 		t.Errorf("unexpected progress output: %q", buf.String())
 	}
-	c.SetProgressWriter(nil)
+	c.setProgressWriter(nil)
 	c.Progressf("dropped")
 	if strings.Contains(buf.String(), "dropped") {
 		t.Error("disabled progress still wrote")
@@ -366,7 +366,7 @@ func TestProgress(t *testing.T) {
 	// interleave progress lines through a shared global.
 	var other bytes.Buffer
 	c2 := &Config{}
-	c2.SetProgressWriter(&other)
+	c2.setProgressWriter(&other)
 	c2.Progressf("elsewhere")
 	if buf.String() != "[1/23] 505.mcf\n" || other.String() != "elsewhere\n" {
 		t.Errorf("progress writers not independent: %q / %q", buf.String(), other.String())
@@ -374,7 +374,4 @@ func TestProgress(t *testing.T) {
 	// Nil config is a no-op.
 	var nilCfg *Config
 	nilCfg.Progressf("ignored")
-	if nilCfg.ProgressEnabled() {
-		t.Error("nil config reports progress enabled")
-	}
 }

@@ -11,7 +11,7 @@ import (
 // publishOnce guards the expvar publication of the metrics registry.
 var publishOnce sync.Once
 
-// StartPprofServer serves net/http/pprof and expvar on addr (e.g.
+// startPprofServer serves net/http/pprof and expvar on addr (e.g.
 // "localhost:6060") in a background goroutine, for self-profiling the
 // analysis pipeline the same way the paper self-reports its overhead.
 // It returns the bound address (useful with ":0").
@@ -19,7 +19,7 @@ var publishOnce sync.Once
 // /debug/pprof/ — CPU, heap, goroutine, mutex profiles.
 // /debug/vars   — expvar JSON, including an "optiwise_metrics" snapshot
 // of the installed registry.
-func StartPprofServer(addr string) (string, error) {
+func startPprofServer(addr string) (string, error) {
 	publishOnce.Do(func() {
 		expvar.Publish("optiwise_metrics", expvar.Func(func() any {
 			r := ActiveRegistry()

@@ -74,9 +74,9 @@ func escapeHelp(s string) string {
 	return s
 }
 
-// EscapeLabelValue escapes a label value per the exposition format:
+// escapeLabelValue escapes a label value per the exposition format:
 // backslash, double quote, and newline.
-func EscapeLabelValue(s string) string {
+func escapeLabelValue(s string) string {
 	s = strings.ReplaceAll(s, `\`, `\\`)
 	s = strings.ReplaceAll(s, `"`, `\"`)
 	s = strings.ReplaceAll(s, "\n", `\n`)
@@ -166,7 +166,7 @@ func writePromHistogram(w io.Writer, h *HistogramMetric, openMetrics bool) error
 		if openMetrics {
 			if e := h.exemplars[i].Load(); e != nil {
 				suffix = fmt.Sprintf(" # {trace_id=\"%s\"} %d %.3f",
-					EscapeLabelValue(e.TraceID), e.Value, float64(e.UnixNano)/1e9)
+					escapeLabelValue(e.TraceID), e.Value, float64(e.UnixNano)/1e9)
 			}
 		}
 		if _, err := fmt.Fprintf(w, "%s_bucket{le=\"%s\"} %d%s\n", h.name, le, cum, suffix); err != nil {
@@ -186,9 +186,9 @@ func writePromHistogram(w io.Writer, h *HistogramMetric, openMetrics bool) error
 // buildInfoLabels renders the constant label block of the
 // optiwise_build_info family, keys in sorted order.
 func buildInfoLabels(bi BuildInfo) string {
-	return `{commit="` + EscapeLabelValue(bi.Commit) +
-		`",go_version="` + EscapeLabelValue(bi.GoVersion) +
-		`",version="` + EscapeLabelValue(bi.Version) + `"}`
+	return `{commit="` + escapeLabelValue(bi.Commit) +
+		`",go_version="` + escapeLabelValue(bi.GoVersion) +
+		`",version="` + escapeLabelValue(bi.Version) + `"}`
 }
 
 // pow2 returns 2^i as a float64 for bucket bounds past uint64 shifts.

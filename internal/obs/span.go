@@ -106,17 +106,6 @@ func (t *Tracer) Counters() []CounterSample {
 	return out
 }
 
-// Epoch returns the wall-clock instant the tracer's clock started;
-// span Start offsets are relative to it. Cross-node trace stitching
-// uses it to place wall-clock-stamped remote segments on the tracer's
-// timeline. Nil-safe (zero time).
-func (t *Tracer) Epoch() time.Time {
-	if t == nil {
-		return time.Time{}
-	}
-	return t.epoch
-}
-
 // NewTracer returns a tracer whose clock starts now (monotonic).
 func NewTracer() *Tracer {
 	epoch := time.Now()

@@ -23,7 +23,7 @@ func (t *Tracer) WriteChromeTraceStitched(w io.Writer, selfNode string, segs []T
 	spans := t.Spans()
 	traceID := t.TraceID()
 	counters := t.Counters()
-	epochNS := t.Epoch().UnixNano()
+	epochNS := t.epoch.UnixNano()
 	out := chromeTrace{TraceEvents: []chromeEvent{}, DisplayTimeUnit: "ms"}
 	if selfNode != "" {
 		out.TraceEvents = append(out.TraceEvents, chromeEvent{

@@ -1,0 +1,102 @@
+"""Unit tests for scripts/ab.py's judge. Run from the repository root:
+
+    python3 -m unittest scripts/ab_test.py
+"""
+
+import copy
+import json
+import os
+import sys
+import unittest
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+import ab  # noqa: E402
+
+with open(os.path.join(ab.ROOT, "BENCHMARK.json")) as f:
+    END_TO_END = json.load(f)["end_to_end"]
+
+# A profile-workload record shaped like perfbench's result line.
+BASE = {
+    "setup_s": 3.0,
+    "throughput_ops_s": 9.0,
+    "latency_p50_ms": 50.0,
+    "latency_p90_ms": 200.0,
+    "alloc_mb_per_op": 4.0,
+    "max_rss_mb": 120.0,
+    "cpi_err_inst_pct": 107.45976689609375,
+    "cpi_err_block_pct": 12.480940524726376,
+    "cpi_err_func_pct": 4.8314956389825605,
+    "hit_p50_ms": 0.0,
+    "miss_p50_ms": 0.0,
+    "read_p50_ms": 0.0,
+}
+
+
+def runs(scale=None, failed=0):
+    """Ten records around BASE with a ±1% seed-to-seed wobble.
+
+    scale maps a metric name to a factor applied to every run; failed
+    failed operations are added to the first run.
+    """
+    out = []
+    for seed in range(10):
+        wobble = 1 + (seed - 4.5) / 450
+        metrics = {}
+        for name, value in BASE.items():
+            value *= (scale or {}).get(name, 1)
+            if not name.startswith("cpi_err"):
+                value *= wobble
+            metrics[name] = {"value": value, "unit": ""}
+        out.append({"correct": True, "attempted": 500, "failed": failed if seed == 0 else 0,
+                    "metrics": metrics})
+    return out
+
+
+class JudgeTest(unittest.TestCase):
+    def judge(self, change):
+        passed, lines = ab.judge(END_TO_END, runs(), change)
+        return passed, "\n".join(lines)
+
+    def test_flat_passes(self):
+        passed, report = self.judge(copy.deepcopy(runs()))
+        self.assertTrue(passed, report)
+        self.assertNotIn("unresolved", report)
+
+    def test_latency_p50_doubled_fails(self):
+        passed, report = self.judge(runs({"latency_p50_ms": 2}))
+        self.assertFalse(passed, report)
+        self.assertRegex(report, r"latency_p50_ms .*FAIL")
+
+    def test_one_extra_failed_op_fails(self):
+        passed, report = self.judge(runs(failed=1))
+        self.assertFalse(passed, report)
+        self.assertIn("FAIL failed ops", report)
+
+    def test_cpi_err_block_up_three_percent_fails(self):
+        passed, report = self.judge(runs({"cpi_err_block_pct": 1.03}))
+        self.assertFalse(passed, report)
+        self.assertRegex(report, r"cpi_err_block_pct .*FAIL")
+
+    def test_pure_improvement_passes(self):
+        passed, report = self.judge(runs({
+            "throughput_ops_s": 1.5, "latency_p50_ms": 0.6, "latency_p90_ms": 0.6,
+            "alloc_mb_per_op": 0.8, "max_rss_mb": 0.9, "cpi_err_inst_pct": 0.9,
+        }))
+        self.assertTrue(passed, report)
+        self.assertNotIn("FAIL", report)
+
+    def test_wide_parent_spread_is_unresolved(self):
+        parent = runs()
+        for i, r in enumerate(parent):
+            r["metrics"]["latency_p50_ms"]["value"] *= 1 + 0.5 * (i % 2)
+        passed, lines = ab.judge(END_TO_END, parent, runs())
+        self.assertTrue(passed, lines)
+        self.assertRegex("\n".join(lines), r"latency_p50_ms .*unresolved")
+        # Unless every change run reads better than every parent run.
+        passed, lines = ab.judge(END_TO_END, parent, runs({"latency_p50_ms": 0.5}))
+        self.assertTrue(passed, lines)
+        self.assertRegex("\n".join(lines), r"(?m)latency_p50_ms .* ok$")
+
+
+if __name__ == "__main__":
+    unittest.main()
