@@ -53,7 +53,7 @@ func cmdServe(args []string) error {
 	maxTimeout := fs.Duration("max-timeout", 10*time.Minute, "cap on client-chosen deadlines")
 	maxCycles := fs.Int64("max-cycles", 1<<32, "per-execution cycle bound (negative disables)")
 	drainWait := fs.Duration("drain", 2*time.Minute, "max time to drain jobs on shutdown; exceeding it forces exit code 3")
-	dataDir := fs.String("data-dir", "", "durable state directory (WAL job journal, result segments, stream checkpoints); empty keeps all state in memory")
+	dataDir := fs.String("data-dir", "", "durable state directory (WAL job journal, program and result segments); empty keeps all state in memory")
 	retries := fs.Int("retries", 0, "transient-failure retry budget per job (0 = default 2, negative disables)")
 	faultSpec := fs.String("fault", "", "server-wide fault-injection spec (chaos testing; also OPTIWISE_FAULT)")
 	flightDir := fs.String("flight-dir", "", "directory for flight-recorder dumps (panics, failed jobs, degraded results, SIGQUIT); empty keeps dumps in memory only")
@@ -303,7 +303,7 @@ func cmdSubmit(args []string) error {
 	kind := fs.String("report", "full", "report kind: full, functions, loops, annotated, callgraph, csv, loops-csv, json")
 	fn := fs.String("func", "", "function for -report annotated (default: hottest)")
 	timeout := fs.Duration("timeout", 0, "per-job deadline (0 = server default)")
-	stream := fs.Int64("stream", 0, "windowed streaming: cycles per window (0 = off); live snapshots at /v1/jobs/{id}/windows, and durable servers checkpoint each window for crash resume")
+	stream := fs.Int64("stream", 0, "windowed streaming: cycles per window (0 = off); live snapshots at /v1/jobs/{id}/windows, and durable servers re-run the job from the start after a crash")
 	poll := fs.Bool("poll", false, "poll job status instead of a blocking submit")
 	traceID := fs.String("trace-id", "", "propagate a caller-chosen trace ID (32 lowercase hex digits; default: server-minted)")
 	traceOut := fs.String("trace-out", "", "after completion, download the job's Chrome trace JSON to this file")

@@ -1,8 +1,7 @@
 // Package durable is the crash-safety layer under the serve and
 // cluster stacks (DESIGN.md §13): an atomic-write helper, a
 // write-ahead job journal with CRC-framed records, and content-
-// addressed segment stores for program images, completed results, and
-// stream checkpoints.
+// addressed segment stores for program images and completed results.
 //
 // The design premise mirrors the paper's own: OptiWISE trusts a
 // profile only because two independent passes agree, and this layer
@@ -23,8 +22,8 @@ import (
 // either the old file or the new one, never a torn mix: the bytes go
 // to a temporary file in the same directory, are fsynced, renamed
 // over path, and the directory entry is fsynced. Every file the
-// process persists for later reads — journal segments, result and
-// checkpoint segments, the serve addr-file, flight-recorder dumps —
+// process persists for later reads — journal segments, result
+// segments, the serve addr-file, flight-recorder dumps —
 // funnels through here.
 func AtomicWrite(path string, data []byte, perm os.FileMode) error {
 	dir := filepath.Dir(path)

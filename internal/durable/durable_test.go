@@ -338,20 +338,6 @@ func TestStoreSegments(t *testing.T) {
 	if digests[key] != "" {
 		t.Fatalf("corrupt segment digest = %q, want empty", digests[key])
 	}
-
-	if err := s.WriteCheckpoint(key, []byte("ckpt")); err != nil {
-		t.Fatal(err)
-	}
-	ck, err := s.ReadCheckpoint(key)
-	if err != nil || string(ck) != "ckpt" {
-		t.Fatalf("checkpoint = %q, %v", ck, err)
-	}
-	if err := s.RemoveCheckpoint(key); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.ReadCheckpoint(key); !os.IsNotExist(err) {
-		t.Fatalf("checkpoint survives remove: %v", err)
-	}
 }
 
 func asCorrupt(err error, target **trailer.CorruptError) bool {

@@ -13,10 +13,9 @@ import (
 
 // Store is the on-disk layout under one -data-dir:
 //
-//	<root>/journal/NNNNNNNN.wal   append-only job journal segments
-//	<root>/programs/<key>.owx     content-addressed program images
-//	<root>/results/<key>.owpr     trailer-framed completed results
-//	<root>/checkpoints/<key>.ckpt trailer-framed stream-combiner state
+//	<root>/journal/NNNNNNNN.wal append-only job journal segments
+//	<root>/programs/<key>.owx   content-addressed program images
+//	<root>/results/<key>.owpr   trailer-framed completed results
 //
 // Keys are the serve layer's content-addressed job digests (SHA-256
 // hex; serve rejects any other key that arrives over the network), so
@@ -35,7 +34,7 @@ type Store struct {
 // replaying the journal. The returned summary carries every intact
 // journal record for the caller to interpret.
 func Open(root string) (*Store, *ReplaySummary, error) {
-	for _, sub := range []string{"programs", "results", "checkpoints"} {
+	for _, sub := range []string{"programs", "results"} {
 		if err := os.MkdirAll(filepath.Join(root, sub), 0o755); err != nil {
 			return nil, nil, fmt.Errorf("durable: store dir: %w", err)
 		}
@@ -59,10 +58,6 @@ func (s *Store) programPath(key string) string {
 
 func (s *Store) resultPath(key string) string {
 	return filepath.Join(s.root, "results", key+".owpr")
-}
-
-func (s *Store) checkpointPath(key string) string {
-	return filepath.Join(s.root, "checkpoints", key+".ckpt")
 }
 
 // WriteProgram persists a program image under its job key. Content
@@ -123,29 +118,6 @@ func (s *Store) ResultDigests() (map[string]string, error) {
 		out[key] = hex.EncodeToString(sum[:])
 	}
 	return out, nil
-}
-
-// WriteCheckpoint persists a stream-combiner checkpoint for key. Each
-// window's checkpoint atomically replaces the previous one, so the
-// store always holds exactly the last durable window.
-func (s *Store) WriteCheckpoint(key string, data []byte) error {
-	return AtomicWrite(s.checkpointPath(key), trailer.Append(append([]byte(nil), data...)), 0o644)
-}
-
-// ReadCheckpoint returns the checkpoint stored for key, or
-// os.ErrNotExist when the job never checkpointed.
-func (s *Store) ReadCheckpoint(key string) ([]byte, error) {
-	return s.readFramed(s.checkpointPath(key))
-}
-
-// RemoveCheckpoint drops the checkpoint for key once its job reached a
-// terminal state.
-func (s *Store) RemoveCheckpoint(key string) error {
-	err := os.Remove(s.checkpointPath(key))
-	if os.IsNotExist(err) {
-		return nil
-	}
-	return err
 }
 
 // readFramed loads a trailer-framed file and returns the verified

@@ -103,9 +103,9 @@ const (
 
 	// Durability seams (internal/durable): the crash-safety surface.
 	// Error rules on append/fsync model a full disk or dying device at
-	// the exact moment a journal record or checkpoint must become
-	// durable; corrupt rules on append flip bytes of the framed record
-	// before it reaches the file, which replay's CRC check must catch.
+	// the exact moment a journal record must become durable; corrupt
+	// rules on append flip bytes of the framed record before it reaches
+	// the file, which replay's CRC check must catch.
 	// Error rules on replay model unreadable segments at restart.
 	// Error/latency rules on replicate model a lossy or slow link while
 	// a completed result is copied to its ring successor.

@@ -328,12 +328,11 @@ const (
 	MServeJobsPeerFetched    = "optiwise_serve_jobs_peer_fetched_total"
 
 	// Durability metrics (internal/durable, DESIGN.md §13): the WAL job
-	// journal, stream checkpoints, and cluster replication/anti-entropy.
-	MDurableJournalReplays      = "optiwise_durable_journal_replays_total"
-	MDurableRecordsTruncated    = "optiwise_durable_records_truncated_total"
-	MDurableWindowsCheckpointed = "optiwise_durable_windows_checkpointed_total"
-	MClusterReplications        = "optiwise_cluster_replications_total"
-	MClusterAntiEntropyRepairs  = "optiwise_cluster_antientropy_repairs_total"
+	// journal and cluster replication/anti-entropy.
+	MDurableJournalReplays     = "optiwise_durable_journal_replays_total"
+	MDurableRecordsTruncated   = "optiwise_durable_records_truncated_total"
+	MClusterReplications       = "optiwise_cluster_replications_total"
+	MClusterAntiEntropyRepairs = "optiwise_cluster_antientropy_repairs_total"
 
 	// Observability-v3 metrics (DESIGN.md §14): runtime info, the
 	// federated cluster-wide metrics view, and dashboard push channels.
@@ -478,8 +477,6 @@ func helpFor(name string) string {
 		return "Journal segments replayed at restart to rebuild service state."
 	case MDurableRecordsTruncated:
 		return "Journal records dropped during replay because a torn tail was truncated or mid-file corruption failed closed."
-	case MDurableWindowsCheckpointed:
-		return "Stream windows whose cumulative combiner state reached durable storage."
 	case MClusterReplications:
 		return "Completed results replicated to the key's ring successor, by the completion push or an anti-entropy pass."
 	case MClusterAntiEntropyRepairs:

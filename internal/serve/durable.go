@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
-	"os"
 	"time"
 
 	"optiwise"
@@ -15,9 +14,9 @@ import (
 // This file threads the durable layer (internal/durable, DESIGN.md §13)
 // through the service: every accepted execution is journaled, every
 // completed full-fidelity result is persisted as a checksummed segment,
-// streamed executions checkpoint per window, and a restarting server
-// replays the journal to rebuild its cache index, lineage histories,
-// and regression counters and to re-enqueue whatever was in flight.
+// and a restarting server replays the journal to rebuild its cache
+// index, lineage histories, and regression counters and to re-enqueue
+// whatever was in flight, streamed or not, to re-run from the start.
 
 // journalSubmit is the submit record's payload: everything needed to
 // reconstruct and re-enqueue the execution after a restart. The
@@ -174,8 +173,8 @@ func (s *Server) persistSubmission(g *group, leader *Job, sub Submission, timeou
 
 // persistCompleted finishes making a completed result durable once
 // putResult wrote its segment: the journal's complete record follows the
-// segment, so it never points at a missing one; the execution's stream
-// checkpoint is dropped; and the payload is pushed to the ring tier.
+// segment, so it never points at a missing one; and the payload is
+// pushed to the ring tier.
 // members are the jobs that observed the outcome; their lineage keys
 // ride on the complete record so replay rebuilds the histories.
 func (s *Server) persistCompleted(g *group, res *optiwise.Result, w wire, members []*Job) {
@@ -191,9 +190,6 @@ func (s *Server) persistCompleted(g *group, res *optiwise.Result, w wire, member
 		}
 	}
 	s.appendJournal(durable.RecComplete, jc.JobID, g.key, jc)
-	if err := s.store.RemoveCheckpoint(g.key); err != nil {
-		obs.Warn("serve: drop checkpoint failed", obs.F("digest", shortDigest(g.key)), obs.F("err", err.Error()))
-	}
 	if s.ring != nil {
 		go s.ring.Push(g.key, w.payload, w.sum, g.traceID)
 	}
@@ -213,53 +209,6 @@ func (s *Server) journalLineageHit(j *Job, res *optiwise.Result) {
 		Module: j.Module, Cycles: exp.TotalCycles, IPC: exp.IPC,
 		SeenUnixNano: time.Now().UnixNano(),
 	})
-}
-
-// restoreOrNewCombiner builds the stream combiner for one execution
-// attempt: restored from the key's durable checkpoint when one exists
-// (crash resume and in-process retry share the path), fresh otherwise.
-// An unreadable or corrupt checkpoint demotes to a fresh combiner — the
-// full deterministic re-run it forces is slower, never wrong.
-func (s *Server) restoreOrNewCombiner(g *group) *optiwise.StreamCombiner {
-	if s.store != nil {
-		data, err := s.store.ReadCheckpoint(g.key)
-		if err == nil {
-			comb, rerr := optiwise.RestoreStreamCombiner(g.prog, g.opts, data)
-			if rerr == nil {
-				obs.Info("serve: streamed job resuming from checkpoint",
-					obs.F("digest", shortDigest(g.key)))
-				return comb
-			}
-			obs.Warn("serve: stream checkpoint unusable, starting fresh",
-				obs.F("digest", shortDigest(g.key)), obs.F("err", rerr.Error()))
-		} else if !os.IsNotExist(err) {
-			obs.Warn("serve: stream checkpoint unreadable, starting fresh",
-				obs.F("digest", shortDigest(g.key)), obs.F("err", err.Error()))
-		}
-	}
-	return optiwise.NewStreamCombiner(g.prog, g.opts)
-}
-
-// checkpointWindow makes the combiner's cumulative state durable after
-// one window applied. A failed checkpoint costs resume granularity,
-// nothing else.
-func (s *Server) checkpointWindow(key string, comb *optiwise.StreamCombiner) {
-	if s.store == nil {
-		return
-	}
-	data, err := comb.Checkpoint()
-	if err != nil {
-		obs.Warn("serve: stream checkpoint failed",
-			obs.F("digest", shortDigest(key)), obs.F("err", err.Error()))
-		return
-	}
-	if err := s.store.WriteCheckpoint(key, data); err != nil {
-		obs.Warn("serve: stream checkpoint failed",
-			obs.F("digest", shortDigest(key)), obs.F("err", err.Error()))
-		return
-	}
-	s.windowsCheckpointed.Add(1)
-	s.metrics.windowsCheckpointed.Inc()
 }
 
 // pendingReplay is one incomplete execution recovered from the

@@ -3,12 +3,12 @@ package serve_test
 // Crash-recovery regressions for the durable serve stack: completed
 // results, lineage histories, and the regression counter must survive a
 // restart; journaled-but-unfinished jobs must re-enqueue; interrupted
-// streamed runs must resume from their last durable window with a
-// byte-identical final report; and a broken journal or a corrupt result
-// segment must degrade to recomputation, never to a panic or a poisoned
-// cache. "Crash" here is an abandoned server: per-record fsync makes
-// every acknowledged state durable, so dropping the old Server and
-// opening a new one on the same data dir is exactly the kill -9 path.
+// streamed runs must re-run from the start to a byte-identical final
+// report; and a broken journal or a corrupt result segment must degrade
+// to recomputation, never to a panic or a poisoned cache. "Crash" here
+// is an abandoned server: per-record fsync makes every acknowledged
+// state durable, so dropping the old Server and opening a new one on
+// the same data dir is exactly the kill -9 path.
 
 import (
 	"bytes"
@@ -189,9 +189,10 @@ func TestCrashRecoveryIncompleteJobReenqueued(t *testing.T) {
 
 // TestCrashRecoveryStreamResumeByteIdentical kills streamed runs
 // mid-stream at 20 seeded fault points spread across both pipeline
-// passes, restarts on the same data dir, and requires every resumed
-// run's final report to be byte-identical to an uninterrupted one —
-// with the windowed totals intact, not doubled by replayed increments.
+// passes, restarts on the same data dir, and requires every recovered
+// run — re-enqueued by journal replay and re-run from the start — to end
+// with a final report byte-identical to an uninterrupted one, and with
+// the windowed totals intact, not doubled by the re-run's increments.
 func TestCrashRecoveryStreamResumeByteIdentical(t *testing.T) {
 	withRegistry(t)
 	opts := optiwise.Options{SamplePeriod: 300, StreamWindow: 512}
@@ -213,7 +214,7 @@ func TestCrashRecoveryStreamResumeByteIdentical(t *testing.T) {
 	if testing.Short() {
 		seeds = 5
 	}
-	interrupted, checkpointed := 0, 0
+	interrupted, absorbed := 0, 0
 	for seed := 0; seed < seeds; seed++ {
 		// Alternate the failing pass and vary how deep into it the fault
 		// fires (both sites are consulted on a countdown cadence, so nth
@@ -243,7 +244,7 @@ func TestCrashRecoveryStreamResumeByteIdentical(t *testing.T) {
 			interrupted++
 		}
 		if srv1.Stats().WindowsCheckpointed > 0 {
-			checkpointed++
+			absorbed++
 		}
 		// Crash srv1; restart on the same dir and resubmit.
 
@@ -254,9 +255,9 @@ func TestCrashRecoveryStreamResumeByteIdentical(t *testing.T) {
 			t.Errorf("seed %d (%s): resumed report differs from the uninterrupted run", seed, spec)
 		}
 		if !j2.Status().Cached {
-			// The resumed execution streamed; its cumulative windowed view
-			// must match the reference exactly — replayed increments the
-			// checkpoint already absorbed must not double-count.
+			// The recovered execution streamed; its cumulative windowed
+			// view must match the reference exactly — windows the crashed
+			// attempt already streamed must not double-count.
 			snap, err := j2.StreamSnapshot()
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
@@ -279,10 +280,10 @@ func TestCrashRecoveryStreamResumeByteIdentical(t *testing.T) {
 	if interrupted == 0 {
 		t.Error("no seed interrupted its run: the fault schedule tests nothing")
 	}
-	if checkpointed == 0 {
-		t.Error("no seed left a durable window checkpoint behind")
+	if absorbed == 0 {
+		t.Error("no seed had windows absorbed before the crash")
 	}
-	t.Logf("%d/%d seeds interrupted mid-run, %d with durable checkpoints", interrupted, seeds, checkpointed)
+	t.Logf("%d/%d seeds interrupted mid-run, %d with windows absorbed before the crash", interrupted, seeds, absorbed)
 }
 
 // TestJournalFaultsDoNotFailSubmissions: with every journal append

@@ -23,9 +23,8 @@ type serverMetrics struct {
 	regressions  *obs.CounterMetric
 	peerFetched  *obs.CounterMetric
 
-	journalReplays      *obs.CounterMetric
-	recordsTruncated    *obs.CounterMetric
-	windowsCheckpointed *obs.CounterMetric
+	journalReplays   *obs.CounterMetric
+	recordsTruncated *obs.CounterMetric
 }
 
 func newServerMetrics() serverMetrics {
@@ -47,8 +46,7 @@ func newServerMetrics() serverMetrics {
 		regressions:  obs.Counter(obs.MProfileRegressions),
 		peerFetched:  obs.Counter(obs.MServeJobsPeerFetched),
 
-		journalReplays:      obs.Counter(obs.MDurableJournalReplays),
-		recordsTruncated:    obs.Counter(obs.MDurableRecordsTruncated),
-		windowsCheckpointed: obs.Counter(obs.MDurableWindowsCheckpointed),
+		journalReplays:   obs.Counter(obs.MDurableJournalReplays),
+		recordsTruncated: obs.Counter(obs.MDurableRecordsTruncated),
 	}
 }

@@ -99,6 +99,11 @@ func TestWindowsEndpoint(t *testing.T) {
 	if len(snap.TopFuncs) == 0 || snap.TopFuncs[0].Name != "kernel" {
 		t.Errorf("hottest function: %+v", snap.TopFuncs)
 	}
+	// The absorbed-window counter the benchmark harness reads moves
+	// once per window on every server, durable or not.
+	if got, want := srv.Stats().WindowsCheckpointed, uint64(len(snap.SampleWindows)+len(snap.EdgeWindows)); got != want {
+		t.Errorf("Stats.WindowsCheckpointed = %d, want %d absorbed windows", got, want)
+	}
 
 	// A job that did not request streaming has no windows.
 	resp = postJSON(t, ts.URL+"/v1/jobs", map[string]any{

@@ -16,9 +16,7 @@ package stream
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"sort"
 	"sync"
 
 	"optiwise/internal/core"
@@ -116,15 +114,6 @@ type Combiner struct {
 	sampleDone    bool
 	edgeDone      bool
 
-	// lastSampleSeq / lastEdgeSeq track the highest absorbed Seq per
-	// pass (-1 before the first increment). Increments at or below the
-	// mark are duplicates and fold to a no-op, which is what lets a
-	// combiner restored from a durable checkpoint sit in front of a
-	// deterministic re-run: the replayed early windows are recognized
-	// as already absorbed and only post-checkpoint windows accumulate.
-	lastSampleSeq int
-	lastEdgeSeq   int
-
 	funcs map[string]*FuncCycles
 }
 
@@ -133,15 +122,17 @@ type Combiner struct {
 // same workload would use for results to be comparable).
 func NewCombiner(prog *program.Program, opts core.Options) *Combiner {
 	return &Combiner{
-		prog:          prog,
-		opts:          opts,
-		lastSampleSeq: -1,
-		lastEdgeSeq:   -1,
-		funcs:         make(map[string]*FuncCycles),
+		prog:  prog,
+		opts:  opts,
+		funcs: make(map[string]*FuncCycles),
 	}
 }
 
-// Add folds one increment into the cumulative state.
+// Add folds one increment into the cumulative state. Each pass's
+// increments must arrive in emission order: a Seq other than the
+// number of windows that pass has already absorbed (a duplicate or a
+// gap) is rejected, since folding it would miscount the cumulative
+// totals.
 func (c *Combiner) Add(inc Increment) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -159,11 +150,11 @@ func (c *Combiner) addSample(inc Increment) error {
 	if inc.Sample == nil {
 		return fmt.Errorf("stream: sampling increment without a profile")
 	}
-	if inc.Seq <= c.lastSampleSeq {
-		return nil // already absorbed (checkpoint-restored replay)
-	}
 	if c.sampleDone {
 		return fmt.Errorf("stream: sampling increment after the final window")
+	}
+	if err := checkSeq(inc, len(c.sampleWindows)); err != nil {
+		return err
 	}
 	if c.sp == nil {
 		// Adopt the header from the first increment; the zero profile
@@ -206,7 +197,6 @@ func (c *Combiner) addSample(inc Increment) error {
 	if inc.Final {
 		c.sampleDone = true
 	}
-	c.lastSampleSeq = inc.Seq
 	return nil
 }
 
@@ -214,11 +204,11 @@ func (c *Combiner) addEdge(inc Increment) error {
 	if inc.Edge == nil {
 		return fmt.Errorf("stream: instrumentation increment without a profile")
 	}
-	if inc.Seq <= c.lastEdgeSeq {
-		return nil // already absorbed (checkpoint-restored replay)
-	}
 	if c.edgeDone {
 		return fmt.Errorf("stream: instrumentation increment after the final window")
+	}
+	if err := checkSeq(inc, len(c.edgeWindows)); err != nil {
+		return err
 	}
 	if c.ep == nil {
 		c.ep = &dbi.Profile{Module: inc.Edge.Module}
@@ -241,7 +231,6 @@ func (c *Combiner) addEdge(inc Increment) error {
 	if inc.Final {
 		c.edgeDone = true
 	}
-	c.lastEdgeSeq = inc.Seq
 	return nil
 }
 
@@ -313,76 +302,13 @@ func (c *Combiner) Result(ctx context.Context) (*core.Profile, error) {
 	return core.CombineContext(ctx, c.prog, c.sp, c.ep, c.opts)
 }
 
-// checkpointState is the serialized form of a Combiner: the cumulative
-// pass profiles, window summaries, and dedupe marks — everything Add
-// mutates, nothing derived. Funcs flattens the map to a sorted slice
-// so consecutive checkpoints of identical state are byte-identical
-// (the equivalence tests diff them directly).
-type checkpointState struct {
-	Sample        *sampler.Profile `json:"sample,omitempty"`
-	Edge          *dbi.Profile     `json:"edge,omitempty"`
-	SampleWindows []SampleWindow   `json:"sample_windows,omitempty"`
-	EdgeWindows   []EdgeWindow     `json:"edge_windows,omitempty"`
-	SampleDone    bool             `json:"sample_done"`
-	EdgeDone      bool             `json:"edge_done"`
-	LastSampleSeq int              `json:"last_sample_seq"`
-	LastEdgeSeq   int              `json:"last_edge_seq"`
-	Funcs         []FuncCycles     `json:"funcs,omitempty"`
-}
-
-// Checkpoint serializes the combiner's cumulative state. Restoring the
-// bytes into a fresh combiner (RestoreCombiner) and replaying the same
-// increment stream yields exactly the state an uninterrupted combiner
-// would hold: already-absorbed windows are skipped by sequence number,
-// later ones accumulate normally. Safe to call between increments of a
-// live run.
-func (c *Combiner) Checkpoint() ([]byte, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	st := checkpointState{
-		Sample:        c.sp,
-		Edge:          c.ep,
-		SampleWindows: c.sampleWindows,
-		EdgeWindows:   c.edgeWindows,
-		SampleDone:    c.sampleDone,
-		EdgeDone:      c.edgeDone,
-		LastSampleSeq: c.lastSampleSeq,
-		LastEdgeSeq:   c.lastEdgeSeq,
+// checkSeq rejects an increment whose Seq is not the next one its
+// pass expects.
+func checkSeq(inc Increment, absorbed int) error {
+	if inc.Seq != absorbed {
+		return fmt.Errorf("stream: %s increment seq %d out of order (want %d)", inc.Pass, inc.Seq, absorbed)
 	}
-	for _, fc := range c.funcs {
-		st.Funcs = append(st.Funcs, *fc)
-	}
-	sort.Slice(st.Funcs, func(i, j int) bool { return st.Funcs[i].Name < st.Funcs[j].Name })
-	data, err := json.Marshal(st)
-	if err != nil {
-		return nil, fmt.Errorf("stream: checkpoint: %w", err)
-	}
-	return data, nil
-}
-
-// RestoreCombiner rebuilds a Combiner from Checkpoint bytes. prog and
-// opts must match the original run (the checkpoint carries only
-// accumulated profile state, not the program), exactly as Result
-// requires them to match a one-shot run.
-func RestoreCombiner(prog *program.Program, opts core.Options, data []byte) (*Combiner, error) {
-	var st checkpointState
-	if err := json.Unmarshal(data, &st); err != nil {
-		return nil, fmt.Errorf("stream: restore checkpoint: %w", err)
-	}
-	c := NewCombiner(prog, opts)
-	c.sp = st.Sample
-	c.ep = st.Edge
-	c.sampleWindows = st.SampleWindows
-	c.edgeWindows = st.EdgeWindows
-	c.sampleDone = st.SampleDone
-	c.edgeDone = st.EdgeDone
-	c.lastSampleSeq = st.LastSampleSeq
-	c.lastEdgeSeq = st.LastEdgeSeq
-	for i := range st.Funcs {
-		fc := st.Funcs[i]
-		c.funcs[fc.Name] = &fc
-	}
-	return c, nil
+	return nil
 }
 
 func ipc(insts, cycles uint64) float64 {

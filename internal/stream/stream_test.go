@@ -173,17 +173,45 @@ func TestCombinerAddErrors(t *testing.T) {
 		!strings.Contains(err.Error(), "without a profile") {
 		t.Errorf("nil instrumentation profile: %v", err)
 	}
-	if err := c.Add(sampleInc(0, true, nil, 100, 80, 60)); err != nil {
+	// Each pass must deliver Seq 0, 1, 2, ... exactly once: a gap or a
+	// repeat is rejected before it touches the cumulative state.
+	if err := c.Add(sampleInc(1, false, nil, 100, 80, 60)); err == nil ||
+		!strings.Contains(err.Error(), "out of order") {
+		t.Errorf("sampling gap: %v", err)
+	}
+	if err := c.Add(sampleInc(0, false, nil, 100, 80, 60)); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Add(sampleInc(1, false, nil, 100, 80, 60)); err == nil ||
+	if err := c.Add(sampleInc(0, false, nil, 100, 80, 60)); err == nil ||
+		!strings.Contains(err.Error(), "out of order") {
+		t.Errorf("sampling duplicate: %v", err)
+	}
+	if err := c.Add(edgeInc(1, false, nil, 10)); err == nil ||
+		!strings.Contains(err.Error(), "out of order") {
+		t.Errorf("instrumentation gap: %v", err)
+	}
+	if err := c.Add(edgeInc(0, false, nil, 10)); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Add(edgeInc(0, false, nil, 10)); err == nil ||
+		!strings.Contains(err.Error(), "out of order") {
+		t.Errorf("instrumentation duplicate: %v", err)
+	}
+	if s := c.Snapshot(); len(s.SampleWindows) != 1 || s.Cycles != 100 ||
+		len(s.EdgeWindows) != 1 || s.EdgeInstructions != 10 {
+		t.Errorf("rejected increments changed the state: %+v", s)
+	}
+	if err := c.Add(sampleInc(1, true, nil, 100, 80, 60)); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Add(sampleInc(2, false, nil, 100, 80, 60)); err == nil ||
 		!strings.Contains(err.Error(), "after the final window") {
 		t.Errorf("sampling after final: %v", err)
 	}
-	if err := c.Add(edgeInc(0, true, nil, 10)); err != nil {
+	if err := c.Add(edgeInc(1, true, nil, 10)); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Add(edgeInc(1, false, nil, 10)); err == nil ||
+	if err := c.Add(edgeInc(2, false, nil, 10)); err == nil ||
 		!strings.Contains(err.Error(), "after the final window") {
 		t.Errorf("instrumentation after final: %v", err)
 	}
@@ -196,112 +224,6 @@ func TestCombinerAddErrors(t *testing.T) {
 	bad.Sample.Period = 999
 	if err := c2.Add(bad); err == nil {
 		t.Error("period mismatch accepted")
-	}
-}
-
-// TestCheckpointResumeByteIdentical interrupts a streamed run at every
-// possible window boundary, restores from the checkpoint taken there,
-// replays the full increment stream from the start (how a restarted
-// deterministic run presents itself), and requires the final combined
-// profile to serialize byte-identically to the uninterrupted run's.
-func TestCheckpointResumeByteIdentical(t *testing.T) {
-	makeIncs := func(t *testing.T, c *Combiner) []Increment {
-		koff := kernelOffset(t, c)
-		return []Increment{
-			sampleInc(0, false, []sampler.Record{{Offset: koff, Weight: 1500}}, 5000, 4000, 3000),
-			edgeInc(0, false, []*dbi.Block{{Start: 0, NumInsts: 1, Count: 10}}, 400),
-			sampleInc(1, false, []sampler.Record{{Offset: koff, Weight: 500}}, 2000, 1500, 900),
-			edgeInc(1, false, []*dbi.Block{{Start: 0, NumInsts: 1, Count: 2}}, 100),
-			sampleInc(2, true, []sampler.Record{{Offset: koff, Weight: 700}}, 500, 500, 600),
-			edgeInc(2, true, []*dbi.Block{{Start: 0, NumInsts: 1, Count: 5}}, 50),
-		}
-	}
-
-	// Uninterrupted reference run.
-	ref := newTestCombiner(t)
-	incs := makeIncs(t, ref)
-	for _, inc := range incs {
-		if err := ref.Add(inc); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want := resultBytes(t, ref)
-
-	for cut := 0; cut < len(incs); cut++ {
-		c := newTestCombiner(t)
-		var ckpt []byte
-		for i := 0; i <= cut; i++ {
-			if err := c.Add(incs[i]); err != nil {
-				t.Fatal(err)
-			}
-			var err error
-			if ckpt, err = c.Checkpoint(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		// "Crash", restore, and replay the whole deterministic stream.
-		restored, err := RestoreCombiner(c.prog, c.opts, ckpt)
-		if err != nil {
-			t.Fatalf("cut %d: %v", cut, err)
-		}
-		for _, inc := range incs {
-			if err := restored.Add(inc); err != nil {
-				t.Fatalf("cut %d: replay: %v", cut, err)
-			}
-		}
-		if !restored.Complete() {
-			t.Fatalf("cut %d: restored run incomplete", cut)
-		}
-		if got := resultBytes(t, restored); got != want {
-			t.Errorf("cut %d: resumed result diverges from uninterrupted run", cut)
-		}
-	}
-}
-
-func resultBytes(t *testing.T, c *Combiner) string {
-	t.Helper()
-	res, err := c.Result(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sb strings.Builder
-	if err := res.WriteJSON(&sb); err != nil {
-		t.Fatal(err)
-	}
-	return sb.String()
-}
-
-// TestCheckpointStableBytes pins that checkpointing the same state
-// twice yields identical bytes (map iteration must not leak in), and
-// that a restored combiner checkpoints back to those bytes.
-func TestCheckpointStableBytes(t *testing.T) {
-	c := newTestCombiner(t)
-	koff := kernelOffset(t, c)
-	if err := c.Add(sampleInc(0, false,
-		[]sampler.Record{{Offset: koff, Weight: 10}, {Offset: 0, Weight: 5}}, 100, 80, 60)); err != nil {
-		t.Fatal(err)
-	}
-	a, err := c.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := c.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(a) != string(b) {
-		t.Error("consecutive checkpoints of identical state differ")
-	}
-	restored, err := RestoreCombiner(c.prog, c.opts, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb, err := restored.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(rb) != string(a) {
-		t.Error("checkpoint does not round-trip through restore")
 	}
 }
 

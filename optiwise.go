@@ -727,17 +727,6 @@ func NewStreamCombiner(prog *Program, opts Options) *StreamCombiner {
 	return stream.NewCombiner(prog.prog, coreOptions(opts))
 }
 
-// RestoreStreamCombiner rebuilds a combiner from a Checkpoint taken by
-// an earlier combiner for the same program and options. Re-feeding the
-// restored combiner the run's deterministic increment stream from the
-// start is a no-op up to the checkpointed window and resumes cleanly
-// past it, so a crashed streaming run resumes byte-identical to an
-// uninterrupted one (DESIGN.md §13).
-func RestoreStreamCombiner(prog *Program, opts Options, checkpoint []byte) (*StreamCombiner, error) {
-	opts.fill()
-	return stream.RestoreCombiner(prog.prog, coreOptions(opts), checkpoint)
-}
-
 // SampleOnly performs just the sampling run (optiwise sample).
 func SampleOnly(prog *Program, opts Options) (*SampleProfile, ooo.Stats, error) {
 	return SampleOnlyContext(context.Background(), prog, opts)
