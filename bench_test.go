@@ -497,7 +497,7 @@ func BenchmarkStreamOff(b *testing.B) {
 }
 
 // BenchmarkStreamOn prices enabled streaming end to end: window
-// slicing, increment hand-off, and the incremental combine. Compare
+// slicing, increment hand-off, and the combiner's per-window summaries. Compare
 // with BenchmarkStreamOff for the marginal cost per emitted window.
 func BenchmarkStreamOn(b *testing.B) {
 	prog := mustProgram(b, Fig2Program)
@@ -505,7 +505,7 @@ func BenchmarkStreamOn(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		opts := Options{SamplePeriod: 2000, StreamWindow: 4096}
-		comb := NewStreamCombiner(prog, opts)
+		comb := NewStreamCombiner(prog)
 		opts.OnIncrement = func(inc Increment) {
 			if err := comb.Add(inc); err != nil {
 				b.Error(err)

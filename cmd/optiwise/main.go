@@ -35,7 +35,6 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -286,7 +285,7 @@ func cmdRun(args []string) error {
 	yamlOut := c.fs.Bool("yaml", false, "emit the combined profile as YAML")
 	events := c.fs.Bool("events", false, "emit per-function event rates (misses, mispredicts)")
 	loopID := c.fs.Int("loop", -1, "annotate only this loop id")
-	streamN := c.fs.Uint64("stream", 0, "streaming window in cycles (0 = off): emit a per-window progress line per profile increment and build the final report from the incrementally combined stream")
+	streamN := c.fs.Uint64("stream", 0, "streaming window in cycles (0 = off): print a progress line per profile window on stderr; the report is unchanged")
 	if err := c.fs.Parse(args); err != nil {
 		return err
 	}
@@ -302,7 +301,7 @@ func cmdRun(args []string) error {
 		return err
 	}
 	if *streamN > 0 {
-		comb = optiwise.NewStreamCombiner(prog, opts)
+		comb = optiwise.NewStreamCombiner(prog)
 		opts.StreamWindow = *streamN
 		opts.OnIncrement = func(inc optiwise.Increment) {
 			if err := comb.Add(inc); err != nil {
@@ -321,8 +320,8 @@ func cmdRun(args []string) error {
 				fmt.Fprintf(os.Stderr, "stream: sampling window #%d: %d samples, %d cycles%s\n",
 					inc.Seq, len(inc.Sample.Records), inc.Sample.TotalCycles, tag)
 			} else if inc.Edge != nil {
-				fmt.Fprintf(os.Stderr, "stream: instrumentation window #%d: %d instructions, %d blocks touched%s\n",
-					inc.Seq, inc.Edge.BaseInstructions, len(inc.Edge.Blocks), tag)
+				fmt.Fprintf(os.Stderr, "stream: instrumentation window #%d: %d instructions, %d block executions, %d new blocks%s\n",
+					inc.Seq, inc.Edge.Instructions, inc.Edge.BlockExecs, inc.Edge.NewBlocks, tag)
 			}
 		}
 		if err := opts.Validate(); err != nil {
@@ -337,9 +336,6 @@ func cmdRun(args []string) error {
 			return err
 		}
 		if comb != nil {
-			// Render from the incrementally combined stream rather than
-			// the one-shot result — the two are byte-identical by
-			// construction, and this path exercises that guarantee.
 			combMu.Lock()
 			err := combErr
 			combMu.Unlock()
@@ -347,12 +343,8 @@ func cmdRun(args []string) error {
 				return fmt.Errorf("stream combine: %w", err)
 			}
 			snap := comb.Snapshot()
-			fmt.Fprintf(os.Stderr, "stream: %d sampling + %d instrumentation windows combined incrementally\n",
+			fmt.Fprintf(os.Stderr, "stream: %d sampling + %d instrumentation windows\n",
 				len(snap.SampleWindows), len(snap.EdgeWindows))
-			prof, err = comb.Result(context.Background())
-			if err != nil {
-				return err
-			}
 		}
 		obs.Info("profile complete",
 			obs.F("module", prog.Module()),

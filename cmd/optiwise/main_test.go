@@ -200,8 +200,7 @@ func TestCmdRunYAMLAndStream(t *testing.T) {
 	if err := cmdRun([]string{"-yaml", path}); err != nil {
 		t.Fatal(err)
 	}
-	// -stream renders the report from the incrementally combined
-	// increments instead of the one-shot result.
+	// -stream prints window lines on stderr next to the usual report.
 	if err := cmdRun([]string{"-stream", "2048", "-period", "300", path}); err != nil {
 		t.Fatal(err)
 	}

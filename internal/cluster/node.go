@@ -210,10 +210,9 @@ func New(cfg Config, srv *serve.Server) (*Node, error) {
 	}
 	n.mem = newMembership(cfg, n.probeClient())
 	n.fed = newFederator(n)
-	srv.SetClusterHooks(n, n.clusterStats)
 	// Stitched traces: local segments plus whatever the live peers
 	// recorded for the same trace ID.
-	srv.SetTraceSegmentsHook(n.traceSegments)
+	srv.SetClusterHooks(n, n.clusterStats, n.traceSegments)
 	return n, nil
 }
 
@@ -249,8 +248,8 @@ func (n *Node) Shutdown() {
 // Ring returns the node's current routing ring.
 func (n *Node) Ring() *Ring { return n.mem.Ring() }
 
-// clusterStats is the serve.Config.ClusterStats hook: the cluster
-// section of /v1/stats and the cluster fields of /readyz.
+// clusterStats is the stats hook given to serve.Server.SetClusterHooks:
+// the cluster section of /v1/stats and the cluster fields of /readyz.
 func (n *Node) clusterStats() *serve.ClusterStats {
 	snap := n.mem.snapshot()
 	return &serve.ClusterStats{

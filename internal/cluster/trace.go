@@ -23,8 +23,9 @@ import (
 // should never hang on a dying peer.
 const traceSegmentTimeout = 800 * time.Millisecond
 
-// traceSegments is the serve.Config.TraceSegments hook: local segments
-// plus whatever the live peers hold for the same trace ID.
+// traceSegments is the segments hook given to
+// serve.Server.SetClusterHooks: local segments plus whatever the live
+// peers hold for the same trace ID.
 func (n *Node) traceSegments(traceID string) []obs.TraceSegment {
 	if !obs.ValidTraceID(traceID) {
 		return nil

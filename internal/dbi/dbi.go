@@ -185,13 +185,13 @@ type Options struct {
 	// MaxInstructions bounds the run (0 = unlimited).
 	MaxInstructions uint64
 	// WindowInstructions, with OnWindow, enables streaming windowed
-	// profiling: an increment profile is emitted every
-	// WindowInstructions retired (original-program) instructions, plus
-	// a final increment when the run exits. See window.go.
+	// profiling: a Window summary is emitted every WindowInstructions
+	// retired (original-program) instructions, plus a final one when
+	// the run exits. See window.go.
 	WindowInstructions uint64
-	// OnWindow receives each increment synchronously on the engine
-	// goroutine. final marks the end-of-run increment.
-	OnWindow func(inc *Profile, final bool)
+	// OnWindow receives each window synchronously on the engine
+	// goroutine. final marks the end-of-run window.
+	OnWindow func(w Window, final bool)
 	// Select, when non-nil, enables tiered instrumentation: only code
 	// inside the selected ranges is discovered into blocks and counted;
 	// everything else runs through the threaded engine's cold path with
@@ -284,7 +284,7 @@ func RunContext(ctx context.Context, prog *program.Program, opts Options) (*Prof
 		e.costs = *opts.Costs
 	}
 	if opts.WindowInstructions > 0 && opts.OnWindow != nil {
-		e.win = newWinState(opts.WindowInstructions, opts.OnWindow)
+		e.win = &winState{every: opts.WindowInstructions, next: opts.WindowInstructions, emit: opts.OnWindow}
 	}
 	if opts.Select != nil || !opts.LegacyDispatch {
 		e.code = interp.Translate(img)
@@ -309,9 +309,8 @@ func RunContext(ctx context.Context, prog *program.Program, opts Options) (*Prof
 		return nil, err
 	}
 	if e.win != nil {
-		// The trailing partial window, emitted after run() finalized
-		// BaseInstructions and charged the base-execution equivalents,
-		// so the increment deltas telescope to the exact run totals.
+		// The trailing partial window, emitted after run() exits so the
+		// window counts telescope to the exact run totals.
 		e.flushWindow(true)
 	}
 	obs.Counter(obs.MDBIInstrEquiv).Add(e.prof.InstrEquivalents)
@@ -503,8 +502,8 @@ func (e *Engine) lookupBlock(off uint64) (*Block, error) {
 		// the whole extent is promoted to hot: cold legs then stop at
 		// it, and any mid-tail entry point becomes its own exactly
 		// counted block. The extent folds into the profile's effective
-		// HotRanges immediately — window increments snapshot them, and
-		// the effective set only ever grows within a run.
+		// HotRanges immediately; the effective set only ever grows
+		// within a run.
 		end := b.Start + uint64(b.NumInsts)*isa.InstBytes
 		e.code.SetHot(b.Start, end)
 		if !rangesCover(e.prof.HotRanges, b.Start, end) {

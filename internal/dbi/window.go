@@ -1,12 +1,11 @@
 package dbi
 
 // Streaming windowed profiling, instrumentation half: when
-// Options.WindowInstructions is set, the engine emits a profile
-// *increment* every N retired (original-program) instructions plus a
-// final increment after the run exits — each increment carrying only
-// the per-block count deltas, callee-table deltas, and cost deltas of
-// its window. Accumulating the increments in order (see Accumulate)
-// reconstructs the one-shot profile exactly.
+// Options.WindowInstructions is set, the engine reports a Window every
+// N retired (original-program) instructions plus a final one after the
+// run exits. A Window is an observation of progress, not a profile
+// increment: the run's own Profile is the only edge profile built, and
+// the windows' counts telescope to its totals.
 //
 // Windows are measured in retired instructions because the functional
 // interpreter has no cycle clock; the caller maps its cycle-based
@@ -15,11 +14,16 @@ package dbi
 // checked at block granularity (blocks are a handful of instructions),
 // so when disabled the run loop pays one nil compare per block.
 
-// blockSnap is the per-block counter state at the last emitted window.
-type blockSnap struct {
-	count   uint64
-	fall    uint64
-	targets map[uint64]uint64
+// Window summarizes the instrumentation work of one stream window.
+type Window struct {
+	// Instructions is the original-program instructions retired.
+	Instructions uint64
+	// BlockExecs is the instrumented block executions.
+	BlockExecs uint64
+	// NewBlocks is the blocks first discovered. A block is executed in
+	// the loop iteration that discovers it, so every new block also
+	// contributes to BlockExecs.
+	NewBlocks int
 }
 
 // winState is the engine's window-emission state, nil when streaming is
@@ -27,97 +31,21 @@ type blockSnap struct {
 type winState struct {
 	every uint64
 	next  uint64
-	emit  func(inc *Profile, final bool)
-
-	counts  map[uint64]*blockSnap
-	callees map[uint64]uint64
-	steps   uint64 // retired instructions at the last window
-	equiv   uint64 // instruction equivalents at the last window
-	cold    uint64 // cold instructions at the last window (tiered runs)
+	emit  func(w Window, final bool)
+	last  Window // run totals at the previous flush
 }
 
-func newWinState(every uint64, emit func(*Profile, bool)) *winState {
-	return &winState{
-		every:   every,
-		next:    every,
-		emit:    emit,
-		counts:  make(map[uint64]*blockSnap),
-		callees: make(map[uint64]uint64),
-	}
-}
-
-// flushWindow emits the delta since the previous window as an increment
-// profile and advances the snapshots. Blocks untouched within the
-// window are skipped — an increment names only what moved.
+// flushWindow emits the run's progress since the previous flush.
 func (e *Engine) flushWindow(final bool) {
 	w := e.win
-	inc := &Profile{
-		Module:         e.prof.Module,
-		StackProfiling: e.prof.StackProfiling,
-		CalleeCounts:   make(map[uint64]uint64),
-	}
+	now := Window{Instructions: e.m.Steps, NewBlocks: len(e.prof.Blocks)}
 	for _, b := range e.prof.Blocks {
-		snap := w.counts[b.Start]
-		if snap == nil {
-			snap = &blockSnap{}
-			if b.Targets != nil {
-				snap.targets = make(map[uint64]uint64)
-			}
-			w.counts[b.Start] = snap
-		}
-		dCount := b.Count - snap.count
-		if dCount == 0 {
-			continue // fallthrough and targets only move with the count
-		}
-		nb := &Block{
-			Start:       b.Start,
-			NumInsts:    b.NumInsts,
-			TermOff:     b.TermOff,
-			TermOp:      b.TermOp,
-			Kind:        b.Kind,
-			Count:       dCount,
-			Fallthrough: b.Fallthrough - snap.fall,
-			TakenTarget: b.TakenTarget,
-		}
-		if b.Targets != nil {
-			nb.Targets = make(map[uint64]uint64)
-			for t, n := range b.Targets {
-				if d := n - snap.targets[t]; d > 0 {
-					nb.Targets[t] = d
-					snap.targets[t] = n
-				}
-			}
-		}
-		snap.count = b.Count
-		snap.fall = b.Fallthrough
-		inc.Blocks = append(inc.Blocks, nb)
+		now.BlockExecs += b.Count
 	}
-	// Deterministic increment order regardless of discovery order (the
-	// run profile is only sorted at exit).
-	for i := 1; i < len(inc.Blocks); i++ {
-		for j := i; j > 0 && inc.Blocks[j].Start < inc.Blocks[j-1].Start; j-- {
-			inc.Blocks[j], inc.Blocks[j-1] = inc.Blocks[j-1], inc.Blocks[j]
-		}
-	}
-	for site, n := range e.prof.CalleeCounts {
-		if d := n - w.callees[site]; d > 0 {
-			inc.CalleeCounts[site] = d
-			w.callees[site] = n
-		}
-	}
-	inc.BaseInstructions = e.m.Steps - w.steps
-	w.steps = e.m.Steps
-	inc.InstrEquivalents = e.prof.InstrEquivalents - w.equiv
-	w.equiv = e.prof.InstrEquivalents
-	if e.tiered {
-		// Every increment of a tiered run carries the mode and ranges
-		// (they are configuration, not counters), plus this window's
-		// cold-instruction delta, so increments telescope to the
-		// one-shot profile exactly.
-		inc.Tiered = true
-		inc.HotRanges = e.prof.HotRanges
-		inc.ColdInstructions = e.prof.ColdInstructions - w.cold
-		w.cold = e.prof.ColdInstructions
-	}
-	w.emit(inc, final)
+	w.emit(Window{
+		Instructions: now.Instructions - w.last.Instructions,
+		BlockExecs:   now.BlockExecs - w.last.BlockExecs,
+		NewBlocks:    now.NewBlocks - w.last.NewBlocks,
+	}, final)
+	w.last = now
 }

@@ -5,12 +5,11 @@ import (
 	"testing"
 
 	"optiwise/internal/asm"
-	"optiwise/internal/progen"
 )
 
 // windowLoop retires ~5000 instructions across a call-heavy nested loop,
 // so instruction-count windows see many boundaries, callee counts move,
-// and `ret` exercises indirect-target deltas.
+// and `ret` exercises indirect targets.
 const windowLoop = `
 .func main
 main:
@@ -38,138 +37,66 @@ kl:
 .endfunc
 `
 
-// TestWindowIncrementsTelescope is the streaming equivalence contract at
-// the instrumentation layer: windowed increments must not perturb the
-// run, every delta must telescope, and accumulating the increments onto
-// a zero profile must reproduce the one-shot execution counts exactly.
+// TestWindowIncrementsTelescope is the streaming contract at the
+// instrumentation layer: window emission must leave the run's profile
+// unchanged, and the window counts must telescope to the run's totals —
+// for a full run and for a tiered one, whose cold code has no blocks.
 func TestWindowIncrementsTelescope(t *testing.T) {
 	p, err := asm.Assemble("win", windowLoop)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := Options{StackProfiling: true, RandSeed: 7}
-	oneShot, err := Run(p, opts)
-	if err != nil {
-		t.Fatal(err)
+	kernel, ok := p.FuncByName("kernel")
+	if !ok {
+		t.Fatal("kernel function not found")
 	}
+	for _, base := range []Options{
+		{StackProfiling: true, RandSeed: 7},
+		{StackProfiling: true, RandSeed: 7, Select: NewSelection([]Range{{Lo: kernel.Lo, Hi: kernel.Hi}})},
+	} {
+		tiered := base.Select != nil
+		oneShot, err := Run(p, base)
+		if err != nil {
+			t.Fatal(err)
+		}
 
-	var incs []*Profile
-	finals := 0
-	opts.WindowInstructions = 500
-	opts.OnWindow = func(inc *Profile, final bool) {
-		incs = append(incs, inc)
-		if final {
-			finals++
-		}
-	}
-	streamed, err := Run(p, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(oneShot.ExecCounts(), streamed.ExecCounts()) {
-		t.Error("window emission perturbed the run's own profile")
-	}
-	if len(incs) < 2 {
-		t.Fatalf("only %d increments for a multi-window run", len(incs))
-	}
-	if finals != 1 {
-		t.Fatalf("saw %d final increments, want exactly 1", finals)
-	}
-
-	acc := &Profile{Module: oneShot.Module}
-	for i, inc := range incs {
-		if err := acc.Accumulate(inc); err != nil {
-			t.Fatalf("increment %d: %v", i, err)
-		}
-	}
-	if !reflect.DeepEqual(acc.ExecCounts(), oneShot.ExecCounts()) {
-		t.Error("accumulated execution counts differ from one-shot")
-	}
-	if acc.BaseInstructions != oneShot.BaseInstructions {
-		t.Errorf("base instructions: acc %d, one-shot %d",
-			acc.BaseInstructions, oneShot.BaseInstructions)
-	}
-	if acc.InstrEquivalents != oneShot.InstrEquivalents {
-		t.Errorf("instrumentation equivalents: acc %d, one-shot %d",
-			acc.InstrEquivalents, oneShot.InstrEquivalents)
-	}
-	if acc.StackProfiling != oneShot.StackProfiling {
-		t.Error("stack-profiling flag not carried by increments")
-	}
-	if !reflect.DeepEqual(acc.CalleeCounts, oneShot.CalleeCounts) {
-		t.Error("accumulated callee counts differ from one-shot")
-	}
-	// Per-block taken/fallthrough edges must telescope too, not just the
-	// headline counts.
-	accBlocks := map[uint64]*Block{}
-	for _, b := range acc.Blocks {
-		accBlocks[b.Start] = b
-	}
-	for _, b := range oneShot.Blocks {
-		ab := accBlocks[b.Start]
-		if ab == nil {
-			t.Fatalf("block 0x%x missing from accumulated profile", b.Start)
-		}
-		if ab.Fallthrough != b.Fallthrough {
-			t.Errorf("block 0x%x fallthrough: acc %d, one-shot %d",
-				b.Start, ab.Fallthrough, b.Fallthrough)
-		}
-		if !reflect.DeepEqual(ab.Targets, b.Targets) {
-			t.Errorf("block 0x%x indirect targets differ", b.Start)
-		}
-	}
-}
-
-// TestAccumulateOrderInvariant proves the fold is a commutative sum on
-// counters: increments applied in reverse order produce the same counts.
-func TestAccumulateOrderInvariant(t *testing.T) {
-	p, err := asm.Assemble("win", windowLoop)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var incs []*Profile
-	_, err = Run(p, Options{RandSeed: 7, WindowInstructions: 700,
-		OnWindow: func(inc *Profile, final bool) { incs = append(incs, inc) }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(incs) < 2 {
-		t.Fatalf("only %d increments; nothing to permute", len(incs))
-	}
-	fold := func(order []*Profile) *Profile {
-		acc := &Profile{Module: incs[0].Module}
-		for _, inc := range order {
-			if err := acc.Accumulate(inc); err != nil {
-				t.Fatal(err)
+		var wins []Window
+		finals := 0
+		opts := base
+		opts.WindowInstructions = 500
+		opts.OnWindow = func(w Window, final bool) {
+			wins = append(wins, w)
+			if final {
+				finals++
 			}
 		}
-		return acc
-	}
-	fwd := fold(incs)
-	rev := make([]*Profile, len(incs))
-	for i, inc := range incs {
-		rev[len(incs)-1-i] = inc
-	}
-	bwd := fold(rev)
-	if !reflect.DeepEqual(fwd.ExecCounts(), bwd.ExecCounts()) {
-		t.Error("execution counts depend on accumulation order")
-	}
-	if fwd.BaseInstructions != bwd.BaseInstructions {
-		t.Error("base instructions depend on accumulation order")
-	}
-}
+		streamed, err := Run(p, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(oneShot, streamed) {
+			t.Errorf("tiered=%v: window emission perturbed the run's own profile", tiered)
+		}
+		if len(wins) < 2 {
+			t.Fatalf("tiered=%v: only %d windows for a multi-window run", tiered, len(wins))
+		}
+		if finals != 1 {
+			t.Fatalf("tiered=%v: saw %d final windows, want exactly 1", tiered, finals)
+		}
 
-// TestAccumulateRejectsMismatches mirrors Merge's compatibility checks.
-func TestAccumulateRejectsMismatches(t *testing.T) {
-	src := progen.Generate(progen.DefaultConfig(2))
-	p, _ := asm.Assemble("gen", src)
-	a, err := Run(p, Options{RandSeed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _ := Run(p, Options{RandSeed: 7})
-	b.Module = "other"
-	if err := a.Accumulate(b); err == nil {
-		t.Error("module mismatch accepted")
+		var sum Window
+		for _, w := range wins {
+			sum.Instructions += w.Instructions
+			sum.BlockExecs += w.BlockExecs
+			sum.NewBlocks += w.NewBlocks
+		}
+		var execs uint64
+		for _, b := range oneShot.Blocks {
+			execs += b.Count
+		}
+		want := Window{Instructions: oneShot.BaseInstructions, BlockExecs: execs, NewBlocks: len(oneShot.Blocks)}
+		if sum != want {
+			t.Errorf("tiered=%v: window sums %+v, run totals %+v", tiered, sum, want)
+		}
 	}
 }

@@ -190,7 +190,7 @@ func (c *Config) Activate() (flush func() error, err error) {
 	flush = func() error {
 		defer restore()
 		if tracer != nil {
-			if err := tracer.WriteChromeTrace(traceFile); err != nil {
+			if err := tracer.WriteChromeTrace(traceFile, "", nil); err != nil {
 				return err
 			}
 			if err := traceFile.Close(); err != nil {

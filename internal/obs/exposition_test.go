@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
 	"regexp"
 	"strconv"
 	"strings"
@@ -335,7 +336,7 @@ func TestChromeTraceCounterTracks(t *testing.T) {
 	tr.AddCounter("sim stalls", 0, map[string]float64{"memory": 3, "frontend": 1})
 
 	var buf bytes.Buffer
-	if err := tr.WriteChromeTrace(&buf); err != nil {
+	if err := tr.WriteChromeTrace(&buf, "", nil); err != nil {
 		t.Fatal(err)
 	}
 	got := buf.String()
@@ -354,6 +355,20 @@ func TestChromeTraceCounterTracks(t *testing.T) {
 	}
 	if n := strings.Count(got, `"ph": "C"`); n != 3 {
 		t.Errorf("want 3 counter events, got %d", n)
+	}
+	// With no node and no segments the export names no local process
+	// and tags no span with a node.
+	var doc chromeTrace
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range doc.TraceEvents {
+		if ev.Name == "process_name" && ev.Pid == 1 {
+			t.Errorf("pid-1 process_name event without a node: %+v", ev)
+		}
+		if _, ok := ev.Args["node"]; ok {
+			t.Errorf("node arg without a node: %+v", ev)
+		}
 	}
 }
 

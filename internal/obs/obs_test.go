@@ -28,7 +28,7 @@ func TestChromeTraceGolden(t *testing.T) {
 	root.End()
 
 	var buf bytes.Buffer
-	if err := tr.WriteChromeTrace(&buf); err != nil {
+	if err := tr.WriteChromeTrace(&buf, "", nil); err != nil {
 		t.Fatal(err)
 	}
 	got := buf.String()

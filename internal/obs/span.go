@@ -258,19 +258,30 @@ type chromeTrace struct {
 }
 
 // WriteChromeTrace exports the completed spans as Chrome trace-event
-// JSON, loadable in chrome://tracing and ui.perfetto.dev. Counter-track
-// samples (interval telemetry from the simulated core) export as "C"
-// events on pid 2 so Perfetto renders them as stacked counter rows
-// under a separate "telemetry" process; a tracer without counter
-// samples or a trace ID produces byte-identical output to PR 1.
-func (t *Tracer) WriteChromeTrace(w io.Writer) error {
+// JSON, loadable in chrome://tracing and ui.perfetto.dev. selfNode,
+// when non-empty, names the local process (pid 1) and tags its spans
+// with a node arg. segs are cross-node trace segments grafted into the
+// same timeline: each distinct segment node becomes its own process
+// (pid 10+) named "node <addr>", with segment wall-clock starts
+// converted to tracer-relative microseconds via the tracer's epoch.
+// Counter-track samples (interval telemetry from the simulated core)
+// export as "C" events on pid 2 so Perfetto renders them as stacked
+// counter rows under a separate "telemetry" process.
+func (t *Tracer) WriteChromeTrace(w io.Writer, selfNode string, segs []TraceSegment) error {
 	if t == nil {
 		return fmt.Errorf("obs: no tracer installed")
 	}
 	spans := t.Spans()
 	traceID := t.TraceID()
 	counters := t.Counters()
+	epochNS := t.epoch.UnixNano()
 	out := chromeTrace{TraceEvents: []chromeEvent{}, DisplayTimeUnit: "ms"}
+	if selfNode != "" {
+		out.TraceEvents = append(out.TraceEvents, chromeEvent{
+			Name: "process_name", Ph: "M", Pid: 1, Tid: 0,
+			Args: map[string]any{"name": "node " + selfNode},
+		})
+	}
 	for _, s := range spans {
 		ev := chromeEvent{
 			Name: s.Name,
@@ -294,14 +305,58 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 				ev.Args["trace_id"] = traceID
 			}
 		}
+		if selfNode != "" {
+			if ev.Args == nil {
+				ev.Args = make(map[string]any, 1)
+			}
+			if _, ok := ev.Args["node"]; !ok {
+				ev.Args["node"] = selfNode
+			}
+		}
 		out.TraceEvents = append(out.TraceEvents, ev)
 	}
+
+	// One process per segment node, sorted for deterministic output.
+	byNode := make(map[string][]TraceSegment)
+	for _, sg := range segs {
+		byNode[sg.Node] = append(byNode[sg.Node], sg)
+	}
+	nodeNames := make([]string, 0, len(byNode))
+	for n := range byNode {
+		nodeNames = append(nodeNames, n)
+	}
+	sort.Strings(nodeNames)
+	for i, n := range nodeNames {
+		pid := 10 + i
+		out.TraceEvents = append(out.TraceEvents, chromeEvent{
+			Name: "process_name", Ph: "M", Pid: pid, Tid: 0,
+			Args: map[string]any{"name": "node " + n},
+		})
+		ns := byNode[n]
+		sort.Slice(ns, func(a, b int) bool { return ns[a].StartUnixNano < ns[b].StartUnixNano })
+		for _, sg := range ns {
+			args := map[string]any{"node": sg.Node}
+			if sg.TraceID != "" {
+				args["trace_id"] = sg.TraceID
+			}
+			for k, v := range sg.Attrs {
+				args[k] = v
+			}
+			out.TraceEvents = append(out.TraceEvents, chromeEvent{
+				Name: sg.Name,
+				Ph:   "X",
+				Ts:   float64(sg.StartUnixNano-epochNS) / 1e3,
+				Dur:  sg.DurationUS,
+				Pid:  pid,
+				Tid:  1,
+				Args: args,
+			})
+		}
+	}
+
 	if len(counters) > 0 {
 		out.TraceEvents = append(out.TraceEvents, chromeEvent{
-			Name: "process_name",
-			Ph:   "M",
-			Pid:  2,
-			Tid:  0,
+			Name: "process_name", Ph: "M", Pid: 2, Tid: 0,
 			Args: map[string]any{"name": "telemetry"},
 		})
 		for _, c := range counters {
@@ -310,12 +365,7 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 				vals[k] = v
 			}
 			out.TraceEvents = append(out.TraceEvents, chromeEvent{
-				Name: c.Track,
-				Ph:   "C",
-				Ts:   c.TSUS,
-				Pid:  2,
-				Tid:  0,
-				Args: vals,
+				Name: c.Track, Ph: "C", Ts: c.TSUS, Pid: 2, Tid: 0, Args: vals,
 			})
 		}
 	}

@@ -4,19 +4,17 @@ import "optiwise/internal/ooo"
 
 // Streaming windowed profiling: when Options.WindowCycles is set, the
 // sampling run emits a profile *increment* at every window boundary — a
-// Profile carrying only the records and counter deltas of that window —
-// and a final increment for the trailing partial window after the run
-// exits. Accumulating the increments in order (see Accumulate)
-// reconstructs the one-shot profile exactly: records concatenate in
-// emission order and the counter deltas telescope back to the run
-// totals, so a streaming consumer's cumulative state is byte-identical
-// to what a single profile of the whole run would contain.
+// zero-copy Profile view of that window's records plus its counter
+// deltas — and a final increment for the trailing partial window after
+// the run exits. The increments are for observing the run while it
+// executes; the run's own Profile is the only sampling profile built.
+// Their records concatenate, in emission order, to the run's records,
+// and their counter deltas telescope to the run's totals.
 //
 // Increment profiles are in-memory hand-offs, not trust-boundary
 // artifacts: a sample whose weight spans a window boundary makes an
 // individual increment violate the weight-sum ≤ UserCycles invariant
-// that Validate enforces on serialized profiles. Only the accumulated
-// whole satisfies Validate.
+// that Validate enforces on serialized profiles.
 
 // windowEmitter slices the growing record stream at each simulator
 // window boundary into increment profiles. It runs entirely on the

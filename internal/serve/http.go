@@ -136,11 +136,12 @@ type submitOptions struct {
 	// the stream rides on the JSON export and the job's Chrome trace.
 	TelemetryWindow int64 `json:"telemetry_window,omitempty"`
 	// StreamWindow enables windowed profile streaming: both profiling
-	// passes emit increments every N simulated cycles (sampling) /
-	// retired instructions (instrumentation), combined incrementally and
-	// served live at GET /v1/jobs/{id}/windows. Streaming is an
-	// observation channel: it does not enter the job's content address,
-	// so streamed and plain submissions of the same program coalesce.
+	// passes report a window every N simulated cycles (sampling) /
+	// retired instructions (instrumentation), summarized with running
+	// totals and served live at GET /v1/jobs/{id}/windows. Streaming is
+	// an observation channel: it does not enter the job's content
+	// address, so streamed and plain submissions of the same program
+	// coalesce, and the job's Result is the same either way.
 	StreamWindow int64 `json:"stream_window,omitempty"`
 	// AllowDegraded opts this job into single-pass (degraded) results
 	// when exactly one profiling pass fails. Degraded results are
@@ -465,7 +466,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var buf bytes.Buffer
-	if err := job.WriteTraceStitched(&buf, s.selfNode(), s.traceSegments(job.TraceID)); err != nil {
+	if err := job.WriteTrace(&buf, s.selfNode(), s.segmentsFor(job.TraceID)); err != nil {
 		writeError(w, http.StatusConflict, err.Error())
 		return
 	}
@@ -475,9 +476,9 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleWindows serves the job's streamed windowed-profile snapshot:
-// the per-window sampling and instrumentation increments observed so
-// far plus the incrementally combined cumulative totals. Live while the
-// job runs (poll it to watch CPI converge) and final once it is done.
+// the per-window sampling and instrumentation summaries observed so far
+// plus their running totals and hottest functions. Live while the job
+// runs (poll it to watch IPC converge) and final once it is done.
 // Jobs that did not request streaming (options.stream_window), were
 // served from the result cache, or have not started yet answer 409 with
 // a descriptive error, mirroring the trace endpoint.

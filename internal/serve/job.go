@@ -177,11 +177,14 @@ func (j *Job) setTracer(tr *obs.Tracer) {
 
 // WriteTrace exports the job's span tree (and any interval-telemetry
 // counter tracks) as Chrome trace-event JSON, loadable in
-// chrome://tracing and ui.perfetto.dev. The trace belongs to the
-// execution that produced (or is producing) the job's result; jobs
-// served straight from the result cache never executed, so they carry
-// no trace.
-func (j *Job) WriteTrace(w io.Writer) error {
+// chrome://tracing and ui.perfetto.dev. selfNode names the local
+// process in the export and segs are the trace segments other nodes (or
+// post-execution local cluster paths) recorded for the job's trace ID,
+// grafted onto the tracer's timeline as per-node processes (see
+// obs.Tracer.WriteChromeTrace). The trace belongs to the execution that
+// produced (or is producing) the job's result; jobs served straight
+// from the result cache never executed, so they carry no trace.
+func (j *Job) WriteTrace(w io.Writer, selfNode string, segs []obs.TraceSegment) error {
 	j.mu.Lock()
 	tr := j.tracer
 	cached := j.cached
@@ -192,34 +195,12 @@ func (j *Job) WriteTrace(w io.Writer) error {
 		}
 		return errors.New("serve: no trace recorded yet: execution has not started")
 	}
-	return tr.WriteChromeTrace(w)
-}
-
-// WriteTraceStitched is WriteTrace with cross-node stitching: selfNode
-// names the local process in the export and segs are the trace
-// segments other nodes (or post-execution local cluster paths)
-// recorded for the job's trace ID, grafted onto the tracer's timeline
-// as per-node Chrome trace processes.
-func (j *Job) WriteTraceStitched(w io.Writer, selfNode string, segs []obs.TraceSegment) error {
-	j.mu.Lock()
-	tr := j.tracer
-	cached := j.cached
-	j.mu.Unlock()
-	if tr == nil {
-		if cached {
-			return errors.New("serve: no trace recorded: result served from cache without executing")
-		}
-		return errors.New("serve: no trace recorded yet: execution has not started")
-	}
-	if selfNode == "" && len(segs) == 0 {
-		return tr.WriteChromeTrace(w)
-	}
-	return tr.WriteChromeTraceStitched(w, selfNode, segs)
+	return tr.WriteChromeTrace(w, selfNode, segs)
 }
 
 // StreamSnapshot returns the live windowed-profiling view of the job's
-// execution: per-window sampling and instrumentation increments plus the
-// cumulative totals combined so far (see optiwise.StreamSnapshot). Like
+// execution: per-window sampling and instrumentation summaries plus the
+// running totals so far (see optiwise.StreamSnapshot). Like
 // the trace export, the windows belong to the execution producing the
 // result: jobs served from the result cache never executed and carry
 // none, and jobs whose execution group was not asked to stream (window
@@ -381,7 +362,7 @@ type group struct {
 	finished bool
 	cancel   func()      // set once a worker starts the execution
 	tracer   *obs.Tracer // set once a worker starts the execution
-	// comb combines the execution's windowed profile increments; replaced
+	// comb summarizes the execution's stream windows; replaced
 	// wholesale on each retry attempt so a half-streamed failed attempt
 	// never double-counts into the next one.
 	comb *optiwise.StreamCombiner

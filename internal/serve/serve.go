@@ -126,15 +126,6 @@ type Config struct {
 	// servers stay API-only; the serve command enables it unless
 	// -ui=false.
 	UI bool
-	// ClusterStats, when set, contributes the cluster section of Stats
-	// and the cluster fields on /readyz. Nil on single-node servers.
-	ClusterStats func() *ClusterStats
-	// TraceSegments, when set (by the cluster layer), returns every
-	// cross-node trace segment recorded for a trace ID — local and
-	// fetched from live peers — so GET /v1/jobs/{id}/trace can stitch
-	// one span tree naming every node the job touched. Nil servers fall
-	// back to the local obs segment store.
-	TraceSegments func(traceID string) []obs.TraceSegment
 }
 
 // ClusterStats is the cluster section of a Stats snapshot, produced by
@@ -241,6 +232,10 @@ type Server struct {
 	store   *durable.Store
 	ring    RingTier
 	pending []pendingReplay
+	// clusterStats and traceSegments are the cluster layer's hooks (see
+	// SetClusterHooks); nil on a single node.
+	clusterStats  func() *ClusterStats
+	traceSegments func(traceID string) []obs.TraceSegment
 
 	mu       sync.Mutex
 	jobs     map[string]*Job
@@ -352,29 +347,28 @@ func NewDurable(cfg Config) (*Server, error) {
 func (s *Server) Config() Config { return s.cfg }
 
 // SetClusterHooks installs the cluster layer: the result store's ring
-// tier and the stats hook (Config.ClusterStats). The cluster node is
-// built around an existing Server, so neither can be part of the
+// tier; stats, which contributes the cluster section of Stats and the
+// cluster fields on /readyz; and segments, which returns every
+// cross-node trace segment recorded for a trace ID (local and fetched
+// from live peers) so GET /v1/jobs/{id}/trace can stitch one span tree
+// naming every node the job touched. A nil segments falls back to the
+// local obs segment store. The cluster node is built around an
+// existing Server, so none of these can be part of the
 // construction-time Config; call this after New and before Start.
-func (s *Server) SetClusterHooks(ring RingTier, stats func() *ClusterStats) {
+func (s *Server) SetClusterHooks(ring RingTier, stats func() *ClusterStats, segments func(traceID string) []obs.TraceSegment) {
 	s.ring = ring
-	s.cfg.ClusterStats = stats
+	s.clusterStats = stats
+	s.traceSegments = segments
 }
 
-// SetTraceSegmentsHook installs the cluster layer's cross-node trace
-// segment collector (see Config.TraceSegments). Call after New and
-// before Start, like SetClusterHooks.
-func (s *Server) SetTraceSegmentsHook(fn func(traceID string) []obs.TraceSegment) {
-	s.cfg.TraceSegments = fn
-}
-
-// traceSegments collects the cross-node segments for a trace ID via
+// segmentsFor collects the cross-node segments for a trace ID via
 // the cluster hook, falling back to the local obs segment store.
-func (s *Server) traceSegments(traceID string) []obs.TraceSegment {
+func (s *Server) segmentsFor(traceID string) []obs.TraceSegment {
 	if traceID == "" {
 		return nil
 	}
-	if s.cfg.TraceSegments != nil {
-		return s.cfg.TraceSegments(traceID)
+	if s.traceSegments != nil {
+		return s.traceSegments(traceID)
 	}
 	return obs.SegmentsFor(traceID)
 }
@@ -382,10 +376,10 @@ func (s *Server) traceSegments(traceID string) []obs.TraceSegment {
 // selfNode returns the cluster-advertised node address, or "" on
 // single-node servers.
 func (s *Server) selfNode() string {
-	if s.cfg.ClusterStats == nil {
+	if s.clusterStats == nil {
 		return ""
 	}
-	if cs := s.cfg.ClusterStats(); cs != nil {
+	if cs := s.clusterStats(); cs != nil {
 		return cs.Self
 	}
 	return ""
@@ -1015,7 +1009,7 @@ func (s *Server) executeOnce(ctx context.Context, g *group) (res *optiwise.Resul
 		// deterministic, so the re-run emits the same windows and ends
 		// byte-identical to an uninterrupted run, and a half-streamed
 		// failed attempt never double-counts into the next.
-		comb := optiwise.NewStreamCombiner(g.prog, g.opts)
+		comb := optiwise.NewStreamCombiner(g.prog)
 		g.setCombiner(comb)
 		opts.StreamWindow = g.streamWindow
 		opts.OnIncrement = func(inc optiwise.Increment) {
@@ -1235,8 +1229,8 @@ func (s *Server) Stats() Stats {
 		Build:               s.build,
 		UptimeSeconds:       time.Since(s.start).Seconds(),
 	}
-	if s.cfg.ClusterStats != nil {
-		st.Cluster = s.cfg.ClusterStats()
+	if s.clusterStats != nil {
+		st.Cluster = s.clusterStats()
 	}
 	return st
 }

@@ -89,7 +89,7 @@ func referenceRun(t *testing.T, src string, opts optiwise.Options) ([]byte, []by
 func TestRingTierNotOnSubmitPath(t *testing.T) {
 	ring := &fakeRing{}
 	srv := serve.New(serve.Config{Workers: 1})
-	srv.SetClusterHooks(ring, nil)
+	srv.SetClusterHooks(ring, nil, nil)
 	prog := mustProgram(t, progSource(3))
 	opts := optiwise.Options{SamplePeriod: 300}
 
@@ -145,7 +145,7 @@ func TestRingTierRejectsBadPayloads(t *testing.T) {
 				return c.payload, c.checksum, true
 			}}
 			srv := newDurable(t, t.TempDir(), serve.Config{Workers: 1})
-			srv.SetClusterHooks(ring, nil)
+			srv.SetClusterHooks(ring, nil, nil)
 			srv.Start()
 			defer srv.Shutdown(context.Background()) //nolint:errcheck
 
@@ -194,7 +194,7 @@ func TestRingTierPushAndMemoryBytes(t *testing.T) {
 		return nil, "", false
 	}}
 	srv := newDurable(t, t.TempDir(), serve.Config{Workers: 1, RetryBudget: -1})
-	srv.SetClusterHooks(ring, nil)
+	srv.SetClusterHooks(ring, nil, nil)
 	srv.Start()
 	defer srv.Shutdown(context.Background()) //nolint:errcheck
 	opts := optiwise.Options{SamplePeriod: 300}

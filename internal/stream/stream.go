@@ -1,21 +1,17 @@
-// Package stream combines windowed profile increments incrementally.
+// Package stream observes a profiling run window by window.
 //
 // Continuous profiling (§V of the paper discusses per-run overhead; this
 // layer is the repo's continuous-operation extension) splits each of the
-// two OptiWISE passes into a stream of profile increments: the sampling
-// pass emits a sampler.Profile per simulated-cycle window and the
-// instrumentation pass a dbi.Profile per retired-instruction window, each
-// carrying only that window's records and counter deltas. A Combiner
-// folds the increments into cumulative pass profiles using the same merge
-// algebra as offline multi-run merging (sampler.Accumulate /
-// dbi.Accumulate) — never by re-running analysis — so the cumulative
-// state after the final increment is byte-identical to the one-shot
-// profile of the same run, and a full granular CPI profile can be
-// produced at any point with one core combine over the current state.
+// two OptiWISE passes into a stream of windows: the sampling pass hands
+// over a zero-copy sampler.Profile view of each simulated-cycle window's
+// records and counter deltas, and the instrumentation pass a dbi.Window
+// count summary per retired-instruction window. A Combiner folds them
+// into per-window summaries, running totals and a hot-function list —
+// the mid-run view. It never rebuilds a profile: each pass builds its
+// own profile once, and the run's Result is the one combine of those.
 package stream
 
 import (
-	"context"
 	"fmt"
 	"sync"
 
@@ -34,14 +30,14 @@ type Increment struct {
 	// Final marks the trailing increment of a pass (always emitted,
 	// even when empty, as the end-of-stream marker).
 	Final bool
-	// Sample is set on sampling increments, Edge on instrumentation
+	// Sample is set on sampling increments: a view of the window's
+	// records and counter deltas. Edge is set on instrumentation
 	// increments.
 	Sample *sampler.Profile
-	Edge   *dbi.Profile
+	Edge   *dbi.Window
 }
 
-// SampleWindow summarizes one sampling increment for reporting; the raw
-// records live only in the cumulative profile.
+// SampleWindow summarizes one sampling increment for reporting.
 type SampleWindow struct {
 	Seq          int     `json:"seq"`
 	Cycles       uint64  `json:"cycles"`
@@ -98,32 +94,32 @@ type Snapshot struct {
 // topFuncLimit bounds the per-snapshot hot-function list.
 const topFuncLimit = 10
 
-// Combiner folds increments into cumulative pass profiles. All methods
-// are safe for concurrent use: the two passes emit from their own
-// goroutines while snapshots are taken from others.
+// Combiner folds increments into per-window summaries and running
+// totals. All methods are safe for concurrent use: the two passes emit
+// from their own goroutines while snapshots are taken from others.
 type Combiner struct {
 	mu   sync.Mutex
 	prog *program.Program
-	opts core.Options
-
-	sp *sampler.Profile // nil until the first sampling increment
-	ep *dbi.Profile     // nil until the first instrumentation increment
 
 	sampleWindows []SampleWindow
 	edgeWindows   []EdgeWindow
 	sampleDone    bool
 	edgeDone      bool
 
+	// Running totals over the absorbed windows.
+	cycles, userCycles, instructions uint64
+	samples                          int
+	edgeInstructions                 uint64
+	blocks                           int
+
 	funcs map[string]*FuncCycles
 }
 
-// NewCombiner returns a Combiner producing profiles of prog under the
-// given analysis options (which must match what a one-shot run of the
-// same workload would use for results to be comparable).
-func NewCombiner(prog *program.Program, opts core.Options) *Combiner {
+// NewCombiner returns a Combiner for a streaming run of prog; prog
+// names the functions that sample records fall in.
+func NewCombiner(prog *program.Program) *Combiner {
 	return &Combiner{
 		prog:  prog,
-		opts:  opts,
 		funcs: make(map[string]*FuncCycles),
 	}
 }
@@ -156,18 +152,6 @@ func (c *Combiner) addSample(inc Increment) error {
 	if err := checkSeq(inc, len(c.sampleWindows)); err != nil {
 		return err
 	}
-	if c.sp == nil {
-		// Adopt the header from the first increment; the zero profile
-		// is the identity element of Accumulate.
-		c.sp = &sampler.Profile{
-			Module:  inc.Sample.Module,
-			Period:  inc.Sample.Period,
-			Precise: inc.Sample.Precise,
-		}
-	}
-	if err := c.sp.Accumulate(inc.Sample); err != nil {
-		return err
-	}
 	var weight uint64
 	for i := range inc.Sample.Records {
 		r := &inc.Sample.Records[i]
@@ -184,6 +168,10 @@ func (c *Combiner) addSample(inc Increment) error {
 		fc.Cycles += r.Weight
 		fc.Samples++
 	}
+	c.cycles += inc.Sample.TotalCycles
+	c.userCycles += inc.Sample.UserCycles
+	c.instructions += inc.Sample.Instructions
+	c.samples += len(inc.Sample.Records)
 	c.sampleWindows = append(c.sampleWindows, SampleWindow{
 		Seq:          inc.Seq,
 		Cycles:       inc.Sample.TotalCycles,
@@ -202,7 +190,7 @@ func (c *Combiner) addSample(inc Increment) error {
 
 func (c *Combiner) addEdge(inc Increment) error {
 	if inc.Edge == nil {
-		return fmt.Errorf("stream: instrumentation increment without a profile")
+		return fmt.Errorf("stream: instrumentation increment without a window")
 	}
 	if c.edgeDone {
 		return fmt.Errorf("stream: instrumentation increment after the final window")
@@ -210,22 +198,13 @@ func (c *Combiner) addEdge(inc Increment) error {
 	if err := checkSeq(inc, len(c.edgeWindows)); err != nil {
 		return err
 	}
-	if c.ep == nil {
-		c.ep = &dbi.Profile{Module: inc.Edge.Module}
-	}
-	before := len(c.ep.Blocks)
-	if err := c.ep.Accumulate(inc.Edge); err != nil {
-		return err
-	}
-	var execs uint64
-	for _, b := range inc.Edge.Blocks {
-		execs += b.Count
-	}
+	c.edgeInstructions += inc.Edge.Instructions
+	c.blocks += inc.Edge.NewBlocks
 	c.edgeWindows = append(c.edgeWindows, EdgeWindow{
 		Seq:          inc.Seq,
-		Instructions: inc.Edge.BaseInstructions,
-		BlockExecs:   execs,
-		NewBlocks:    len(c.ep.Blocks) - before,
+		Instructions: inc.Edge.Instructions,
+		BlockExecs:   inc.Edge.BlockExecs,
+		NewBlocks:    inc.Edge.NewBlocks,
 		Final:        inc.Final,
 	})
 	if inc.Final {
@@ -254,17 +233,13 @@ func (c *Combiner) Snapshot() Snapshot {
 		EdgeDone:      c.edgeDone,
 		Complete:      c.sampleDone && c.edgeDone,
 	}
-	if c.sp != nil {
-		s.Cycles = c.sp.TotalCycles
-		s.UserCycles = c.sp.UserCycles
-		s.Instructions = c.sp.Instructions
-		s.Samples = len(c.sp.Records)
-		s.IPC = ipc(c.sp.Instructions, c.sp.UserCycles)
-	}
-	if c.ep != nil {
-		s.EdgeInstructions = c.ep.BaseInstructions
-		s.Blocks = len(c.ep.Blocks)
-	}
+	s.Cycles = c.cycles
+	s.UserCycles = c.userCycles
+	s.Instructions = c.instructions
+	s.Samples = c.samples
+	s.IPC = ipc(c.instructions, c.userCycles)
+	s.EdgeInstructions = c.edgeInstructions
+	s.Blocks = c.blocks
 	for _, fc := range c.funcs {
 		s.TopFuncs = append(s.TopFuncs, *fc)
 	}
@@ -285,21 +260,6 @@ func hotter(a, b FuncCycles) bool {
 		return a.Cycles > b.Cycles
 	}
 	return a.Name < b.Name
-}
-
-// Result runs the standard core combine over the cumulative pass
-// profiles, producing a granular CPI profile of everything streamed so
-// far. After the final increments of both passes this is byte-identical
-// to the one-shot profile of the same run. Both passes must have
-// delivered at least one increment.
-func (c *Combiner) Result(ctx context.Context) (*core.Profile, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.sp == nil || c.ep == nil {
-		return nil, fmt.Errorf("stream: result needs at least one increment from each pass (sampling=%v, instrumentation=%v)",
-			c.sp != nil, c.ep != nil)
-	}
-	return core.CombineContext(ctx, c.prog, c.sp, c.ep, c.opts)
 }
 
 // checkSeq rejects an increment whose Seq is not the next one its

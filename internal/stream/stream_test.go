@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"context"
 	"strings"
 	"testing"
 
@@ -39,7 +38,7 @@ func newTestCombiner(t *testing.T) *Combiner {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewCombiner(p, core.Options{})
+	return NewCombiner(p)
 }
 
 // kernelOffset returns a module offset inside the kernel function, so
@@ -71,16 +70,12 @@ func sampleInc(seq int, final bool, recs []sampler.Record, cycles, user, insts u
 	}
 }
 
-func edgeInc(seq int, final bool, blocks []*dbi.Block, insts uint64) Increment {
+func edgeInc(seq int, final bool, insts, execs uint64, newBlocks int) Increment {
 	return Increment{
 		Pass:  core.PassInstrumentation,
 		Seq:   seq,
 		Final: final,
-		Edge: &dbi.Profile{
-			Module:           "mod",
-			Blocks:           blocks,
-			BaseInstructions: insts,
-		},
+		Edge:  &dbi.Window{Instructions: insts, BlockExecs: execs, NewBlocks: newBlocks},
 	}
 }
 
@@ -100,15 +95,13 @@ func TestCombinerAccumulates(t *testing.T) {
 		2500, 2000, 1500)); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Add(edgeInc(0, false,
-		[]*dbi.Block{{Start: 0, NumInsts: 1, Count: 10}}, 400)); err != nil {
+	if err := c.Add(edgeInc(0, false, 400, 10, 1)); err != nil {
 		t.Fatal(err)
 	}
 	if c.Complete() {
 		t.Error("complete before the instrumentation final increment")
 	}
-	if err := c.Add(edgeInc(1, true,
-		[]*dbi.Block{{Start: 0, NumInsts: 1, Count: 5}, {Start: 8, NumInsts: 1, Count: 2}}, 100)); err != nil {
+	if err := c.Add(edgeInc(1, true, 100, 7, 1)); err != nil {
 		t.Fatal(err)
 	}
 	if !c.Complete() {
@@ -136,10 +129,8 @@ func TestCombinerAccumulates(t *testing.T) {
 	if s.Blocks != 2 {
 		t.Errorf("cumulative blocks = %d, want 2", s.Blocks)
 	}
-	// The second edge window introduced exactly one previously-unseen
-	// block.
-	if s.EdgeWindows[1].NewBlocks != 1 {
-		t.Errorf("second edge window NewBlocks = %d, want 1", s.EdgeWindows[1].NewBlocks)
+	if w := s.EdgeWindows[1]; w.Instructions != 100 || w.BlockExecs != 7 || w.NewBlocks != 1 {
+		t.Errorf("second edge window: %+v", w)
 	}
 	// Per-function cycle estimates fold across windows.
 	if len(s.TopFuncs) != 1 || s.TopFuncs[0].Name != "kernel" {
@@ -170,8 +161,8 @@ func TestCombinerAddErrors(t *testing.T) {
 		t.Errorf("nil sampling profile: %v", err)
 	}
 	if err := c.Add(Increment{Pass: core.PassInstrumentation}); err == nil ||
-		!strings.Contains(err.Error(), "without a profile") {
-		t.Errorf("nil instrumentation profile: %v", err)
+		!strings.Contains(err.Error(), "without a window") {
+		t.Errorf("nil instrumentation window: %v", err)
 	}
 	// Each pass must deliver Seq 0, 1, 2, ... exactly once: a gap or a
 	// repeat is rejected before it touches the cumulative state.
@@ -186,14 +177,14 @@ func TestCombinerAddErrors(t *testing.T) {
 		!strings.Contains(err.Error(), "out of order") {
 		t.Errorf("sampling duplicate: %v", err)
 	}
-	if err := c.Add(edgeInc(1, false, nil, 10)); err == nil ||
+	if err := c.Add(edgeInc(1, false, 10, 0, 0)); err == nil ||
 		!strings.Contains(err.Error(), "out of order") {
 		t.Errorf("instrumentation gap: %v", err)
 	}
-	if err := c.Add(edgeInc(0, false, nil, 10)); err != nil {
+	if err := c.Add(edgeInc(0, false, 10, 0, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Add(edgeInc(0, false, nil, 10)); err == nil ||
+	if err := c.Add(edgeInc(0, false, 10, 0, 0)); err == nil ||
 		!strings.Contains(err.Error(), "out of order") {
 		t.Errorf("instrumentation duplicate: %v", err)
 	}
@@ -208,37 +199,11 @@ func TestCombinerAddErrors(t *testing.T) {
 		!strings.Contains(err.Error(), "after the final window") {
 		t.Errorf("sampling after final: %v", err)
 	}
-	if err := c.Add(edgeInc(1, true, nil, 10)); err != nil {
+	if err := c.Add(edgeInc(1, true, 10, 0, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Add(edgeInc(2, false, nil, 10)); err == nil ||
+	if err := c.Add(edgeInc(2, false, 10, 0, 0)); err == nil ||
 		!strings.Contains(err.Error(), "after the final window") {
 		t.Errorf("instrumentation after final: %v", err)
-	}
-	// Header mismatches surface the Accumulate error.
-	c2 := newTestCombiner(t)
-	if err := c2.Add(sampleInc(0, false, nil, 1, 1, 1)); err != nil {
-		t.Fatal(err)
-	}
-	bad := sampleInc(1, false, nil, 1, 1, 1)
-	bad.Sample.Period = 999
-	if err := c2.Add(bad); err == nil {
-		t.Error("period mismatch accepted")
-	}
-}
-
-// TestCombinerResultNeedsBothPasses pins the error contract of Result
-// before any (or only one) pass has reported.
-func TestCombinerResultNeedsBothPasses(t *testing.T) {
-	c := newTestCombiner(t)
-	if _, err := c.Result(context.Background()); err == nil {
-		t.Error("result with no increments succeeded")
-	}
-	if err := c.Add(sampleInc(0, true, nil, 100, 80, 60)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Result(context.Background()); err == nil ||
-		!strings.Contains(err.Error(), "instrumentation=false") {
-		t.Errorf("result with sampling only: %v", err)
 	}
 }

@@ -64,7 +64,7 @@ func TestProfileEmitsSpans(t *testing.T) {
 	// The Chrome trace export of a real pipeline run must be valid JSON
 	// with the required event fields (what Perfetto checks on load).
 	var buf bytes.Buffer
-	if err := tr.WriteChromeTrace(&buf); err != nil {
+	if err := tr.WriteChromeTrace(&buf, "", nil); err != nil {
 		t.Fatal(err)
 	}
 	var parsed struct {

@@ -215,16 +215,16 @@ type Options struct {
 	// simulator then pays one nil compare per cycle.
 	TelemetryWindow uint64
 	// StreamWindow, when non-zero (with OnIncrement), enables streaming
-	// windowed profiling: each pass emits a profile increment per
-	// window — every StreamWindow simulated cycles for the sampling run
-	// and every StreamWindow retired instructions for the
-	// instrumentation run (the same loose cycle/instruction equivalence
-	// as MaxCycles) — plus a final increment per pass when it exits.
-	// Feed the increments to a StreamCombiner to maintain cumulative
-	// results while the run is still executing; after both finals the
-	// combined result is byte-identical to the one-shot profile. Zero
-	// disables streaming entirely; the run loops then pay one nil
-	// compare per cycle (sampling) / per block (instrumentation).
+	// windowed profiling: each pass emits an increment per window —
+	// every StreamWindow simulated cycles for the sampling run and
+	// every StreamWindow retired instructions for the instrumentation
+	// run (the same loose cycle/instruction equivalence as MaxCycles) —
+	// plus a final increment per pass when it exits. Feed the
+	// increments to a StreamCombiner to watch the run while it is still
+	// executing. Streaming only observes: the Result is the one-shot
+	// profile, byte for byte. Zero disables streaming entirely; the run
+	// loops then pay one nil compare per cycle (sampling) / per block
+	// (instrumentation).
 	StreamWindow uint64
 	// OnIncrement receives every increment, synchronously on the
 	// emitting pass's goroutine. With concurrent passes it is called
@@ -705,26 +705,21 @@ type SampleProfile = sampler.Profile
 // client's output equivalent).
 type EdgeProfile = dbi.Profile
 
-// Increment is one windowed profile increment from a streaming run
+// Increment is one window's hand-off from a streaming run
 // (Options.StreamWindow / Options.OnIncrement).
 type Increment = stream.Increment
 
-// StreamCombiner folds a streaming run's increments into cumulative
-// pass profiles; Snapshot gives per-window summaries mid-run, Result a
-// full granular CPI profile of everything streamed so far. Safe to feed
-// from Options.OnIncrement with concurrent passes.
+// StreamCombiner folds a streaming run's increments into per-window
+// summaries and running totals; Snapshot gives that view mid-run. Safe
+// to feed from Options.OnIncrement with concurrent passes.
 type StreamCombiner = stream.Combiner
 
 // StreamSnapshot is a point-in-time view of a streaming run.
 type StreamSnapshot = stream.Snapshot
 
-// NewStreamCombiner returns a combiner for a streaming run of prog
-// configured by opts. The combiner uses the same analysis options a
-// one-shot Profile call would, so its Result after both passes finish
-// is byte-identical to the one-shot Result.
-func NewStreamCombiner(prog *Program, opts Options) *StreamCombiner {
-	opts.fill()
-	return stream.NewCombiner(prog.prog, coreOptions(opts))
+// NewStreamCombiner returns a combiner for a streaming run of prog.
+func NewStreamCombiner(prog *Program) *StreamCombiner {
+	return stream.NewCombiner(prog.prog)
 }
 
 // SampleOnly performs just the sampling run (optiwise sample).
@@ -831,8 +826,8 @@ func instrumentPass(ctx context.Context, prog *Program, opts Options, sel *dbi.S
 		emit := opts.OnIncrement
 		seq := 0 // emission is synchronous on this pass's goroutine
 		dopts.WindowInstructions = opts.StreamWindow
-		dopts.OnWindow = func(inc *dbi.Profile, final bool) {
-			emit(stream.Increment{Pass: core.PassInstrumentation, Seq: seq, Final: final, Edge: inc})
+		dopts.OnWindow = func(w dbi.Window, final bool) {
+			emit(stream.Increment{Pass: core.PassInstrumentation, Seq: seq, Final: final, Edge: &w})
 			seq++
 		}
 	}

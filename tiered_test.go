@@ -2,7 +2,6 @@ package optiwise
 
 import (
 	"bytes"
-	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -447,9 +446,9 @@ func TestTieredSelectFault(t *testing.T) {
 	}
 }
 
-// TestTieredStreamEquivalence: the streaming path must reconstruct a
-// tiered run byte-identically, tiered metadata included — windowed
-// edge increments carry the selection and cold-count deltas.
+// TestTieredStreamEquivalence: streaming a tiered run must leave its
+// Result byte-identical, tiered metadata included, and the combiner's
+// cumulative totals must agree with that Result.
 func TestTieredStreamEquivalence(t *testing.T) {
 	prog, err := Assemble("tiered", tieredSrc)
 	if err != nil {
@@ -463,7 +462,7 @@ func TestTieredStreamEquivalence(t *testing.T) {
 
 	opts := base
 	opts.StreamWindow = 4096
-	comb := NewStreamCombiner(prog, opts)
+	comb := NewStreamCombiner(prog)
 	var mu sync.Mutex
 	var addErr error
 	opts.OnIncrement = func(inc Increment) {
@@ -483,19 +482,12 @@ func TestTieredStreamEquivalence(t *testing.T) {
 	if !comb.Complete() {
 		t.Fatal("combiner incomplete after the run returned")
 	}
-	cumulative, err := comb.Result(context.Background())
-	if err != nil {
-		t.Fatal(err)
+	if !streamed.Tiered || streamed.ColdInsts != oneShot.ColdInsts {
+		t.Errorf("streamed tiered=%v cold=%d, one-shot cold=%d",
+			streamed.Tiered, streamed.ColdInsts, oneShot.ColdInsts)
 	}
-	if !cumulative.Tiered || cumulative.ColdInsts != oneShot.ColdInsts {
-		t.Errorf("cumulative tiered=%v cold=%d, one-shot cold=%d",
-			cumulative.Tiered, cumulative.ColdInsts, oneShot.ColdInsts)
-	}
-	oneBytes := exportBytes(t, oneShot)
-	if got := exportBytes(t, cumulative); !bytes.Equal(got, oneBytes) {
-		t.Error("streamed cumulative export differs from one-shot tiered export")
-	}
-	if got := exportBytes(t, streamed); !bytes.Equal(got, oneBytes) {
+	if got := exportBytes(t, streamed); !bytes.Equal(got, exportBytes(t, oneShot)) {
 		t.Error("streaming perturbed the tiered run's own profile")
 	}
+	checkSnapshotTotals(t, comb.Snapshot(), oneShot)
 }
