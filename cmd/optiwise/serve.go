@@ -58,7 +58,6 @@ func cmdServe(args []string) error {
 	faultSpec := fs.String("fault", "", "server-wide fault-injection spec (chaos testing; also OPTIWISE_FAULT)")
 	flightDir := fs.String("flight-dir", "", "directory for flight-recorder dumps (panics, failed jobs, degraded results, SIGQUIT); empty keeps dumps in memory only")
 	flightSize := fs.Int("flight-size", 0, "flight-recorder ring capacity in records (0 = default 4096, negative disables)")
-	role := fs.String("role", "", "cluster role: router, worker, or both (empty = single-node unless -peers/-peers-file given, then both)")
 	peers := fs.String("peers", "", "comma-separated sibling addresses (host:port) forming a profiling cluster")
 	peersFile := fs.String("peers-file", "", "file of sibling addresses (one host:port per line), re-read periodically — use when peer ports are assigned late")
 	advertise := fs.String("advertise", "", "address peers should reach this node at (default: the bound listen address)")
@@ -120,25 +119,18 @@ func cmdServe(args []string) error {
 		return err
 	}
 
-	// Cluster mode: any of -role/-peers/-peers-file turns this process
+	// Cluster mode: -peers or -peers-file turns this process
 	// into one node of a sharded profiling cluster (DESIGN.md §11). The
 	// node must exist before Start so its peer-fetch hook is installed
 	// before the first worker dequeues.
 	var node *cluster.Node
-	clustered := *role != "" || *peers != "" || *peersFile != ""
-	if clustered {
-		r, err := cluster.ParseRole(*role)
-		if err != nil {
-			ln.Close()
-			return err
-		}
+	if *peers != "" || *peersFile != "" {
 		self := *advertise
 		if self == "" {
 			self = ln.Addr().String()
 		}
 		node, err = cluster.New(cluster.Config{
 			Self:          self,
-			Role:          r,
 			Peers:         splitAddrs(*peers),
 			PeersFile:     *peersFile,
 			ProbeInterval: *probeInterval,

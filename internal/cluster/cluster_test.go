@@ -46,7 +46,7 @@ func (tn *testNode) kill() {
 	tn.srv.Shutdown(ctx) //nolint:errcheck
 }
 
-// startCluster boots n symmetric (RoleBoth) nodes on loopback, each
+// startCluster boots n symmetric nodes on loopback, each
 // seeded with every sibling's address, with a fast probe cadence so
 // membership converges inside test timescales.
 func startCluster(t *testing.T, n int) []*testNode {
@@ -442,8 +442,8 @@ func TestClusterStatsAndReadyz(t *testing.T) {
 		t.Fatalf("stats: code=%d cluster=%v", code, stats.Cluster)
 	}
 	c := stats.Cluster
-	if c.Role != "both" || c.Self != nodes[0].addr {
-		t.Errorf("identity: role=%q self=%q", c.Role, c.Self)
+	if c.Self != nodes[0].addr {
+		t.Errorf("identity: self=%q", c.Self)
 	}
 	if c.RingSize != 3 || c.PeersLive != 2 || c.PeersSuspect != 0 || c.PeersDead != 0 {
 		t.Errorf("membership: ring=%d live=%d suspect=%d dead=%d, want 3/2/0/0",
@@ -455,10 +455,13 @@ func TestClusterStatsAndReadyz(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("readyz: %d", code)
 	}
-	for _, field := range []string{"role", "ring_size", "peers_live", "peers_suspect"} {
+	for _, field := range []string{"ring_size", "peers_live", "peers_suspect"} {
 		if _, ok := ready[field]; !ok {
 			t.Errorf("readyz missing cluster field %q (got %v)", field, ready)
 		}
+	}
+	if _, ok := ready["role"]; ok {
+		t.Errorf("readyz still reports a cluster role: %v", ready)
 	}
 
 	// The ring endpoint resolves ownership for a named key — the CI

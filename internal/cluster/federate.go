@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 	"sync"
 	"time"
 
@@ -46,7 +45,6 @@ type federator struct {
 
 	scrapes  *obs.CounterMetric
 	failures *obs.CounterMetric
-	stale    *obs.CounterMetric
 }
 
 func newFederator(n *Node) *federator {
@@ -55,7 +53,6 @@ func newFederator(n *Node) *federator {
 		lastKnown: make(map[string]obs.RegistrySnapshot),
 		scrapes:   obs.Counter(obs.MClusterFederationScrapes),
 		failures:  obs.Counter(obs.MClusterFederationFailures),
-		stale:     obs.Counter(obs.MClusterFederationStale),
 	}
 }
 
@@ -149,7 +146,6 @@ func (f *federator) scrapePeer(ctx context.Context, addr string) obs.NodeSnapsho
 		}
 	}
 	f.failures.Inc()
-	f.stale.Inc()
 	f.mu.Lock()
 	last, ok := f.lastKnown[addr]
 	f.mu.Unlock()
@@ -194,14 +190,7 @@ func (n *Node) handleFederated(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]any{"self": n.cfg.Self, "nodes": nodes})
 		return
 	}
-	openMetrics := strings.Contains(r.Header.Get("Accept"), "application/openmetrics-text")
-	if openMetrics {
-		w.Header().Set("Content-Type", "application/openmetrics-text; version=1.0.0; charset=utf-8")
-	} else {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	}
-	w.WriteHeader(http.StatusOK)
-	if err := obs.WriteFederated(w, nodes, openMetrics); err != nil {
+	if err := obs.ServeExposition(w, r, nodes); err != nil {
 		obs.Warn("cluster: federated exposition write failed", obs.F("err", err.Error()))
 	}
 }

@@ -69,7 +69,7 @@ func (n *Node) Handler() http.Handler {
 func (n *Node) submitHandler(base http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		ring := n.mem.Ring()
-		if r.Header.Get(hdrForwarded) != "" || !n.cfg.Role.routes() || ring.Size() <= 1 {
+		if r.Header.Get(hdrForwarded) != "" || ring.Size() <= 1 {
 			w.Header().Set(hdrNode, n.cfg.Self)
 			base.ServeHTTP(w, r)
 			return
@@ -273,13 +273,12 @@ func queryString(r *http.Request) string {
 	return "?" + r.URL.RawQuery
 }
 
-// handleState answers membership probes with this node's identity,
-// role, and known peers (the gossip payload).
+// handleState answers membership probes with this node's identity and
+// known peers (the gossip payload).
 func (n *Node) handleState(w http.ResponseWriter, _ *http.Request) {
 	snap := n.mem.snapshot()
 	writeJSON(w, http.StatusOK, stateResponse{
 		Self:  n.cfg.Self,
-		Role:  n.cfg.Role,
 		Peers: snap.addrs,
 	})
 }

@@ -32,18 +32,16 @@ const (
 // peerInfo is this node's view of one sibling.
 type peerInfo struct {
 	addr  string
-	role  Role // learned from state responses; RoleBoth until heard from
-	fails int  // consecutive probe failures
+	fails int // consecutive probe failures
 	state PeerState
 	heard bool // at least one successful probe ever
 }
 
 // stateResponse is the GET /cluster/v1/state body — the gossip unit:
-// the probed node's identity, role, and everyone it knows about, so
+// the probed node's identity and everyone it knows about, so
 // membership knowledge spreads transitively without a join protocol.
 type stateResponse struct {
 	Self  string   `json:"self"`
-	Role  Role     `json:"role"`
 	Peers []string `json:"peers"`
 }
 
@@ -54,10 +52,9 @@ type stateResponse struct {
 // the two ring snapshots routing needs (current, plus the ring before
 // the last change, whose owner is the peer-cache fetch candidate).
 type membership struct {
-	self     string
-	selfRole Role
-	cfg      Config
-	client   *http.Client
+	self   string
+	cfg    Config
+	client *http.Client
 
 	mu    sync.Mutex
 	peers map[string]*peerInfo
@@ -74,12 +71,11 @@ type membership struct {
 
 func newMembership(cfg Config, client *http.Client) *membership {
 	m := &membership{
-		self:     cfg.Self,
-		selfRole: cfg.Role,
-		cfg:      cfg,
-		client:   client,
-		peers:    make(map[string]*peerInfo),
-		stop:     make(chan struct{}),
+		self:   cfg.Self,
+		cfg:    cfg,
+		client: client,
+		peers:  make(map[string]*peerInfo),
+		stop:   make(chan struct{}),
 	}
 	for _, p := range cfg.Peers {
 		m.addPeerLocked(p)
@@ -101,7 +97,7 @@ func (m *membership) addPeerLocked(addr string) {
 	// New peers start alive: they joined through configuration or
 	// gossip, and the probe loop demotes them quickly if they are not
 	// really there.
-	m.peers[addr] = &peerInfo{addr: addr, role: RoleBoth, state: PeerAlive}
+	m.peers[addr] = &peerInfo{addr: addr, state: PeerAlive}
 }
 
 // start launches the probe loop. A synchronous first round runs before
@@ -171,9 +167,6 @@ func (m *membership) proberound() {
 		p.fails = 0
 		p.state = PeerAlive
 		p.heard = true
-		if st.Role.valid() {
-			p.role = st.Role
-		}
 		for _, addr := range st.Peers {
 			m.addPeerLocked(addr)
 		}
@@ -236,19 +229,15 @@ func (m *membership) loadPeersFile() {
 	}
 }
 
-// rebuild recomputes the ring from the current peer table: self (when
-// it executes jobs) plus every non-dead peer whose role executes jobs.
-// The previous ring is snapshotted only when the member set actually
-// changed — it is the "who owned this key before the rebalance" the
-// peer cache fetches from.
+// rebuild recomputes the ring from the current peer table: self plus
+// every non-dead peer. The previous ring is snapshotted only when the
+// member set actually changed — it is the "who owned this key before
+// the rebalance" the peer cache fetches from.
 func (m *membership) rebuild() {
 	m.mu.Lock()
-	members := make([]string, 0, len(m.peers)+1)
-	if m.selfRole.works() {
-		members = append(members, m.self)
-	}
+	members := append(make([]string, 0, len(m.peers)+1), m.self)
 	for _, p := range m.peers {
-		if p.state != PeerDead && p.role.works() {
+		if p.state != PeerDead {
 			members = append(members, p.addr)
 		}
 	}

@@ -11,43 +11,6 @@ import (
 	"optiwise/internal/serve"
 )
 
-// Role selects which halves of the cluster protocol a node speaks.
-type Role string
-
-// Roles. A router accepts submissions and forwards each to its key's
-// ring owner but never appears on the ring itself (a stateless
-// frontend); a worker owns ring segments and executes jobs but routes
-// nothing (it trusts whoever sent the work); both — the default — does
-// both, which is the symmetric peer-to-peer deployment the README
-// walkthrough builds.
-const (
-	RoleRouter Role = "router"
-	RoleWorker Role = "worker"
-	RoleBoth   Role = "both"
-)
-
-// ParseRole resolves a -role flag value ("" selects RoleBoth; "hybrid"
-// is accepted as an alias for it).
-func ParseRole(s string) (Role, error) {
-	switch s {
-	case "", "both", "hybrid":
-		return RoleBoth, nil
-	case "router":
-		return RoleRouter, nil
-	case "worker":
-		return RoleWorker, nil
-	}
-	return "", fmt.Errorf("cluster: unknown role %q (want router, worker, or both)", s)
-}
-
-func (r Role) valid() bool { return r == RoleRouter || r == RoleWorker || r == RoleBoth }
-
-// routes reports whether the role forwards submissions to ring owners.
-func (r Role) routes() bool { return r != RoleWorker }
-
-// works reports whether the role owns ring segments and executes jobs.
-func (r Role) works() bool { return r != RoleRouter }
-
 // Config tunes a cluster Node. Self is required; everything else
 // defaults.
 type Config struct {
@@ -55,8 +18,6 @@ type Config struct {
 	// probe, the ring member name, and the address forwards target. It
 	// must be reachable by every peer and stable for the node's life.
 	Self string
-	// Role selects the node's protocol halves (default RoleBoth).
-	Role Role
 	// Peers seeds the membership table with sibling advertised
 	// addresses. Gossip and PeersFile extend it at run time; listing
 	// self is harmless (ignored).
@@ -76,7 +37,7 @@ type Config struct {
 	// FetchTimeout bounds one peer-cache fetch request (default 10s —
 	// generous because losing the fetch costs a full recomputation).
 	FetchTimeout time.Duration
-	// ForwardAttempts is how many ring owners a router tries before
+	// ForwardAttempts is how many ring owners a node tries before
 	// executing the submission locally as a last resort (default 3).
 	ForwardAttempts int
 	// Vnodes is the ring's virtual-node count per member (default
@@ -99,9 +60,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Role == "" {
-		c.Role = RoleBoth
-	}
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = 500 * time.Millisecond
 	}
@@ -178,9 +136,6 @@ func New(cfg Config, srv *serve.Server) (*Node, error) {
 	if cfg.Self == "" {
 		return nil, fmt.Errorf("cluster: Config.Self (advertised host:port) is required")
 	}
-	if !cfg.Role.valid() {
-		return nil, fmt.Errorf("cluster: invalid role %q", cfg.Role)
-	}
 	client := cfg.Client
 	if client == nil {
 		client = &http.Client{
@@ -253,7 +208,6 @@ func (n *Node) Ring() *Ring { return n.mem.Ring() }
 func (n *Node) clusterStats() *serve.ClusterStats {
 	snap := n.mem.snapshot()
 	return &serve.ClusterStats{
-		Role:               string(n.cfg.Role),
 		Self:               n.cfg.Self,
 		RingSize:           n.mem.Ring().Size(),
 		PeersLive:          snap.live,

@@ -82,6 +82,20 @@ func TestClusterFederatedMetrics(t *testing.T) {
 		t.Errorf("want one optiwise_node_up TYPE line, got %d", n)
 	}
 
+	// OpenMetrics rides the same negotiation as a node's /metrics.
+	req, _ := http.NewRequest(http.MethodGet, nodes[0].url()+"/cluster/v1/metrics", nil)
+	req.Header.Set("Accept", "application/openmetrics-text; version=1.0.0")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	om, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "application/openmetrics-text") ||
+		!strings.HasSuffix(string(om), "\n# EOF\n") {
+		t.Errorf("federated OpenMetrics: content type %q, body tail %q", ct, om[max(0, len(om)-40):])
+	}
+
 	// Kill node 2 and wait out the staleness budget plus probe
 	// demotion; the exposition must still answer, with the dead node
 	// marked down rather than missing.

@@ -257,7 +257,7 @@ async function renderCluster() {
   if (stats && stats.cluster) {
     const c = stats.cluster;
     ringHTML = `<div class="panel"><h2>Ring</h2>
-      <p>self ${esc(c.self)} · role ${esc(c.role)} · ring size ${c.ring_size}
+      <p>self ${esc(c.self)} · ring size ${c.ring_size}
       · live ${c.peers_live} · suspect ${c.peers_suspect} · dead ${c.peers_dead}</p>
       <p class="muted">forwarded ${fmtInt(c.forwarded)} (failovers ${fmtInt(c.forward_failovers)})
       · peer-fetch hits ${fmtInt(c.peer_fetch_hits)} / misses ${fmtInt(c.peer_fetch_misses)}

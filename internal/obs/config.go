@@ -213,7 +213,7 @@ func (c *Config) Activate() (flush func() error, err error) {
 			if err != nil {
 				return err
 			}
-			if err := registry.WritePrometheus(f); err != nil {
+			if err := WriteExposition(f, []NodeSnapshot{{Snapshot: registry.FullSnapshot()}}, false); err != nil {
 				f.Close()
 				return err
 			}

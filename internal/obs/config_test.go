@@ -172,8 +172,12 @@ func TestConfigActivateBadPprofAddr(t *testing.T) {
 }
 
 // TestStartPprofServerBindsEphemeral: ":0" binds an ephemeral port and
-// the returned address serves expvar with the metrics snapshot wired in.
+// the returned address serves expvar with the installed registry's
+// RegistrySnapshot wired in.
 func TestStartPprofServerBindsEphemeral(t *testing.T) {
+	r := NewRegistry()
+	r.Counter(MSamplesTaken).Add(3)
+	defer SetRegistry(SetRegistry(r))
 	addr, err := startPprofServer("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -190,7 +194,11 @@ func TestStartPprofServerBindsEphemeral(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/debug/vars: status %d", resp.StatusCode)
 	}
-	if !strings.Contains(string(body), "optiwise_metrics") {
-		t.Errorf("/debug/vars missing optiwise_metrics snapshot:\n%.400s", body)
+	var vars struct {
+		Metrics *RegistrySnapshot `json:"optiwise_metrics"`
+	}
+	if err := json.Unmarshal(body, &vars); err != nil || vars.Metrics == nil ||
+		vars.Metrics.Counters[MSamplesTaken] != 3 {
+		t.Errorf("/debug/vars optiwise_metrics is not the registry snapshot (err %v):\n%.400s", err, body)
 	}
 }

@@ -19,7 +19,7 @@ func TestOpenMetricsExemplars(t *testing.T) {
 	r.Counter(MSamplesTaken).Add(3)
 
 	var om bytes.Buffer
-	if err := r.WriteOpenMetrics(&om); err != nil {
+	if err := WriteExposition(&om, local(r), true); err != nil {
 		t.Fatal(err)
 	}
 	got := om.String()
@@ -36,7 +36,7 @@ func TestOpenMetricsExemplars(t *testing.T) {
 
 	// The 0.0.4 format carries neither exemplars nor the EOF marker.
 	var prom bytes.Buffer
-	if err := r.WritePrometheus(&prom); err != nil {
+	if err := WriteExposition(&prom, local(r), false); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(prom.String(), "# {") || strings.Contains(prom.String(), "# EOF") {
@@ -89,13 +89,13 @@ func TestPrometheusLint(t *testing.T) {
 	r.Histogram(MSampleWeight).Observe(2000)
 
 	var buf bytes.Buffer
-	if err := r.WritePrometheus(&buf); err != nil {
+	if err := WriteExposition(&buf, local(r), false); err != nil {
 		t.Fatal(err)
 	}
 	lintExposition(t, buf.String(), false)
 
 	buf.Reset()
-	if err := r.WriteOpenMetrics(&buf); err != nil {
+	if err := WriteExposition(&buf, local(r), true); err != nil {
 		t.Fatal(err)
 	}
 	lintExposition(t, buf.String(), true)

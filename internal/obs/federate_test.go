@@ -38,7 +38,7 @@ func TestWriteFederatedMerge(t *testing.T) {
 		{Node: "127.0.0.1:9001", Snapshot: sa, FetchedUnixNano: time.Now().UnixNano()},
 	}
 	var buf bytes.Buffer
-	if err := WriteFederated(&buf, nodes, false); err != nil {
+	if err := WriteExposition(&buf, nodes, false); err != nil {
 		t.Fatal(err)
 	}
 	got := buf.String()
@@ -63,7 +63,7 @@ func TestWriteFederatedMerge(t *testing.T) {
 	lintExposition(t, got, false)
 
 	buf.Reset()
-	if err := WriteFederated(&buf, nodes, true); err != nil {
+	if err := WriteExposition(&buf, nodes, true); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.HasSuffix(buf.String(), "# EOF\n") {
@@ -84,7 +84,7 @@ func TestWriteFederatedStaleNode(t *testing.T) {
 		{Node: "node-c", Stale: true}, // never scraped: empty snapshot
 	}
 	var buf bytes.Buffer
-	if err := WriteFederated(&buf, nodes, false); err != nil {
+	if err := WriteExposition(&buf, nodes, false); err != nil {
 		t.Fatal(err)
 	}
 	got := buf.String()
@@ -114,7 +114,7 @@ func TestWriteFederatedLabelCollisions(t *testing.T) {
 	weird := "host\"1\"\\x\ny"
 	nodes := []NodeSnapshot{{Node: weird, Snapshot: r.FullSnapshot()}}
 	var buf bytes.Buffer
-	if err := WriteFederated(&buf, nodes, false); err != nil {
+	if err := WriteExposition(&buf, nodes, false); err != nil {
 		t.Fatal(err)
 	}
 	got := buf.String()
@@ -124,7 +124,7 @@ func TestWriteFederatedLabelCollisions(t *testing.T) {
 	}
 	lintExposition(t, got, false)
 
-	if err := WriteFederated(&buf, []NodeSnapshot{{Node: "x"}, {Node: "x"}}, false); err == nil {
+	if err := WriteExposition(&buf, []NodeSnapshot{{Node: "x"}, {Node: "x"}}, false); err == nil {
 		t.Error("duplicate node names must be rejected")
 	}
 
@@ -136,7 +136,7 @@ func TestWriteFederatedLabelCollisions(t *testing.T) {
 	rg := NewRegistry()
 	rg.Gauge("optiwise_contested_total").Set(5)
 	buf.Reset()
-	if err := WriteFederated(&buf, []NodeSnapshot{
+	if err := WriteExposition(&buf, []NodeSnapshot{
 		{Node: "a", Snapshot: rc.FullSnapshot()},
 		{Node: "b", Snapshot: rg.FullSnapshot()},
 	}, false); err != nil {
@@ -151,6 +151,15 @@ func TestWriteFederatedLabelCollisions(t *testing.T) {
 	}
 	if !strings.Contains(got, `optiwise_contested_total{node="a"} 1`) {
 		t.Errorf("winning-kind samples missing:\n%s", got)
+	}
+	lintExposition(t, got, false)
+
+	// The same rule holds inside one registry's local view.
+	rc.Gauge("optiwise_contested_total").Set(5)
+	got = localText(t, rc, false)
+	if strings.Count(got, "# TYPE optiwise_contested_total counter") != 1 ||
+		!strings.Contains(got, "\noptiwise_contested_total 1\n") || strings.Contains(got, " 5\n") {
+		t.Errorf("local kind collision must keep the counter and drop the gauge:\n%s", got)
 	}
 	lintExposition(t, got, false)
 }

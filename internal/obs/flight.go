@@ -192,7 +192,7 @@ func (fr *FlightRecorder) RecordMetricDeltas(r *Registry) {
 	if fr == nil || r == nil {
 		return
 	}
-	cur := r.counterValues()
+	cur := r.FullSnapshot().Counters
 	fr.metricMu.Lock()
 	prev := fr.lastMetrics
 	fr.lastMetrics = cur

@@ -82,10 +82,9 @@ const histBuckets = 65
 // "job trace 4bf9… is why". Each bucket keeps its most recent exemplar,
 // published with a single atomic pointer store.
 type Exemplar struct {
-	Bucket   int    // log₂ bucket index
-	Value    uint64 // the observed value
-	TraceID  string
-	UnixNano int64
+	Value    uint64 `json:"value"` // the observed value
+	TraceID  string `json:"trace_id"`
+	UnixNano int64  `json:"unix_nano"`
 }
 
 // HistogramMetric is a histogram over uint64 observations with fixed
@@ -125,7 +124,6 @@ func (h *HistogramMetric) ObserveTrace(v uint64, traceID string) {
 	h.count.Add(1)
 	if traceID != "" {
 		h.exemplars[b].Store(&Exemplar{
-			Bucket:   b,
 			Value:    v,
 			TraceID:  traceID,
 			UnixNano: nowNanos(),
@@ -239,21 +237,6 @@ func (r *Registry) Histogram(name string) *HistogramMetric {
 	return h
 }
 
-// counterValues returns a snapshot of all counter values by name, used
-// by the flight recorder to log metric deltas at dump time. Nil-safe.
-func (r *Registry) counterValues() map[string]uint64 {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string]uint64, len(r.counts))
-	for name, c := range r.counts {
-		out[name] = c.Value()
-	}
-	return out
-}
-
 // Well-known metric names fed by the pipeline's hot paths. Centralized
 // so exporters, dashboards, and tests agree on spelling.
 const (
@@ -341,7 +324,6 @@ const (
 	MNodeUp                    = "optiwise_node_up"
 	MClusterFederationScrapes  = "optiwise_cluster_federation_scrapes_total"
 	MClusterFederationFailures = "optiwise_cluster_federation_failures_total"
-	MClusterFederationStale    = "optiwise_cluster_federation_stale_total"
 	MServeSSEClients           = "optiwise_serve_sse_clients"
 )
 
@@ -491,8 +473,6 @@ func helpFor(name string) string {
 		return "Peer registry snapshots fetched by the federated metrics endpoint."
 	case MClusterFederationFailures:
 		return "Peer registry scrapes that failed and fell back to a stale snapshot."
-	case MClusterFederationStale:
-		return "Federated responses that included at least one stale peer snapshot."
 	case MServeSSEClients:
 		return "Server-sent-event streams currently open (job events and cluster view)."
 	}

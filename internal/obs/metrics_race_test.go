@@ -1,8 +1,10 @@
 package obs
 
 import (
+	"bytes"
 	"io"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -34,8 +36,7 @@ func TestRegistryConcurrent(t *testing.T) {
 				r.Gauge(MDBICodeCacheSize).Set(int64(i))
 				r.Histogram(MSampleWeight).Observe(uint64(i))
 				if i%500 == 0 {
-					_ = r.Snapshot()
-					_ = r.WritePrometheus(io.Discard)
+					_ = WriteExposition(io.Discard, local(r), true)
 				}
 			}
 		}(g)
@@ -48,6 +49,44 @@ func TestRegistryConcurrent(t *testing.T) {
 	if got, want := r.Histogram(MSampleWeight).Count(), uint64(goroutines*iters); got != want {
 		t.Fatalf("histogram lost updates: got %d want %d", got, want)
 	}
+}
+
+// TestSnapshotConsistentUnderObservation: snapshots taken while other
+// goroutines observe keep each histogram's bucket total equal to its
+// count, so every rendered exposition stays cumulative up to +Inf.
+func TestSnapshotConsistentUnderObservation(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram(MSampleWeight)
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := uint64(g); !stop.Load(); i++ {
+				h.Observe(i % 5000)
+			}
+		}(g)
+	}
+	defer func() {
+		stop.Store(true)
+		wg.Wait()
+	}()
+	for i := 0; i < 2000; i++ {
+		hs := r.FullSnapshot().Histograms[MSampleWeight]
+		var total uint64
+		for _, v := range hs.Buckets {
+			total += v
+		}
+		if total != hs.Count {
+			t.Fatalf("snapshot %d: bucket total %d != count %d", i, total, hs.Count)
+		}
+	}
+	var buf bytes.Buffer
+	if err := WriteExposition(&buf, local(r), false); err != nil {
+		t.Fatal(err)
+	}
+	lintExposition(t, buf.String(), false)
 }
 
 // TestTracerConcurrent opens and closes spans from many goroutines. The

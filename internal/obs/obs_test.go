@@ -138,7 +138,7 @@ func TestPrometheusGolden(t *testing.T) {
 	h.Observe(2000) // bucket 11 (le 2047)
 
 	var buf bytes.Buffer
-	if err := r.WritePrometheus(&buf); err != nil {
+	if err := WriteExposition(&buf, local(r), false); err != nil {
 		t.Fatal(err)
 	}
 	got := buf.String()
@@ -182,7 +182,7 @@ func TestPrometheusExpositionShape(t *testing.T) {
 	r.Histogram("optiwise_test_latency").Observe(77)
 
 	var buf bytes.Buffer
-	if err := r.WritePrometheus(&buf); err != nil {
+	if err := WriteExposition(&buf, local(r), false); err != nil {
 		t.Fatal(err)
 	}
 	typed := map[string]bool{}
@@ -273,8 +273,8 @@ func TestNilSafety(t *testing.T) {
 		r.Histogram("h").Count() != 0 || r.Histogram("h").Sum() != 0 {
 		t.Error("nil metrics should read zero")
 	}
-	if r.Snapshot() != nil {
-		t.Error("nil registry snapshot should be nil")
+	if s := r.FullSnapshot(); s.Counters != nil || s.Gauges != nil || s.Histograms != nil || s.Build != nil {
+		t.Errorf("nil registry snapshot should be empty: %+v", s)
 	}
 
 	var l *Logger
@@ -306,8 +306,8 @@ func TestGlobalInstallUninstall(t *testing.T) {
 	if r.Counter(MSamplesTaken).Value() != 7 {
 		t.Fatal("global Counter did not reach the installed registry")
 	}
-	snap := r.Snapshot()
-	if snap[MSamplesTaken] != uint64(7) {
+	snap := r.FullSnapshot().Counters
+	if snap[MSamplesTaken] != 7 {
 		t.Fatalf("snapshot mismatch: %v", snap)
 	}
 }

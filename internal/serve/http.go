@@ -594,7 +594,6 @@ func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 			"queue_capacity": s.cfg.QueueDepth,
 		}
 		if st.Cluster != nil {
-			body["role"] = st.Cluster.Role
 			body["ring_size"] = st.Cluster.RingSize
 			body["peers_live"] = st.Cluster.PeersLive
 			body["peers_suspect"] = st.Cluster.PeersSuspect
@@ -619,8 +618,6 @@ func (s *Server) handleFlightDump(w http.ResponseWriter, _ *http.Request) {
 	d.WriteJSON(w) //nolint:errcheck // client went away
 }
 
-const openMetricsContentType = "application/openmetrics-text; version=1.0.0; charset=utf-8"
-
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	reg := obs.ActiveRegistry()
 	if reg == nil {
@@ -628,13 +625,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			"metrics registry inactive (start the server with metrics enabled)")
 		return
 	}
-	if strings.Contains(r.Header.Get("Accept"), "application/openmetrics-text") {
-		w.Header().Set("Content-Type", openMetricsContentType)
-		reg.WriteOpenMetrics(w) //nolint:errcheck // client went away
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	reg.WritePrometheus(w) //nolint:errcheck // client went away
+	obs.ServeExposition(w, r, []obs.NodeSnapshot{{Snapshot: reg.FullSnapshot()}}) //nolint:errcheck // client went away
 }
 
 // writeBusy emits a 429/503 with a Retry-After hint. Retry-After has

@@ -129,11 +129,10 @@ type Config struct {
 }
 
 // ClusterStats is the cluster section of a Stats snapshot, produced by
-// the internal/cluster node wrapping this server: the node's routing
-// role and membership view plus the forwarding and peer-cache traffic
-// counters dashboards and smoke jobs assert on.
+// the internal/cluster node wrapping this server: the node's
+// membership view plus the forwarding and peer-cache traffic counters
+// dashboards and smoke jobs assert on.
 type ClusterStats struct {
-	Role         string `json:"role"`
 	Self         string `json:"self"`
 	RingSize     int    `json:"ring_size"`
 	PeersLive    int    `json:"peers_live"`

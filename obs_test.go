@@ -123,7 +123,7 @@ func TestProfileFeedsMetrics(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := reg.WritePrometheus(&buf); err != nil {
+	if err := obs.WriteExposition(&buf, []obs.NodeSnapshot{{Snapshot: reg.FullSnapshot()}}, false); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
