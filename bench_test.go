@@ -481,7 +481,7 @@ func BenchmarkCombine(b *testing.B) {
 // --- Streaming windowed profiling ----------------------------------------
 
 // BenchmarkStreamOff prices the streaming-disabled pipeline: with
-// StreamWindow zero, the sampling run loop pays one nil compare per
+// Window zero, the sampling run loop pays one nil compare per
 // cycle and the DBI run loop one per block. perfbench's profile workload
 // runs this same disabled path, so any cost beyond a predictable branch
 // shows up in scripts/ab.py's same-runner A/B.
@@ -504,7 +504,7 @@ func BenchmarkStreamOn(b *testing.B) {
 	var windows int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		opts := Options{SamplePeriod: 2000, StreamWindow: 4096}
+		opts := Options{SamplePeriod: 2000, Window: 4096}
 		comb := NewStreamCombiner(prog)
 		opts.OnIncrement = func(inc Increment) {
 			if err := comb.Add(inc); err != nil {

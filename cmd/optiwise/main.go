@@ -122,8 +122,8 @@ observability flags on every profiling subcommand:
   -metrics FILE Prometheus text exposition of pipeline metrics
   -log FILE     JSONL structured event log ("-" = stderr)
   -progress     progress lines on stderr      -pprof ADDR  pprof+expvar server
-  -telemetry N  cycle-windowed interval telemetry: report phase summary
-                and counter tracks in the -trace Chrome trace
+  -window N     cycle windows: report phase summary and counter tracks
+                in the -trace Chrome trace (run also streams them)
 run 'optiwise <cmd> -h' for flags`)
 }
 
@@ -138,7 +138,7 @@ type commonFlags struct {
 	attr          *string
 	faultSpec     *string
 	allowDegraded *bool
-	telemetry     *uint64
+	window        *uint64
 	tiered        *bool
 	hotThreshold  *float64
 	obs           *obs.Config
@@ -156,7 +156,7 @@ func newFlags(name string) *commonFlags {
 		attr:          fs.String("attr", "auto", "sample attribution: auto, none, pred"),
 		faultSpec:     fs.String("fault", "", "fault-injection spec, e.g. 'seed=1;dbi.run:error:nth=1' (also OPTIWISE_FAULT)"),
 		allowDegraded: fs.Bool("allow-degraded", false, "produce a flagged single-pass report when exactly one profiling pass fails"),
-		telemetry:     fs.Uint64("telemetry", 0, "interval-telemetry window in cycles (0 = off): streams IPC, ROB occupancy, mispredict and cache-miss rates, and stall causes per window into the report's phase summary and the -trace counter tracks"),
+		window:        fs.Uint64("window", 0, "window in cycles (0 = off): IPC, ROB occupancy, mispredict and cache-miss rates, and stall causes per window into the report's phase summary and the -trace counter tracks; run also prints a line per window on stderr, submit serves them at /v1/jobs/{id}/windows"),
 		tiered:        fs.Bool("tiered", false, "tiered adaptive instrumentation: sample first, instrument only hot code; cold counts are extrapolated and marked '~' in reports"),
 		hotThreshold:  fs.Float64("hot-threshold", 0, "tiered-mode hotness cutoff as a fraction of sampled cycle mass (0 = default 0.01); requires -tiered"),
 		obs:           obs.BindFlags(fs),
@@ -187,7 +187,7 @@ func (c *commonFlags) options() (optiwise.Options, error) {
 		LoopThreshold:         *c.thresh,
 		FaultSpec:             *c.faultSpec,
 		AllowDegraded:         *c.allowDegraded,
-		TelemetryWindow:       *c.telemetry,
+		Window:                *c.window,
 		Tiered:                *c.tiered,
 		HotThreshold:          *c.hotThreshold,
 	}
@@ -285,7 +285,6 @@ func cmdRun(args []string) error {
 	yamlOut := c.fs.Bool("yaml", false, "emit the combined profile as YAML")
 	events := c.fs.Bool("events", false, "emit per-function event rates (misses, mispredicts)")
 	loopID := c.fs.Int("loop", -1, "annotate only this loop id")
-	streamN := c.fs.Uint64("stream", 0, "streaming window in cycles (0 = off): print a progress line per profile window on stderr; the report is unchanged")
 	if err := c.fs.Parse(args); err != nil {
 		return err
 	}
@@ -300,9 +299,8 @@ func cmdRun(args []string) error {
 	if err != nil {
 		return err
 	}
-	if *streamN > 0 {
+	if opts.Window > 0 {
 		comb = optiwise.NewStreamCombiner(prog)
-		opts.StreamWindow = *streamN
 		opts.OnIncrement = func(inc optiwise.Increment) {
 			if err := comb.Add(inc); err != nil {
 				combMu.Lock()
@@ -318,14 +316,11 @@ func cmdRun(args []string) error {
 			}
 			if inc.Sample != nil {
 				fmt.Fprintf(os.Stderr, "stream: sampling window #%d: %d samples, %d cycles%s\n",
-					inc.Seq, len(inc.Sample.Records), inc.Sample.TotalCycles, tag)
+					inc.Seq, len(inc.Sample.Records), inc.Sample.Cycles, tag)
 			} else if inc.Edge != nil {
 				fmt.Fprintf(os.Stderr, "stream: instrumentation window #%d: %d instructions, %d block executions, %d new blocks%s\n",
 					inc.Seq, inc.Edge.Instructions, inc.Edge.BlockExecs, inc.Edge.NewBlocks, tag)
 			}
-		}
-		if err := opts.Validate(); err != nil {
-			return err
 		}
 	}
 	return c.withObs(func() error {

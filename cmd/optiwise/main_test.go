@@ -200,16 +200,16 @@ func TestCmdRunYAMLAndStream(t *testing.T) {
 	if err := cmdRun([]string{"-yaml", path}); err != nil {
 		t.Fatal(err)
 	}
-	// -stream prints window lines on stderr next to the usual report.
-	if err := cmdRun([]string{"-stream", "2048", "-period", "300", path}); err != nil {
+	// -window prints window lines on stderr next to the usual report.
+	if err := cmdRun([]string{"-window", "2048", "-period", "300", path}); err != nil {
 		t.Fatal(err)
 	}
-	if err := cmdRun([]string{"-stream", "2048", "-yaml", path}); err != nil {
+	if err := cmdRun([]string{"-window", "2048", "-yaml", path}); err != nil {
 		t.Fatal(err)
 	}
 	// Window bounds are validated before profiling starts.
-	if err := cmdRun([]string{"-stream", "1", path}); err == nil {
-		t.Error("sub-minimum stream window accepted")
+	if err := cmdRun([]string{"-window", "1", path}); err == nil {
+		t.Error("sub-minimum window accepted")
 	}
 }
 

@@ -295,7 +295,6 @@ func cmdSubmit(args []string) error {
 	kind := fs.String("report", "full", "report kind: full, functions, loops, annotated, callgraph, csv, loops-csv, json")
 	fn := fs.String("func", "", "function for -report annotated (default: hottest)")
 	timeout := fs.Duration("timeout", 0, "per-job deadline (0 = server default)")
-	stream := fs.Int64("stream", 0, "windowed streaming: cycles per window (0 = off); live snapshots at /v1/jobs/{id}/windows, and durable servers re-run the job from the start after a crash")
 	poll := fs.Bool("poll", false, "poll job status instead of a blocking submit")
 	traceID := fs.String("trace-id", "", "propagate a caller-chosen trace ID (32 lowercase hex digits; default: server-minted)")
 	traceOut := fs.String("trace-out", "", "after completion, download the job's Chrome trace JSON to this file")
@@ -317,16 +316,15 @@ func cmdSubmit(args []string) error {
 	req := map[string]any{
 		"machine": opts.Machine.Name,
 		"options": map[string]any{
-			"sample_period":    opts.SamplePeriod,
-			"precise":          opts.Precise,
-			"no_stack":         opts.DisableStackProfiling,
-			"loop_threshold":   opts.LoopThreshold,
-			"attribution":      *c.attr,
-			"allow_degraded":   opts.AllowDegraded,
-			"telemetry_window": opts.TelemetryWindow,
-			"tiered":           opts.Tiered,
-			"hot_threshold":    opts.HotThreshold,
-			"stream_window":    *stream,
+			"sample_period":  opts.SamplePeriod,
+			"precise":        opts.Precise,
+			"no_stack":       opts.DisableStackProfiling,
+			"loop_threshold": opts.LoopThreshold,
+			"attribution":    *c.attr,
+			"allow_degraded": opts.AllowDegraded,
+			"tiered":         opts.Tiered,
+			"hot_threshold":  opts.HotThreshold,
+			"stream_window":  opts.Window,
 		},
 		"wait": !*poll,
 	}

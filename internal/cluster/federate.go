@@ -99,7 +99,6 @@ func (f *federator) snapshots(ctx context.Context) []obs.NodeSnapshot {
 // scrape assembles one merged view: self synchronously, every known
 // peer concurrently under the per-peer deadline.
 func (f *federator) scrape(ctx context.Context) []obs.NodeSnapshot {
-	f.scrapes.Inc()
 	snap := f.n.mem.snapshot()
 	out := make([]obs.NodeSnapshot, 1+len(snap.addrs))
 	out[0] = obs.NodeSnapshot{
@@ -131,7 +130,10 @@ func (f *federator) scrape(ctx context.Context) []obs.NodeSnapshot {
 
 // scrapePeer fetches one peer's local snapshot, falling back to the
 // last-known copy (marked stale) when the peer cannot answer in time.
+// Every fetch counts once as a scrape and, if it fails, once as a
+// failure, so failures/scrapes is the per-peer failure rate.
 func (f *federator) scrapePeer(ctx context.Context, addr string) obs.NodeSnapshot {
+	f.scrapes.Inc()
 	ctx, cancel := context.WithTimeout(ctx, federationPeerTimeout)
 	defer cancel()
 	reg, err := f.fetchLocal(ctx, addr)

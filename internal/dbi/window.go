@@ -8,8 +8,8 @@ package dbi
 // the windows' counts telescope to its totals.
 //
 // Windows are measured in retired instructions because the functional
-// interpreter has no cycle clock; the caller maps its cycle-based
-// stream window onto instructions, the same loose equivalence
+// interpreter has no cycle clock; the caller maps its cycle window
+// (optiwise.Options.Window) onto instructions, the same loose equivalence
 // optiwise.Options.MaxCycles already uses for this pass. Boundaries are
 // checked at block granularity (blocks are a handful of instructions),
 // so when disabled the run loop pays one nil compare per block.

@@ -15,7 +15,7 @@ import (
 // nearly every boundary lands inside a quiet stretch.
 
 func TestStoreMissLoopIsMostlyQuiet(t *testing.T) {
-	s, st := runSim(t, goldenStoreMiss, XeonW2195(), Options{IntervalCycles: 1 << 40})
+	s, st := runSim(t, goldenStoreMiss, XeonW2195(), Options{WindowCycles: 1 << 40})
 	iv := s.Intervals()
 	if len(iv) != 1 {
 		t.Fatalf("got %d intervals, want 1", len(iv))

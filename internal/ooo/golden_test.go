@@ -21,8 +21,8 @@ import (
 )
 
 // The golden-digest contract: every observable output of the simulator —
-// samples, Stats, ground-truth cycles, interval telemetry, window marks
-// and the pipeline timeline — is pinned to a SHA-256 per (program,
+// samples, Stats, ground-truth cycles, the cycle windows (as Intervals
+// and as the boundaries OnWindow saw) and the pipeline timeline — is pinned to a SHA-256 per (program,
 // machine, setting) case. Any change to the run loop that is meant to be
 // a pure speedup must leave testdata/golden_digests.txt untouched.
 //
@@ -151,21 +151,24 @@ func shrinkTrips(src, from, to string) string {
 type goldenSetting struct {
 	name string
 	opts Options
+	// hook installs OnWindow, so the digest covers the boundaries it
+	// reports as well as Intervals.
+	hook bool
 }
 
 func goldenSettings() []goldenSetting {
 	return []goldenSetting{
-		{"skid", Options{SamplePeriod: 2000, SampleMode: SampleSkid, InterruptCost: 25}},
+		{"skid", Options{SamplePeriod: 2000, SampleMode: SampleSkid, InterruptCost: 25}, false},
 		{"precise-jitter", Options{SamplePeriod: 777, SampleMode: SamplePrecise,
-			SampleJitter: true, InterruptCost: 40}},
-		{"true", Options{TrueAttribution: true}},
-		{"interval", Options{IntervalCycles: 5000}},
-		{"window", Options{WindowCycles: 3000}},
-		{"trace", Options{TraceLimit: 600}},
-		// Everything at once: a pending skid sample, telemetry, windows,
-		// ground truth and the timeline all interleave in one run.
+			SampleJitter: true, InterruptCost: 40}, false},
+		{"true", Options{TrueAttribution: true}, false},
+		{"interval", Options{WindowCycles: 5000}, false},
+		{"trace", Options{TraceLimit: 600}, false},
+		// Everything at once: a pending skid sample, cycle windows and
+		// their hook, ground truth and the timeline all interleave in
+		// one run.
 		{"all", Options{SamplePeriod: 1500, SampleMode: SampleSkid, InterruptCost: 30,
-			TrueAttribution: true, IntervalCycles: 4000, WindowCycles: 2500, TraceLimit: 200}},
+			TrueAttribution: true, WindowCycles: 4000, TraceLimit: 200}, true},
 	}
 }
 
@@ -202,14 +205,22 @@ func goldenNarrowSettings() []goldenSetting {
 }
 
 // goldenDigest runs one case and hashes everything it observed.
-func goldenDigest(t *testing.T, p *program.Image, cfg Config, opts Options) string {
+func goldenDigest(t *testing.T, p *program.Image, cfg Config, gs goldenSetting) string {
 	t.Helper()
 	h := sha256.New()
+	opts := gs.opts
 	var samples []Sample
 	opts.OnSample = func(s Sample) { samples = append(samples, s) }
-	var marks []WindowMark
-	if opts.WindowCycles > 0 {
-		opts.OnWindow = func(m WindowMark) { marks = append(marks, m) }
+	// Each boundary OnWindow reports is hashed as the run's cumulative
+	// cycle, user-cycle and instruction counts at that boundary.
+	var marks [][4]uint64
+	var user, insts uint64
+	if gs.hook {
+		opts.OnWindow = func(iv Interval) {
+			user += iv.UserCycles
+			insts += iv.Instructions
+			marks = append(marks, [4]uint64{iv.Start, iv.Start + iv.Cycles, user, insts})
+		}
 	}
 	opts.RandSeed = 7
 	sim := New(cfg, p, opts)
@@ -253,7 +264,7 @@ func goldenDigest(t *testing.T, p *program.Image, cfg Config, opts Options) stri
 
 	tag(h, "windows", uint64(len(marks)))
 	for _, m := range marks {
-		words(h, m.Start, m.Cycle, m.UserCycles, m.Instructions)
+		words(h, m[:]...)
 	}
 
 	tr := sim.Trace()
@@ -297,7 +308,7 @@ func TestGoldenDigests(t *testing.T) {
 			for _, cfg := range machines {
 				for _, gs := range settings {
 					key := gps[i].name + "/" + cfg.Name + "/" + gs.name
-					got[key] = goldenDigest(t, program.Load(prog, program.LoadOptions{}), cfg, gs.opts)
+					got[key] = goldenDigest(t, program.Load(prog, program.LoadOptions{}), cfg, gs)
 					order = append(order, key)
 				}
 			}

@@ -208,17 +208,9 @@ type Sim struct {
 	trueDense    []uint64
 	trueOverflow map[uint64]uint64
 
-	// iv, when non-nil, collects cycle-windowed interval telemetry
-	// (Options.IntervalCycles); nil costs the run loop one compare.
+	// iv, when non-nil, collects the cycle windows
+	// (Options.WindowCycles); nil costs the run loop one compare.
 	iv *intervalTracker
-
-	// onWindow, when non-nil, fires at every winEvery-cycle boundary
-	// (Options.WindowCycles/OnWindow); nil costs the run loop one
-	// compare. winStart/winNext track the open window.
-	onWindow func(WindowMark)
-	winEvery uint64
-	winStart uint64
-	winNext  uint64
 
 	stats Stats
 	err   error
@@ -252,23 +244,20 @@ type Options struct {
 	// observe — the ground truth T_{a} of §III against which real
 	// sampling accuracy is measured. Retrieve with TrueCycles.
 	TrueAttribution bool
-	// IntervalCycles, when non-zero, collects one telemetry Interval
-	// (IPC, ROB occupancy, mispredict rate, cache miss rates, stall
-	// causes) per this many cycles. Retrieve with Intervals. Zero (the
-	// default) disables it. Each interval boundary is one more event for
-	// the run loop's quiet-cycle skipping: it can end a skip early, but
-	// never turns skipping off, and skipped cycles are tallied in bulk.
-	IntervalCycles uint64
-	// WindowCycles, when non-zero, invokes OnWindow at every window
-	// boundary of this many cycles with the run's cumulative counters
-	// (see WindowMark) — the substrate of streaming windowed profiling.
-	// The callback runs synchronously on the simulation goroutine. Zero
-	// (the default) disables it. Like interval boundaries, window
-	// boundaries are events that a quiet-cycle skip stops short of.
+	// WindowCycles, when non-zero, closes one window Interval (IPC,
+	// ROB occupancy, mispredict rate, cache miss rates, stall causes)
+	// per this many cycles. Retrieve with Intervals. Zero (the default)
+	// disables it. Each window boundary is one more event for the run
+	// loop's quiet-cycle skipping: it can end a skip early, but never
+	// turns skipping off, and skipped cycles are tallied in bulk.
 	WindowCycles uint64
-	// OnWindow receives each window boundary; ignored when WindowCycles
-	// is zero.
-	OnWindow func(WindowMark)
+	// OnWindow, when non-nil, receives each Interval the run loop
+	// closes, synchronously on the simulation goroutine, so it may read
+	// simulator-owned state (such as the sample stream) without
+	// locking. The trailing partial window closed at the end of the run
+	// is not delivered; it is the last of Intervals. Ignored when
+	// WindowCycles is zero.
+	OnWindow func(Interval)
 	// RandSeed seeds the program's SysRand generator.
 	RandSeed uint64
 }
@@ -300,14 +289,9 @@ func New(cfg Config, img *program.Image, opts Options) *Sim {
 		s.trueDense = make([]uint64, len(img.Prog.Text))
 		s.trueOverflow = make(map[uint64]uint64)
 	}
-	if opts.IntervalCycles > 0 {
-		s.iv = newIntervalTracker(opts.IntervalCycles)
+	if opts.WindowCycles > 0 {
+		s.iv = newIntervalTracker(opts.WindowCycles, opts.OnWindow)
 		s.iv.open(s) // snapshot the zeroed counters at cycle 0
-	}
-	if opts.WindowCycles > 0 && opts.OnWindow != nil {
-		s.onWindow = opts.OnWindow
-		s.winEvery = opts.WindowCycles
-		s.winNext = opts.WindowCycles
 	}
 	if cfg.UseBimodal {
 		s.dir = branch.NewBimodal(cfg.GshareTableBits)
@@ -445,9 +429,6 @@ func (s *Sim) RunContext(ctx context.Context, maxCycles uint64) (Stats, error) {
 		if s.iv != nil {
 			s.iv.tick(s)
 		}
-		if s.onWindow != nil {
-			s.windowTick()
-		}
 		s.maybeSample()
 		if s.err != nil {
 			return s.stats, s.err
@@ -551,8 +532,8 @@ const noEvent = ^uint64(0)
 // machine state can change: an executing uop finishes (which is also
 // what wakes its consumers and unblocks the ROB head), a full store
 // buffer frees the slot the finished head store waits for, a fetch
-// freeze or a non-pipelined divider expires, or a sampling interrupt,
-// telemetry interval or stream window falls due. A pending skid sample
+// freeze or a non-pipelined divider expires, or a sampling interrupt or
+// the end of a cycle window falls due. A pending skid sample
 // needs no event of its own: it is delivered by the next commit.
 func (s *Sim) nextEvent() uint64 {
 	next := noEvent
@@ -578,9 +559,6 @@ func (s *Sim) nextEvent() uint64 {
 	}
 	if s.iv != nil {
 		at(s.iv.nextAt)
-	}
-	if s.onWindow != nil {
-		at(s.winNext)
 	}
 	return next
 }

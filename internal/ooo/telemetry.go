@@ -1,14 +1,18 @@
 package ooo
 
-// Interval telemetry: an opt-in, cycle-windowed counter stream from the
+// Cycle windows: an opt-in, cycle-windowed counter stream from the
 // simulated core, in the spirit of the paper's figure-2 commit-semantics
 // analysis — the simulator itself becomes an observable device. Every
-// IntervalCycles-cycle window the tracker emits one Interval carrying
+// WindowCycles-cycle window the tracker emits one Interval carrying
 // IPC, average ROB occupancy, branch-mispredict rate, per-level cache
 // miss rates, and a stall-cause breakdown classified from the machine
-// state each cycle (who is blocking the head of the ROB, and why).
+// state each cycle (who is blocking the head of the ROB, and why). The
+// same record is the run's only window: the run loop hands each one it
+// closes to Options.OnWindow, synchronously on the simulation goroutine,
+// so a caller can slice its own per-window data (the sampler's records)
+// at exactly the interval's boundaries.
 //
-// Discipline: the feature is off by default (Options.IntervalCycles ==
+// Discipline: the feature is off by default (Options.WindowCycles ==
 // 0); the run loop then pays exactly one nil pointer compare per
 // simulated cycle. When on, the per-cycle tick is a handful of integer
 // adds against tracker-local fields; the window flush (every N cycles)
@@ -73,6 +77,9 @@ type Interval struct {
 	Start uint64 `json:"start"`
 	// Cycles is the window length (the final window may be short).
 	Cycles uint64 `json:"cycles"`
+	// UserCycles is the part of Cycles spent outside the sampling
+	// interrupt handler.
+	UserCycles uint64 `json:"user_cycles"`
 	// Instructions committed within the window.
 	Instructions uint64 `json:"instructions"`
 	// IPC is Instructions / Cycles.
@@ -94,9 +101,12 @@ type Interval struct {
 type intervalTracker struct {
 	window uint64
 	nextAt uint64 // flush when cycle reaches this
+	// onWindow, when non-nil, receives each window the run loop closes.
+	onWindow func(Interval)
 
 	// Counter values at window start (deltas produce the interval).
 	start       uint64
+	kernel      uint64
 	insts       uint64
 	branches    uint64
 	mispredicts uint64
@@ -113,13 +123,14 @@ type levelSnap struct {
 	misses uint64
 }
 
-func newIntervalTracker(window uint64) *intervalTracker {
-	return &intervalTracker{window: window, nextAt: window}
+func newIntervalTracker(window uint64, onWindow func(Interval)) *intervalTracker {
+	return &intervalTracker{window: window, nextAt: window, onWindow: onWindow}
 }
 
 // open snapshots the shared counters at the start of a window.
 func (iv *intervalTracker) open(s *Sim) {
 	iv.start = s.cycle
+	iv.kernel = s.kernelCycles
 	iv.insts = s.stats.Instructions
 	iv.branches = s.stats.Branches
 	iv.mispredicts = s.stats.Mispredicts
@@ -142,7 +153,9 @@ func (iv *intervalTracker) open(s *Sim) {
 func (iv *intervalTracker) tick(s *Sim) {
 	iv.account(s, 1)
 	if s.cycle >= iv.nextAt {
-		iv.flush(s)
+		if iv.flush(s) && iv.onWindow != nil {
+			iv.onWindow(iv.out[len(iv.out)-1])
+		}
 		iv.open(s)
 		iv.nextAt = s.cycle + iv.window
 	}
@@ -175,16 +188,17 @@ func (iv *intervalTracker) account(s *Sim, n uint64) {
 	}
 }
 
-// flush closes the current window into the output slice. Empty windows
-// (zero cycles) are skipped.
-func (iv *intervalTracker) flush(s *Sim) {
+// flush closes the current window into the output slice and reports
+// whether it did: empty windows (zero cycles) are skipped.
+func (iv *intervalTracker) flush(s *Sim) bool {
 	cycles := s.cycle - iv.start
 	if cycles == 0 {
-		return
+		return false
 	}
 	out := Interval{
 		Start:        iv.start,
 		Cycles:       cycles,
+		UserCycles:   cycles - (s.kernelCycles - iv.kernel),
 		Instructions: s.stats.Instructions - iv.insts,
 		ROBOccupancy: float64(iv.robSum) / float64(cycles),
 		Branches:     s.stats.Branches - iv.branches,
@@ -211,9 +225,13 @@ func (iv *intervalTracker) flush(s *Sim) {
 		out.Cache = append(out.Cache, lr)
 	}
 	iv.out = append(iv.out, out)
+	return true
 }
 
 // finish closes the trailing partial window after the run loop exits.
+// It does not reach OnWindow: the caller learns the run is over when
+// RunContext returns, and finds the trailing window, if any, at the end
+// of Intervals.
 func (iv *intervalTracker) finish(s *Sim) {
 	if iv == nil {
 		return
@@ -223,7 +241,7 @@ func (iv *intervalTracker) finish(s *Sim) {
 }
 
 // Intervals returns the telemetry stream collected so far (nil when
-// Options.IntervalCycles was zero).
+// Options.WindowCycles was zero).
 func (s *Sim) Intervals() []Interval {
 	if s.iv == nil {
 		return nil

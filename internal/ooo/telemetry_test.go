@@ -1,6 +1,7 @@
 package ooo
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -11,7 +12,7 @@ import (
 // sum to the run's total retired instructions.
 func TestIntervalTelemetryConservation(t *testing.T) {
 	src := strings.ReplaceAll(depChainSrc, "%TRIPS%", "2000")
-	s, st := runSim(t, src, XeonW2195(), Options{IntervalCycles: 256})
+	s, st := runSim(t, src, XeonW2195(), Options{WindowCycles: 256})
 	ivs := s.Intervals()
 	if len(ivs) < 4 {
 		t.Fatalf("want several intervals for a %d-cycle run, got %d", st.Cycles, len(ivs))
@@ -67,7 +68,37 @@ func TestIntervalTelemetryConservation(t *testing.T) {
 	}
 }
 
-// TestIntervalTelemetryOffByDefault: without IntervalCycles the sim
+// TestOnWindowDeliversIntervals: OnWindow sees exactly the Intervals
+// the run loop closes, in order, leaving at most the trailing partial
+// window to Intervals alone; with sampling on, the windows' user cycles
+// exclude interrupt time and sum to the run's.
+func TestOnWindowDeliversIntervals(t *testing.T) {
+	src := strings.ReplaceAll(depChainSrc, "%TRIPS%", "2000")
+	var got []Interval
+	s, st := runSim(t, src, XeonW2195(), Options{
+		WindowCycles: 300, SamplePeriod: 700, InterruptCost: 40,
+		OnWindow: func(iv Interval) { got = append(got, iv) },
+	})
+	ivs := s.Intervals()
+	if len(got) < 4 || len(ivs)-len(got) > 1 {
+		t.Fatalf("OnWindow saw %d windows, Intervals has %d", len(got), len(ivs))
+	}
+	if !reflect.DeepEqual(got, ivs[:len(got)]) {
+		t.Error("OnWindow records differ from Intervals")
+	}
+	var user uint64
+	for i, iv := range ivs {
+		if iv.UserCycles > iv.Cycles {
+			t.Errorf("interval %d: %d user cycles exceed %d cycles", i, iv.UserCycles, iv.Cycles)
+		}
+		user += iv.UserCycles
+	}
+	if user != st.UserCycles || st.UserCycles == st.Cycles {
+		t.Errorf("interval user cycles sum to %d, run had %d user of %d cycles", user, st.UserCycles, st.Cycles)
+	}
+}
+
+// TestIntervalTelemetryOffByDefault: without WindowCycles the sim
 // must collect nothing (the disabled path is one nil compare per
 // cycle) and produce identical timing.
 func TestIntervalTelemetryOffByDefault(t *testing.T) {
@@ -76,7 +107,7 @@ func TestIntervalTelemetryOffByDefault(t *testing.T) {
 	if off.Intervals() != nil {
 		t.Error("telemetry collected without opting in")
 	}
-	_, onSt := runSim(t, src, XeonW2195(), Options{IntervalCycles: 128})
+	_, onSt := runSim(t, src, XeonW2195(), Options{WindowCycles: 128})
 	if offSt.Cycles != onSt.Cycles || offSt.Instructions != onSt.Instructions {
 		t.Errorf("telemetry perturbed the simulation: off=%d/%d on=%d/%d cycles/insts",
 			offSt.Cycles, offSt.Instructions, onSt.Cycles, onSt.Instructions)
@@ -89,7 +120,7 @@ func TestIntervalTelemetryOffByDefault(t *testing.T) {
 // execution-side causes (execute + store_buffer), with memory idle.
 func TestIntervalStallsReflectWorkload(t *testing.T) {
 	src := strings.ReplaceAll(depChainSrc, "%TRIPS%", "2000")
-	s, st := runSim(t, src, XeonW2195(), Options{IntervalCycles: 512})
+	s, st := runSim(t, src, XeonW2195(), Options{WindowCycles: 512})
 	ivs := s.Intervals()
 	if len(ivs) == 0 {
 		t.Fatal("no intervals")

@@ -36,8 +36,8 @@ type Drilldown struct {
 
 	// Phases folds the opt-in interval telemetry into runs of
 	// consecutive windows sharing a dominant stall cause; Intervals is
-	// the raw stream for the chart. Both empty without
-	// options.telemetry_window.
+	// the raw stream for the chart. Both empty without a window
+	// (options.stream_window).
 	IntervalWindow uint64         `json:"interval_window,omitempty"`
 	Phases         []DrillPhase   `json:"phases,omitempty"`
 	Intervals      []ooo.Interval `json:"intervals,omitempty"`

@@ -10,7 +10,7 @@ import (
 )
 
 // Phase summary: the text-report rendering of the opt-in interval
-// telemetry stream (Options.TelemetryWindow). An IPC sparkline gives the
+// telemetry stream (Options.Window). An IPC sparkline gives the
 // run's shape at a glance; below it, consecutive windows sharing a
 // dominant stall cause merge into "phases" — the same merging idea the
 // paper applies to loops (§IV-E), applied on the time axis — so a run

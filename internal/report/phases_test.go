@@ -96,7 +96,7 @@ wl:
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, _, err := sampler.Run(ooo.XeonW2195(), prog, sampler.Options{Period: 300, IntervalCycles: 1024})
+	sp, _, err := sampler.Run(ooo.XeonW2195(), prog, sampler.Options{Period: 300, Window: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -364,7 +364,7 @@ func WriteAll(w io.Writer, p *core.Profile) error {
 		return err
 	}
 	// The phase summary renders only when the run collected interval
-	// telemetry (Options.TelemetryWindow); default profiles stay
+	// telemetry (Options.Window); default profiles stay
 	// byte-identical to earlier releases.
 	if len(p.Intervals) > 0 {
 		fmt.Fprintln(w)

@@ -55,11 +55,11 @@ type Profile struct {
 	// Instructions retired by the profiled run.
 	Instructions uint64 `json:"instructions"`
 	// Intervals is the opt-in cycle-windowed telemetry stream from the
-	// simulated core (Options.IntervalCycles); omitted when disabled so
-	// the serialized format is byte-identical to the pre-telemetry one.
+	// simulated core (Options.Window); omitted when disabled so the
+	// serialized format is byte-identical to the pre-telemetry one.
 	Intervals []ooo.Interval `json:"intervals,omitempty"`
-	// IntervalCycles is the telemetry window size that produced
-	// Intervals (0 when disabled).
+	// IntervalCycles is the window size that produced Intervals (0
+	// when disabled).
 	IntervalCycles uint64 `json:"interval_cycles,omitempty"`
 }
 
@@ -101,17 +101,15 @@ type Options struct {
 	RandSeed uint64
 	// MaxCycles bounds the run (0 = unlimited).
 	MaxCycles uint64
-	// IntervalCycles, when non-zero, collects cycle-windowed interval
-	// telemetry from the simulated core (ooo.Options.IntervalCycles).
-	IntervalCycles uint64
-	// WindowCycles, when non-zero together with OnWindow, emits a
-	// profile increment every this many cycles plus a final increment
-	// for the trailing partial window (see window.go). Disabled, the
-	// run pays one nil compare per simulated cycle.
-	WindowCycles uint64
-	// OnWindow receives each increment on the simulation goroutine;
-	// final marks the last increment of the run.
-	OnWindow func(inc *Profile, final bool)
+	// Window, when non-zero, closes one ooo.Interval per this many
+	// simulated cycles (ooo.Options.WindowCycles); they become the
+	// profile's Intervals. Disabled, the run pays one nil compare per
+	// simulated cycle.
+	Window uint64
+	// OnWindow, with Window, receives each window on the simulation
+	// goroutine as it closes, plus a final one for the trailing
+	// partial window (see window.go); final marks the last.
+	OnWindow func(w Window, final bool)
 }
 
 // DefaultInterruptCost approximates the cost of taking, servicing, and
@@ -153,24 +151,19 @@ func RunContext(ctx context.Context, cfg ooo.Config, prog *program.Program, opts
 		mode = ooo.SamplePrecise
 	}
 	var win *windowEmitter
-	var winOpts struct {
-		cycles uint64
-		hook   func(ooo.WindowMark)
-	}
-	if opts.WindowCycles > 0 && opts.OnWindow != nil {
+	var hook func(ooo.Interval)
+	if opts.Window > 0 && opts.OnWindow != nil {
 		win = &windowEmitter{p: profile, emit: opts.OnWindow}
-		winOpts.cycles = opts.WindowCycles
-		winOpts.hook = win.boundary
+		hook = win.boundary
 	}
 	sim := ooo.New(cfg, img, ooo.Options{
-		SamplePeriod:   opts.Period,
-		SampleJitter:   opts.Jitter,
-		SampleMode:     mode,
-		InterruptCost:  opts.InterruptCost,
-		IntervalCycles: opts.IntervalCycles,
-		WindowCycles:   winOpts.cycles,
-		OnWindow:       winOpts.hook,
-		RandSeed:       opts.RandSeed,
+		SamplePeriod:  opts.Period,
+		SampleJitter:  opts.Jitter,
+		SampleMode:    mode,
+		InterruptCost: opts.InterruptCost,
+		WindowCycles:  opts.Window,
+		OnWindow:      hook,
+		RandSeed:      opts.RandSeed,
 		OnSample: func(s ooo.Sample) {
 			off, ok := img.AbsToOff(s.PC)
 			if !ok {
@@ -198,12 +191,12 @@ func RunContext(ctx context.Context, cfg ooo.Config, prog *program.Program, opts
 	profile.TotalCycles = stats.Cycles
 	profile.UserCycles = stats.UserCycles
 	profile.Instructions = stats.Instructions
-	if opts.IntervalCycles > 0 {
+	if opts.Window > 0 {
 		profile.Intervals = sim.Intervals()
-		profile.IntervalCycles = opts.IntervalCycles
+		profile.IntervalCycles = opts.Window
 	}
 	if win != nil {
-		win.final(stats)
+		win.final()
 	}
 	recordRunMetrics(sim, stats)
 	return profile, stats, nil

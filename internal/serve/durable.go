@@ -23,12 +23,11 @@ import (
 // program image itself lives in the store's content-addressed program
 // segment, not the journal.
 type journalSubmit struct {
-	Module       string           `json:"module"`
-	Machine      optiwise.Machine `json:"machine"`
-	TraceID      string           `json:"trace_id,omitempty"`
-	Lineage      string           `json:"lineage,omitempty"`
-	TimeoutMS    int64            `json:"timeout_ms"`
-	StreamWindow uint64           `json:"stream_window,omitempty"`
+	Module    string           `json:"module"`
+	Machine   optiwise.Machine `json:"machine"`
+	TraceID   string           `json:"trace_id,omitempty"`
+	Lineage   string           `json:"lineage,omitempty"`
+	TimeoutMS int64            `json:"timeout_ms"`
 
 	SamplePeriod          uint64  `json:"sample_period,omitempty"`
 	InterruptCost         uint64  `json:"interrupt_cost,omitempty"`
@@ -42,23 +41,21 @@ type journalSubmit struct {
 	InstrASLRSeed         int64   `json:"instr_aslr_seed,omitempty"`
 	RandSeed              uint64  `json:"rand_seed,omitempty"`
 	MaxCycles             uint64  `json:"max_cycles,omitempty"`
-	TelemetryWindow       uint64  `json:"telemetry_window,omitempty"`
+	Window                uint64  `json:"telemetry_window,omitempty"`
 	Tiered                bool    `json:"tiered,omitempty"`
 	HotThreshold          float64 `json:"hot_threshold,omitempty"`
 	AllowDegraded         bool    `json:"allow_degraded,omitempty"`
 }
 
-// newJournalSubmit captures canonicalized options (plus the
-// observation-channel attributes stripped from the content address)
-// into a journal payload.
-func newJournalSubmit(module string, opts optiwise.Options, sub Submission, streamWindow uint64, timeout time.Duration) journalSubmit {
+// newJournalSubmit captures canonicalized options (plus the submission
+// attributes outside the content address) into a journal payload.
+func newJournalSubmit(module string, opts optiwise.Options, sub Submission, timeout time.Duration) journalSubmit {
 	return journalSubmit{
-		Module:       module,
-		Machine:      opts.Machine,
-		TraceID:      sub.TraceID,
-		Lineage:      sub.Lineage,
-		TimeoutMS:    timeout.Milliseconds(),
-		StreamWindow: streamWindow,
+		Module:    module,
+		Machine:   opts.Machine,
+		TraceID:   sub.TraceID,
+		Lineage:   sub.Lineage,
+		TimeoutMS: timeout.Milliseconds(),
 
 		SamplePeriod:          opts.SamplePeriod,
 		InterruptCost:         opts.InterruptCost,
@@ -72,7 +69,7 @@ func newJournalSubmit(module string, opts optiwise.Options, sub Submission, stre
 		InstrASLRSeed:         opts.InstrASLRSeed,
 		RandSeed:              opts.RandSeed,
 		MaxCycles:             opts.MaxCycles,
-		TelemetryWindow:       opts.TelemetryWindow,
+		Window:                opts.Window,
 		Tiered:                opts.Tiered,
 		HotThreshold:          opts.HotThreshold,
 		AllowDegraded:         opts.AllowDegraded,
@@ -80,8 +77,7 @@ func newJournalSubmit(module string, opts optiwise.Options, sub Submission, stre
 }
 
 // toOptions rebuilds the profiling options a replayed submission runs
-// under. StreamWindow is NOT applied here — like a live submission, it
-// rides beside the canonical options and is re-applied per execution.
+// under.
 func (js journalSubmit) toOptions() optiwise.Options {
 	return optiwise.Options{
 		Machine:               js.Machine,
@@ -97,7 +93,7 @@ func (js journalSubmit) toOptions() optiwise.Options {
 		InstrASLRSeed:         js.InstrASLRSeed,
 		RandSeed:              js.RandSeed,
 		MaxCycles:             js.MaxCycles,
-		TelemetryWindow:       js.TelemetryWindow,
+		Window:                js.Window,
 		Tiered:                js.Tiered,
 		HotThreshold:          js.HotThreshold,
 		AllowDegraded:         js.AllowDegraded,
@@ -167,7 +163,7 @@ func (s *Server) persistSubmission(g *group, leader *Job, sub Submission, timeou
 		obs.Warn("serve: persist program failed", obs.F("digest", shortDigest(g.key)), obs.F("err", err.Error()))
 		return
 	}
-	js := newJournalSubmit(g.prog.Module(), g.opts, sub, g.streamWindow, timeout)
+	js := newJournalSubmit(g.prog.Module(), g.opts, sub, timeout)
 	s.appendJournal(durable.RecSubmit, leader.ID, g.key, js)
 }
 
@@ -349,9 +345,7 @@ func (s *Server) resubmitPending() {
 				obs.F("digest", shortDigest(p.key)), obs.F("err", err.Error()))
 			continue
 		}
-		opts := p.submit.toOptions()
-		opts.StreamWindow = p.submit.StreamWindow
-		_, err = s.SubmitWith(prog, opts, Submission{
+		_, err = s.SubmitWith(prog, p.submit.toOptions(), Submission{
 			Timeout: time.Duration(p.submit.TimeoutMS) * time.Millisecond,
 			TraceID: p.submit.TraceID,
 			Lineage: p.submit.Lineage,

@@ -195,7 +195,7 @@ func TestCrashRecoveryIncompleteJobReenqueued(t *testing.T) {
 // the windowed totals intact, not doubled by the re-run's increments.
 func TestCrashRecoveryStreamResumeByteIdentical(t *testing.T) {
 	withRegistry(t)
-	opts := optiwise.Options{SamplePeriod: 300, StreamWindow: 512}
+	opts := optiwise.Options{SamplePeriod: 300, Window: 512}
 	src := progSource(40)
 
 	// Uninterrupted reference: the profile bytes and windowed totals a

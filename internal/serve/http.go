@@ -131,18 +131,13 @@ type submitOptions struct {
 	InstrASLRSeed  int64  `json:"instr_aslr_seed,omitempty"`
 	RandSeed       uint64 `json:"rand_seed,omitempty"`
 	MaxCycles      int64  `json:"max_cycles,omitempty"`
-	// TelemetryWindow enables cycle-windowed interval telemetry from the
-	// sampled run's simulated core (see optiwise.Options.TelemetryWindow);
-	// the stream rides on the JSON export and the job's Chrome trace.
-	TelemetryWindow int64 `json:"telemetry_window,omitempty"`
-	// StreamWindow enables windowed profile streaming: both profiling
-	// passes report a window every N simulated cycles (sampling) /
-	// retired instructions (instrumentation), summarized with running
-	// totals and served live at GET /v1/jobs/{id}/windows. Streaming is
-	// an observation channel: it does not enter the job's content
-	// address, so streamed and plain submissions of the same program
-	// coalesce, and the job's Result is the same either way.
-	StreamWindow int64 `json:"stream_window,omitempty"`
+	// Window is optiwise.Options.Window: cycle windows of the sampled
+	// run's simulated core, which ride on the JSON export, the text
+	// report's phase summary and the job's Chrome trace, and are served
+	// live, with the instrumentation pass's windows, at
+	// GET /v1/jobs/{id}/windows. It is part of the job's content
+	// address. The wire name is kept for existing clients.
+	Window int64 `json:"stream_window,omitempty"`
 	// AllowDegraded opts this job into single-pass (degraded) results
 	// when exactly one profiling pass fails. Degraded results are
 	// flagged in the job status and never cached.
@@ -170,10 +165,8 @@ func (o *submitOptions) toOptions() (optiwise.Options, error) {
 		return opts, fmt.Errorf("loop threshold must be non-negative, got %d", o.LoopThreshold)
 	case o.MaxCycles < 0:
 		return opts, fmt.Errorf("max cycles must be non-negative, got %d", o.MaxCycles)
-	case o.TelemetryWindow < 0:
-		return opts, fmt.Errorf("telemetry window must be non-negative, got %d", o.TelemetryWindow)
-	case o.StreamWindow < 0:
-		return opts, fmt.Errorf("stream window must be non-negative, got %d", o.StreamWindow)
+	case o.Window < 0:
+		return opts, fmt.Errorf("stream window must be non-negative, got %d", o.Window)
 	}
 	opts.SamplePeriod = uint64(o.SamplePeriod)
 	opts.InterruptCost = uint64(o.InterruptCost)
@@ -186,8 +179,7 @@ func (o *submitOptions) toOptions() (optiwise.Options, error) {
 	opts.InstrASLRSeed = o.InstrASLRSeed
 	opts.RandSeed = o.RandSeed
 	opts.MaxCycles = uint64(o.MaxCycles)
-	opts.TelemetryWindow = uint64(o.TelemetryWindow)
-	opts.StreamWindow = uint64(o.StreamWindow)
+	opts.Window = uint64(o.Window)
 	opts.AllowDegraded = o.AllowDegraded
 	opts.Tiered = o.Tiered
 	opts.HotThreshold = o.HotThreshold

@@ -203,10 +203,8 @@ func (j *Job) WriteTrace(w io.Writer, selfNode string, segs []obs.TraceSegment) 
 // running totals so far (see optiwise.StreamSnapshot). Like
 // the trace export, the windows belong to the execution producing the
 // result: jobs served from the result cache never executed and carry
-// none, and jobs whose execution group was not asked to stream (window
-// streaming follows the leader submission's options.stream_window; it is
-// an observation channel, not part of the job's content address) answer
-// with a descriptive error.
+// none, and jobs submitted without a window (options.stream_window, a
+// part of the job's content address) answer with a descriptive error.
 func (j *Job) StreamSnapshot() (*optiwise.StreamSnapshot, error) {
 	j.mu.Lock()
 	g := j.group
@@ -218,7 +216,7 @@ func (j *Job) StreamSnapshot() (*optiwise.StreamSnapshot, error) {
 		}
 		return nil, errors.New("serve: no profile windows recorded for this job")
 	}
-	if g.streamWindow == 0 {
+	if g.opts.Window == 0 {
 		return nil, errors.New("serve: windowed streaming was not requested for this execution (submit with options.stream_window)")
 	}
 	comb := g.combiner()
@@ -341,12 +339,6 @@ type group struct {
 	// members keep their own submitted IDs in their status, but the spans
 	// of the single shared execution are stamped with the leader's.
 	traceID string
-	// streamWindow is the leader submission's requested profile-window
-	// size in cycles (0 = no streaming). Canonicalization strips
-	// StreamWindow from the content-addressed options — streaming is an
-	// observation channel, identical submissions with and without it
-	// share one execution — so the request rides on the group instead.
-	streamWindow uint64
 	// ready, when non-nil, gates execution on the submission's journal
 	// record being durable: the submitter closes it after
 	// persistSubmission, and the worker waits before journaling start.
@@ -368,8 +360,8 @@ type group struct {
 	comb *optiwise.StreamCombiner
 }
 
-func newGroup(key string, prog *optiwise.Program, opts optiwise.Options, streamWindow uint64, leader *Job) *group {
-	g := &group{key: key, prog: prog, opts: opts, streamWindow: streamWindow,
+func newGroup(key string, prog *optiwise.Program, opts optiwise.Options, leader *Job) *group {
+	g := &group{key: key, prog: prog, opts: opts,
 		traceID: leader.TraceID, members: []*Job{leader}}
 	leader.setGroup(g)
 	return g
@@ -491,12 +483,14 @@ func jobKey(prog *optiwise.Program, opts optiwise.Options) (string, error) {
 	// stable canonical encoding of every field, including the cache
 	// geometry.
 	fmt.Fprintf(h, "|machine=%#v", opts.Machine)
+	// The window is written under its older name, telemetry, so keys
+	// of results already on disk stay valid.
 	fmt.Fprintf(h,
 		"|period=%d|intcost=%d|precise=%t|jitter=%t|nostack=%t|attr=%d|unweighted=%t|T=%d|saslr=%d|iaslr=%d|seed=%d|maxcycles=%d|telemetry=%d|tiered=%t|hotthr=%g",
 		opts.SamplePeriod, opts.InterruptCost, opts.Precise, opts.SampleJitter,
 		opts.DisableStackProfiling, opts.Attribution, opts.Unweighted,
 		opts.LoopThreshold, opts.SampleASLRSeed, opts.InstrASLRSeed,
-		opts.RandSeed, opts.MaxCycles, opts.TelemetryWindow,
+		opts.RandSeed, opts.MaxCycles, opts.Window,
 		opts.Tiered, opts.HotThreshold)
 	return hex.EncodeToString(h.Sum(nil)), nil
 }

@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -15,9 +17,9 @@ import (
 // replayed job would get a different key, and the original key's submit
 // record would be re-enqueued on every restart.
 func TestJournalSubmitRoundTrip(t *testing.T) {
-	// Canonical clears these (observation channels and fault injection),
+	// Canonical clears these (the observation hook and fault injection),
 	// so they never reach the key and are not journaled.
-	skip := map[string]bool{"OnIncrement": true, "StreamWindow": true, "FaultSpec": true}
+	skip := map[string]bool{"OnIncrement": true, "FaultSpec": true}
 
 	var opts optiwise.Options
 	v := reflect.ValueOf(&opts).Elem()
@@ -66,7 +68,19 @@ main:
 		t.Fatal(err)
 	}
 
-	js := newJournalSubmit(prog.Module(), canon, Submission{}, 0, time.Second)
+	data, err := json.Marshal(newJournalSubmit(prog.Module(), canon, Submission{}, time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The window is journaled once, under the name replay has always
+	// read it by.
+	if n := strings.Count(string(data), `"telemetry_window":`); n != 1 || strings.Contains(string(data), "stream_window") {
+		t.Errorf("journal record carries the window %d times: %s", n, data)
+	}
+	var js journalSubmit
+	if err := json.Unmarshal(data, &js); err != nil {
+		t.Fatal(err)
+	}
 	replayed := s.canonicalize(js.toOptions())
 	if !reflect.DeepEqual(replayed, canon) {
 		t.Errorf("journal round trip changed the options:\n got %+v\nwant %+v", replayed, canon)
@@ -77,5 +91,18 @@ main:
 	}
 	if got != want {
 		t.Errorf("replayed job key %s, want the original %s", got, want)
+	}
+}
+
+// TestJournalSubmitOldStreamWindow: a submit record written when the
+// streamed window rode beside the options (as stream_window) replays
+// without a window, under the key that record was journaled with.
+func TestJournalSubmitOldStreamWindow(t *testing.T) {
+	var js journalSubmit
+	if err := json.Unmarshal([]byte(`{"module":"m","timeout_ms":1000,"stream_window":4096,"sample_period":300}`), &js); err != nil {
+		t.Fatal(err)
+	}
+	if opts := js.toOptions(); opts.Window != 0 || opts.SamplePeriod != 300 {
+		t.Errorf("replayed options %+v, want period 300 and no window", opts)
 	}
 }

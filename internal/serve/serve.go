@@ -468,11 +468,9 @@ type Submission struct {
 }
 
 // SubmitWith is the full submission entry point: Submit and SubmitTraced
-// delegate here. Beyond validation and canonicalization it captures the
-// observation-channel attributes that are deliberately NOT part of the
-// job's content address — the streamed-window size
-// (Options.StreamWindow) travels on the execution group, and the lineage
-// key on the job — before Canonical strips them.
+// delegate here. Beyond validation and canonicalization it carries the
+// one submission attribute that is deliberately NOT part of the job's
+// content address, the lineage key, on the job.
 func (s *Server) SubmitWith(prog *optiwise.Program, opts optiwise.Options, sub Submission) (*Job, error) {
 	timeout, traceID := sub.Timeout, sub.TraceID
 	if traceID != "" && !obs.ValidTraceID(traceID) {
@@ -481,7 +479,6 @@ func (s *Server) SubmitWith(prog *optiwise.Program, opts optiwise.Options, sub S
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	streamWindow := opts.StreamWindow
 	opts = s.canonicalize(opts)
 	if timeout <= 0 {
 		timeout = s.cfg.DefaultTimeout
@@ -540,7 +537,7 @@ func (s *Server) SubmitWith(prog *optiwise.Program, opts optiwise.Options, sub S
 		// The group finished between our cache probe and now; replace it.
 		delete(s.groups, key)
 	}
-	g := newGroup(key, prog, opts, streamWindow, j)
+	g := newGroup(key, prog, opts, j)
 	if s.store != nil {
 		g.ready = make(chan struct{})
 	}
@@ -998,19 +995,15 @@ func (s *Server) executeOnce(ctx context.Context, g *group) (res *optiwise.Resul
 		return nil, fmt.Errorf("serve: worker: %w", err)
 	}
 	opts := g.opts
-	if g.streamWindow > 0 {
-		// Streaming is layered onto a copy of the canonical options: the
-		// window size was stripped from the content address (identical
-		// submissions with and without streaming share one cache entry),
-		// so it is re-applied only for this execution. Each attempt —
-		// first run, in-process retry, or journal replay after a restart —
-		// gets a fresh combiner and re-runs from cycle 0: both passes are
+	if opts.Window > 0 {
+		// Every execution with a window streams it. Each attempt — first
+		// run, in-process retry, or journal replay after a restart — gets
+		// a fresh combiner and re-runs from cycle 0: both passes are
 		// deterministic, so the re-run emits the same windows and ends
 		// byte-identical to an uninterrupted run, and a half-streamed
 		// failed attempt never double-counts into the next.
 		comb := optiwise.NewStreamCombiner(g.prog)
 		g.setCombiner(comb)
-		opts.StreamWindow = g.streamWindow
 		opts.OnIncrement = func(inc optiwise.Increment) {
 			if err := comb.Add(inc); err != nil {
 				obs.Warn("serve: profile window dropped",
@@ -1186,10 +1179,11 @@ type Stats struct {
 	Durable          bool   `json:"durable,omitempty"`
 	JournalReplays   uint64 `json:"journal_replays,omitempty"`
 	RecordsTruncated uint64 `json:"records_truncated,omitempty"`
-	// WindowsCheckpointed counts the stream windows absorbed by
-	// streamed executions since startup, on every server, durable or
-	// not. It keeps its old name only because the benchmark harness
-	// reads it under that name.
+	// WindowsCheckpointed counts the windows (sampling and
+	// instrumentation) absorbed by executions with a window since
+	// startup, on every server, durable or not. Nothing is
+	// checkpointed; the field keeps its old name only because the
+	// benchmark harness reads it under that name.
 	WindowsCheckpointed uint64 `json:"windows_checkpointed,omitempty"`
 	// Cluster is the routing and membership view contributed by the
 	// cluster layer; omitted on single-node servers.

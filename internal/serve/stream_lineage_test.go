@@ -63,8 +63,9 @@ func getJSON(t *testing.T, url string, out any) int {
 
 // TestWindowsEndpoint drives streamed windowed profiling over HTTP:
 // submit with options.stream_window, and the windows endpoint serves
-// the combined snapshot; jobs without streaming, and cache hits that
-// never executed, answer 409.
+// the combined snapshot, whose sampling windows are the Result's
+// intervals; jobs without a window, and cache hits that never
+// executed, answer 409.
 func TestWindowsEndpoint(t *testing.T) {
 	srv := serve.New(serve.Config{Workers: 2})
 	srv.Start()
@@ -99,25 +100,53 @@ func TestWindowsEndpoint(t *testing.T) {
 	if len(snap.TopFuncs) == 0 || snap.TopFuncs[0].Name != "kernel" {
 		t.Errorf("hottest function: %+v", snap.TopFuncs)
 	}
+	// The window is part of the Result: its JSON report carries one
+	// interval per non-empty sampling window.
+	var export struct {
+		Intervals []struct {
+			Cycles     uint64 `json:"cycles"`
+			UserCycles uint64 `json:"user_cycles"`
+		} `json:"intervals"`
+	}
+	if code := getJSON(t, ts.URL+"/v1/jobs/"+st.ID+"/report?kind=json", &export); code != http.StatusOK {
+		t.Fatalf("json report: status %d", code)
+	}
+	nonEmpty := 0
+	for _, w := range snap.SampleWindows {
+		if w.Cycles > 0 {
+			if nonEmpty < len(export.Intervals) && (export.Intervals[nonEmpty].Cycles != w.Cycles ||
+				export.Intervals[nonEmpty].UserCycles != w.UserCycles) {
+				t.Errorf("window %d: %d/%d cycles, interval %+v", w.Seq, w.Cycles, w.UserCycles, export.Intervals[nonEmpty])
+			}
+			nonEmpty++
+		}
+	}
+	if nonEmpty != len(export.Intervals) {
+		t.Errorf("%d non-empty sampling windows, %d intervals in the report", nonEmpty, len(export.Intervals))
+	}
 	// The absorbed-window counter the benchmark harness reads moves
 	// once per window on every server, durable or not.
 	if got, want := srv.Stats().WindowsCheckpointed, uint64(len(snap.SampleWindows)+len(snap.EdgeWindows)); got != want {
 		t.Errorf("Stats.WindowsCheckpointed = %d, want %d absorbed windows", got, want)
 	}
 
-	// A job that did not request streaming has no windows.
+	// A job without a window has none to serve. The window is part of
+	// the content address, so the same program without it is a
+	// different job.
 	resp = postJSON(t, ts.URL+"/v1/jobs", map[string]any{
-		"source":  progSource(81),
+		"source":  progSource(80),
 		"options": map[string]any{"sample_period": 300},
 	})
 	plain := pollDone(t, ts.URL, decodeStatus(t, resp))
+	if plain.Cached || plain.Digest == st.Digest {
+		t.Errorf("plain submission shared the windowed job's result (digest %s, cached %v)", plain.Digest, plain.Cached)
+	}
 	if code := getJSON(t, ts.URL+"/v1/jobs/"+plain.ID+"/windows", nil); code != http.StatusConflict {
 		t.Errorf("windows on a non-streamed job: status %d, want 409", code)
 	}
 
-	// Streaming is an observation channel, not a profile parameter, so
-	// the resubmission hits the result cache — and a cached job never
-	// executed, so it has no windows either.
+	// The identical resubmission hits the result cache — and a cached
+	// job never executed, so it has no windows either.
 	resp = postJSON(t, ts.URL+"/v1/jobs", submit)
 	cached := pollDone(t, ts.URL, decodeStatus(t, resp))
 	if cached.Digest != st.Digest {

@@ -31,7 +31,7 @@ func TestTraceIDRoundTrip(t *testing.T) {
 
 	body, _ := json.Marshal(map[string]any{
 		"source":  progSource(6),
-		"options": map[string]any{"telemetry_window": 512},
+		"options": map[string]any{"stream_window": 512},
 		"wait":    true,
 	})
 	req, _ := http.NewRequest("POST", ts.URL+"/api/v1/jobs", bytes.NewReader(body))

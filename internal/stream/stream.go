@@ -3,9 +3,10 @@
 // Continuous profiling (§V of the paper discusses per-run overhead; this
 // layer is the repo's continuous-operation extension) splits each of the
 // two OptiWISE passes into a stream of windows: the sampling pass hands
-// over a zero-copy sampler.Profile view of each simulated-cycle window's
-// records and counter deltas, and the instrumentation pass a dbi.Window
-// count summary per retired-instruction window. A Combiner folds them
+// over each simulated-cycle window as a sampler.Window (the window's
+// ooo.Interval, which is also one of the Result's Intervals, plus a
+// zero-copy view of its records), and the instrumentation pass a
+// dbi.Window count summary per retired-instruction window. A Combiner folds them
 // into per-window summaries, running totals and a hot-function list —
 // the mid-run view. It never rebuilds a profile: each pass builds its
 // own profile once, and the run's Result is the one combine of those.
@@ -30,14 +31,15 @@ type Increment struct {
 	// Final marks the trailing increment of a pass (always emitted,
 	// even when empty, as the end-of-stream marker).
 	Final bool
-	// Sample is set on sampling increments: a view of the window's
-	// records and counter deltas. Edge is set on instrumentation
-	// increments.
-	Sample *sampler.Profile
+	// Sample is set on sampling increments: the window's interval and
+	// a view of its records. Edge is set on instrumentation increments.
+	Sample *sampler.Window
 	Edge   *dbi.Window
 }
 
-// SampleWindow summarizes one sampling increment for reporting.
+// SampleWindow summarizes one sampling increment for reporting: a
+// projection of its interval (IPC over user cycles, unlike the
+// interval's own IPC over all cycles) plus its sample count and weight.
 type SampleWindow struct {
 	Seq          int     `json:"seq"`
 	Cycles       uint64  `json:"cycles"`
@@ -168,18 +170,19 @@ func (c *Combiner) addSample(inc Increment) error {
 		fc.Cycles += r.Weight
 		fc.Samples++
 	}
-	c.cycles += inc.Sample.TotalCycles
-	c.userCycles += inc.Sample.UserCycles
-	c.instructions += inc.Sample.Instructions
+	iv := &inc.Sample.Interval
+	c.cycles += iv.Cycles
+	c.userCycles += iv.UserCycles
+	c.instructions += iv.Instructions
 	c.samples += len(inc.Sample.Records)
 	c.sampleWindows = append(c.sampleWindows, SampleWindow{
 		Seq:          inc.Seq,
-		Cycles:       inc.Sample.TotalCycles,
-		UserCycles:   inc.Sample.UserCycles,
-		Instructions: inc.Sample.Instructions,
+		Cycles:       iv.Cycles,
+		UserCycles:   iv.UserCycles,
+		Instructions: iv.Instructions,
 		Samples:      len(inc.Sample.Records),
 		WeightCycles: weight,
-		IPC:          ipc(inc.Sample.Instructions, inc.Sample.UserCycles),
+		IPC:          ipc(iv.Instructions, iv.UserCycles),
 		Final:        inc.Final,
 	})
 	if inc.Final {

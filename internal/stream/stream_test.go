@@ -7,6 +7,7 @@ import (
 	"optiwise/internal/asm"
 	"optiwise/internal/core"
 	"optiwise/internal/dbi"
+	"optiwise/internal/ooo"
 	"optiwise/internal/sampler"
 )
 
@@ -59,13 +60,9 @@ func sampleInc(seq int, final bool, recs []sampler.Record, cycles, user, insts u
 		Pass:  core.PassSampling,
 		Seq:   seq,
 		Final: final,
-		Sample: &sampler.Profile{
-			Module:       "mod",
-			Period:       2000,
-			Records:      recs,
-			TotalCycles:  cycles,
-			UserCycles:   user,
-			Instructions: insts,
+		Sample: &sampler.Window{
+			Interval: ooo.Interval{Cycles: cycles, UserCycles: user, Instructions: insts},
+			Records:  recs,
 		},
 	}
 }

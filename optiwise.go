@@ -205,30 +205,27 @@ type Options struct {
 	// callers (the profiling service) set it so a runaway program cannot
 	// pin a worker forever.
 	MaxCycles uint64
-	// TelemetryWindow, when non-zero, collects cycle-windowed interval
-	// telemetry from the sampled run's simulated core: one record of
-	// IPC, ROB occupancy, branch-mispredict rate, per-level cache miss
-	// rate, and stall-cause breakdown per this many cycles. The stream
-	// rides on the Result (Result.Intervals), is rendered as a phase
-	// summary in the text report, and exports as Chrome-trace counter
-	// tracks. Zero (the default) disables collection entirely; the
-	// simulator then pays one nil compare per cycle.
-	TelemetryWindow uint64
-	// StreamWindow, when non-zero (with OnIncrement), enables streaming
-	// windowed profiling: each pass emits an increment per window —
-	// every StreamWindow simulated cycles for the sampling run and
-	// every StreamWindow retired instructions for the instrumentation
+	// Window, when non-zero, splits the sampled run into windows of
+	// this many simulated cycles. Each window is one record of IPC, ROB
+	// occupancy, branch-mispredict rate, per-level cache miss rate, and
+	// stall-cause breakdown from the simulated core. The records ride
+	// on the Result (Result.Intervals), are rendered as a phase summary
+	// in the text report, and export as Chrome-trace counter tracks, so
+	// Window is a profile parameter and part of the cache identity.
+	// With OnIncrement set, the same windows are also streamed while
+	// the run executes: each pass emits an increment per window — the
+	// sampling run's interval record with its samples, and a count
+	// summary every Window retired instructions of the instrumentation
 	// run (the same loose cycle/instruction equivalence as MaxCycles) —
-	// plus a final increment per pass when it exits. Feed the
-	// increments to a StreamCombiner to watch the run while it is still
-	// executing. Streaming only observes: the Result is the one-shot
-	// profile, byte for byte. Zero disables streaming entirely; the run
-	// loops then pay one nil compare per cycle (sampling) / per block
-	// (instrumentation).
-	StreamWindow uint64
-	// OnIncrement receives every increment, synchronously on the
-	// emitting pass's goroutine. With concurrent passes it is called
-	// from two goroutines; StreamCombiner.Add is safe for that.
+	// plus a final increment per pass when it exits. Zero (the default)
+	// disables windows entirely; the run loops then pay one nil compare
+	// per cycle (sampling) / per block (instrumentation).
+	Window uint64
+	// OnIncrement receives every increment of a run with a Window,
+	// synchronously on the emitting pass's goroutine. With concurrent
+	// passes it is called from two goroutines; StreamCombiner.Add is
+	// safe for that. It only observes: the Result is the same with or
+	// without it.
 	OnIncrement func(stream.Increment)
 	// Tiered enables tiered adaptive instrumentation (DESIGN.md §12):
 	// the sampling pass runs first, its cycle attribution selects which
@@ -316,11 +313,8 @@ func (o Options) Canonical() Options {
 	if !o.Tiered {
 		o.HotThreshold = 0
 	}
-	// Streaming is an observation channel, not a profile parameter: the
-	// increments reconstruct exactly the profile a non-streamed run
-	// produces, so streamed and plain submissions of the same program
-	// must collide in the cache.
-	o.StreamWindow = 0
+	// Observing a run's windows does not change its Result, so the
+	// hook is not part of the profile's identity; the window is.
 	o.OnIncrement = nil
 	return o
 }
@@ -333,11 +327,11 @@ const (
 	maxInterruptCost = 1 << 24
 	maxLoopThreshold = 1 << 20
 	maxMaxCycles     = uint64(1) << 62
-	// Telemetry windows below this would make the interval stream rival
-	// the profile itself in size (one record per window); windows above
-	// the max are indistinguishable from "one interval for the run".
-	minTelemetryWindow = 64
-	maxTelemetryWindow = uint64(1) << 40
+	// Windows below this would make the interval stream rival the
+	// profile itself in size (one record per window); windows above the
+	// max are indistinguishable from "one interval for the run".
+	minWindow = 64
+	maxWindow = uint64(1) << 40
 )
 
 // Validate reports descriptive errors for option values that fill()
@@ -381,24 +375,13 @@ func (o Options) Validate() error {
 		return fmt.Errorf("optiwise: max cycles %d would overflow cycle arithmetic (maximum 2^62)",
 			o.MaxCycles)
 	}
-	if o.TelemetryWindow != 0 {
-		if o.TelemetryWindow < minTelemetryWindow {
-			return fmt.Errorf("optiwise: telemetry window %d below minimum %d (the interval stream would dwarf the profile)",
-				o.TelemetryWindow, minTelemetryWindow)
+	if o.Window != 0 {
+		if o.Window < minWindow {
+			return fmt.Errorf("optiwise: window %d below minimum %d (the interval stream would dwarf the profile)",
+				o.Window, minWindow)
 		}
-		if o.TelemetryWindow > maxTelemetryWindow {
-			return fmt.Errorf("optiwise: telemetry window %d exceeds maximum 2^40", o.TelemetryWindow)
-		}
-	}
-	if o.StreamWindow != 0 {
-		// Same bounds rationale as the telemetry window: one increment
-		// per window, so tiny windows drown the run in hand-offs.
-		if o.StreamWindow < minTelemetryWindow {
-			return fmt.Errorf("optiwise: stream window %d below minimum %d (the increment stream would dwarf the profile)",
-				o.StreamWindow, minTelemetryWindow)
-		}
-		if o.StreamWindow > maxTelemetryWindow {
-			return fmt.Errorf("optiwise: stream window %d exceeds maximum 2^40", o.StreamWindow)
+		if o.Window > maxWindow {
+			return fmt.Errorf("optiwise: window %d exceeds maximum 2^40", o.Window)
 		}
 	}
 	// Written so that NaN, which fails every comparison, is rejected.
@@ -706,7 +689,7 @@ type SampleProfile = sampler.Profile
 type EdgeProfile = dbi.Profile
 
 // Increment is one window's hand-off from a streaming run
-// (Options.StreamWindow / Options.OnIncrement).
+// (Options.Window / Options.OnIncrement).
 type Increment = stream.Increment
 
 // StreamCombiner folds a streaming run's increments into per-window
@@ -747,21 +730,20 @@ func SampleOnlyContext(ctx context.Context, prog *Program, opts Options) (*Sampl
 // filled.
 func samplePass(ctx context.Context, prog *Program, opts Options) (*SampleProfile, ooo.Stats, error) {
 	sopts := sampler.Options{
-		Period:         opts.SamplePeriod,
-		InterruptCost:  opts.InterruptCost,
-		Precise:        opts.Precise,
-		Jitter:         opts.SampleJitter,
-		ASLRSeed:       opts.SampleASLRSeed,
-		RandSeed:       opts.RandSeed,
-		MaxCycles:      opts.MaxCycles,
-		IntervalCycles: opts.TelemetryWindow,
+		Period:        opts.SamplePeriod,
+		InterruptCost: opts.InterruptCost,
+		Precise:       opts.Precise,
+		Jitter:        opts.SampleJitter,
+		ASLRSeed:      opts.SampleASLRSeed,
+		RandSeed:      opts.RandSeed,
+		MaxCycles:     opts.MaxCycles,
+		Window:        opts.Window,
 	}
-	if opts.StreamWindow > 0 && opts.OnIncrement != nil {
+	if opts.Window > 0 && opts.OnIncrement != nil {
 		emit := opts.OnIncrement
 		seq := 0 // emission is synchronous on this pass's goroutine
-		sopts.WindowCycles = opts.StreamWindow
-		sopts.OnWindow = func(inc *sampler.Profile, final bool) {
-			emit(stream.Increment{Pass: core.PassSampling, Seq: seq, Final: final, Sample: inc})
+		sopts.OnWindow = func(w sampler.Window, final bool) {
+			emit(stream.Increment{Pass: core.PassSampling, Seq: seq, Final: final, Sample: &w})
 			seq++
 		}
 	}
@@ -822,10 +804,10 @@ func TieredInstrumentOnlyContext(ctx context.Context, prog *Program, sp *SampleP
 // is the tiered hotness selection.
 func instrumentPass(ctx context.Context, prog *Program, opts Options, sel *dbi.Selection) (*EdgeProfile, error) {
 	dopts := dbiOptions(opts, sel)
-	if opts.StreamWindow > 0 && opts.OnIncrement != nil {
+	if opts.Window > 0 && opts.OnIncrement != nil {
 		emit := opts.OnIncrement
 		seq := 0 // emission is synchronous on this pass's goroutine
-		dopts.WindowInstructions = opts.StreamWindow
+		dopts.WindowInstructions = opts.Window
 		dopts.OnWindow = func(w dbi.Window, final bool) {
 			emit(stream.Increment{Pass: core.PassInstrumentation, Seq: seq, Final: final, Edge: &w})
 			seq++

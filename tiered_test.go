@@ -454,14 +454,13 @@ func TestTieredStreamEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := Options{SamplePeriod: 500, RandSeed: 1, Tiered: true, HotThreshold: 0.05}
+	base := Options{SamplePeriod: 500, RandSeed: 1, Tiered: true, HotThreshold: 0.05, Window: 4096}
 	oneShot, err := Profile(prog, base)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	opts := base
-	opts.StreamWindow = 4096
 	comb := NewStreamCombiner(prog)
 	var mu sync.Mutex
 	var addErr error
