@@ -93,8 +93,8 @@ type StepResult struct {
 	// Taken is set for conditional branches that were taken.
 	Taken bool
 	// Addr is the effective address of memory operations (including
-	// prefetch); zero otherwise. The pipeline simulator uses it to model
-	// cache behaviour without re-deriving operands.
+	// prefetch); zero otherwise. Code.Fetch reports the same address to
+	// the pipeline simulator, which models cache behaviour with it.
 	Addr uint64
 	// Inst is the executed instruction.
 	Inst isa.Instruction

@@ -21,7 +21,7 @@ package interp
 // keeps its own unfused handler so control transfers may still land on
 // it — any entry offset executes the identical architectural sequence.
 //
-// Three dispatch surfaces share one translation:
+// Four dispatch surfaces share one translation:
 //
 //   - ExecBlock: one discovered DBI block (straight-line burst + the
 //     terminator's StepResult) — the instrumented fast path.
@@ -29,6 +29,9 @@ package interp
 //     until control lands on a hot cell, with optional call/ret hooks
 //     so Algorithm 1 stack profiling stays exact across cold code.
 //   - RunContext: a whole-program run equivalent to Machine.RunContext.
+//   - Fetch: exactly one instruction, Step's equivalent for the
+//     pipeline simulator's front end, which must observe the machine
+//     between every two instructions.
 
 import (
 	"context"
@@ -61,10 +64,14 @@ const (
 
 // cell is the translated form of one instruction slot.
 type cell struct {
-	fn    handler
+	fn handler
+	// one is the unfused handler of this slot's own instruction; fn
+	// differs from it only for the head of a fused pair.
+	one   handler
 	width uint8 // instruction slots consumed: 1, or 2 for a fused pair
 	kind  uint8 // terminator kind; tNone for straight-line cells
 	hot   bool  // tiered profiling: slot lies in an instrumented range
+	mem   bool  // load, store or prefetch: Fetch reports rs+imm
 
 	rd, rs, rt isa.Reg
 	imm        int64
@@ -117,7 +124,7 @@ func (c *Code) SetHot(lo, hi uint64) {
 	// split it so the burst's per-cell hot check sees the boundary.
 	if i := lo / isa.InstBytes; i > 0 && i < uint64(len(c.cells)-1) {
 		if prev := &c.cells[i-1]; prev.width == 2 && !prev.hot {
-			prev.fn = straightHandler(prev.inst)
+			prev.fn = prev.one
 			prev.width = 1
 		}
 	}
@@ -138,6 +145,7 @@ func (c *Code) translateCell(cl *cell, inst isa.Instruction) {
 		rd:    inst.Rd, rs: inst.Rs, rt: inst.Rt,
 		imm:  inst.Imm,
 		inst: inst,
+		mem:  inst.Op.IsMemAccess() || inst.Op.Kind() == isa.KindPrefetch,
 	}
 	switch inst.Op {
 	case isa.JMP:
@@ -156,6 +164,7 @@ func (c *Code) translateCell(cl *cell, inst isa.Instruction) {
 		cl.kind = tSYS
 	default:
 		cl.fn = straightHandler(inst)
+		cl.one = cl.fn
 		if cl.fn == nil {
 			// Undecodable op: a trap-on-execute terminator.
 			cl.kind = tBAD
@@ -458,6 +467,36 @@ func (c *Code) ExecBlock(m *Machine, off uint64, n int) (StepResult, error) {
 	return c.execTerm(m, &cells[stop], c.base+off+uint64(n-1)*isa.InstBytes)
 }
 
+// Fetch executes exactly the instruction at m.St.PC, with Step's
+// architectural effect and traps, and leaves the next PC in m.St.PC. It
+// reports the instruction's text slot (module offset / InstBytes), the
+// effective address of a load, store or prefetch (computed before the
+// instruction runs, so a load that overwrites its base register reports
+// the address it read), and whether a conditional branch was taken. The
+// head of a fused pair runs only its own instruction.
+func (c *Code) Fetch(m *Machine) (slot int, addr uint64, taken bool, err error) {
+	pc := m.St.PC
+	if m.Exited {
+		return 0, 0, false, &Trap{PC: pc, Msg: "step after exit"}
+	}
+	slot, ok := c.slotOf(pc)
+	if !ok {
+		return 0, 0, false, &Trap{PC: pc, Msg: "pc outside text segment"}
+	}
+	cl := &c.cells[slot]
+	if cl.mem {
+		addr = m.St.X[cl.rs] + uint64(cl.imm)
+	}
+	if cl.kind == tNone {
+		cl.one(m, cl)
+		m.Steps++
+		m.St.PC = pc + isa.InstBytes
+		return slot, addr, false, nil
+	}
+	res, err := c.execTerm(m, cl, pc)
+	return slot, addr, res.Taken, err
+}
+
 // ColdStatus reports why RunCold returned.
 type ColdStatus uint8
 
@@ -607,12 +646,12 @@ func (c *Code) RunContext(ctx context.Context, m *Machine, limit uint64) error {
 		for cl.kind == tNone {
 			if int64(n)+int64(cl.width) > burst {
 				// Hitting the instruction limit mid-block: finish with
-				// single Steps so ErrLimit retires exactly limit
+				// single Fetches so ErrLimit retires exactly limit
 				// instructions even across a fused pair.
 				m.Steps += uint64(n)
 				m.St.PC = pc + uint64(n)*isa.InstBytes
 				for m.Steps < limit {
-					if _, err := m.Step(); err != nil {
+					if _, _, _, err := c.Fetch(m); err != nil {
 						return err
 					}
 				}

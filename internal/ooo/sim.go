@@ -25,7 +25,7 @@ const (
 type uop struct {
 	seq  uint64
 	pc   uint64 // absolute
-	inst isa.Instruction
+	op   isa.Op
 	kind isa.Kind
 
 	// Dataflow. pending counts source operands whose producer had not
@@ -109,6 +109,12 @@ type Sim struct {
 	img   *program.Image
 	arch  *interp.Machine // functional front-end (fetch stream)
 	cache *cache.Hierarchy
+
+	// code executes the fetch stream one instruction at a time; decoded
+	// holds, per text slot, what dispatch needs that no register value
+	// can change.
+	code    *interp.Code
+	decoded []decoded
 
 	dir branch.DirectionPredictor
 	btb *branch.BTB
@@ -268,6 +274,8 @@ func New(cfg Config, img *program.Image, opts Options) *Sim {
 		cfg:           cfg,
 		img:           img,
 		arch:          interp.New(img, opts.RandSeed),
+		code:          interp.Translate(img),
+		decoded:       predecode(img.Prog.Text),
 		cache:         cache.New(cfg.Cache),
 		btb:           branch.NewBTB(cfg.BTBBits),
 		ras:           branch.NewRAS(cfg.RASDepth),
@@ -598,9 +606,9 @@ func (s *Sim) commit() {
 		}
 		// Maintain the commit-time call stack for perf-style unwinding.
 		switch {
-		case u.inst.Op.IsCall():
+		case u.op.IsCall():
 			s.callStack = append(s.callStack, u.pc+isa.InstBytes)
-		case u.inst.Op.IsReturn():
+		case u.op.IsReturn():
 			if len(s.callStack) > 0 {
 				s.callStack = s.callStack[:len(s.callStack)-1]
 			}
@@ -633,7 +641,7 @@ func (s *Sim) recordTrace(u *uop) {
 		return
 	}
 	s.trace = append(s.trace, TimelineEntry{
-		Seq: u.seq, PC: u.pc, Op: u.inst.Op,
+		Seq: u.seq, PC: u.pc, Op: u.op,
 		Dispatch: u.dispatchC, Start: u.execStartC,
 		Done: u.doneC, Commit: u.commitC,
 	})
@@ -820,8 +828,7 @@ func isBranchKind(k isa.Kind) bool {
 // predictor training and mispredict redirect scheduling.
 func (s *Sim) finishAt(u *uop) {
 	u.state = stIssued
-	op := u.inst.Op
-	switch {
+	switch op := u.op; {
 	case op.IsConditional():
 		// Trained at resolve time.
 		s.dir.Update(u.pc, u.taken)
@@ -868,8 +875,90 @@ func (s *Sim) loadLatency(u *uop) uint64 {
 }
 
 // ---------------------------------------------------------------------------
-// Dispatch stage: pull instructions from the functional trace, predict
+// Dispatch stage: pull instructions from the functional front end, predict
 // branches, rename, and insert into ROB+IQ.
+
+// decoded is the static half of one text slot's dispatch, translated once
+// per image.
+type decoded struct {
+	op   isa.Op
+	kind isa.Kind
+	// srcs[:nsrc] are the lastWriter slots (0-31 int, 32-63 fp) of the
+	// source operands, X0 dropped. A register read twice appears twice:
+	// each read counts toward the consumer's pending.
+	srcs [3]int8
+	nsrc uint8
+	// writes are the lastWriter slots the instruction claims (-1 = none):
+	// the destination or, for calls, RA; and A0 for syscalls.
+	writes [2]int8
+}
+
+// predecode builds the per-slot dispatch table of a text segment.
+func predecode(text []isa.Instruction) []decoded {
+	tab := make([]decoded, len(text))
+	for i, inst := range text {
+		d := &tab[i]
+		op := inst.Op
+		d.op, d.kind, d.writes = op, op.Kind(), [2]int8{-1, -1}
+		src := func(r isa.Reg, fp bool) {
+			switch {
+			case fp:
+				d.srcs[d.nsrc] = int8(r) + 32
+			case r != isa.X0:
+				d.srcs[d.nsrc] = int8(r)
+			default:
+				return
+			}
+			d.nsrc++
+		}
+		switch d.kind {
+		case isa.KindLoad, isa.KindPrefetch, isa.KindIndirect, isa.KindIndCall:
+			src(inst.Rs, false)
+		case isa.KindStore:
+			src(inst.Rs, false)
+			src(inst.Rt, op.ReadsFP())
+		case isa.KindBranch:
+			src(inst.Rs, false)
+			src(inst.Rt, false)
+		case isa.KindReturn:
+			src(isa.RA, false)
+		case isa.KindSyscall:
+			src(isa.A7, false)
+			src(isa.A0, false)
+		case isa.KindJump, isa.KindCall, isa.KindNop:
+		default: // ALU, multiply, divide and FP compute
+			switch op {
+			case isa.LUI:
+			case isa.CMOVZ, isa.CMOVNZ:
+				src(inst.Rs, false)
+				src(inst.Rt, false)
+				src(inst.Rd, false) // the old value conditionally survives
+			case isa.ADDI, isa.ANDI, isa.ORI, isa.XORI, isa.SLLI, isa.SRLI,
+				isa.SRAI, isa.SLTI, isa.SLTIU, isa.FCVTDL, isa.FMVDX:
+				src(inst.Rs, false)
+			case isa.FSQRT, isa.FNEG, isa.FMOV, isa.FCVTLD, isa.FMVXD:
+				src(inst.Rs, true)
+			default:
+				fp := op.ReadsFP()
+				src(inst.Rs, fp)
+				src(inst.Rt, fp)
+			}
+		}
+		switch d.kind {
+		case isa.KindLoad, isa.KindALU, isa.KindMul, isa.KindDiv, isa.KindFPU, isa.KindFDiv:
+			if op.WritesFP() {
+				d.writes[0] = int8(inst.Rd) + 32
+			} else if inst.Rd != isa.X0 {
+				d.writes[0] = int8(inst.Rd)
+			}
+		case isa.KindCall, isa.KindIndCall:
+			d.writes[0] = int8(isa.RA)
+		case isa.KindSyscall:
+			d.writes[1] = int8(isa.A0)
+		}
+	}
+	return tab
+}
 
 func (s *Sim) dispatch() {
 	s.clearPendingSyscall()
@@ -885,29 +974,39 @@ func (s *Sim) dispatch() {
 			s.fetchDone = true
 			return
 		}
-		step, err := s.arch.Step()
+		pc := s.arch.St.PC
+		slot, addr, taken, err := s.code.Fetch(s.arch)
 		if err != nil {
 			s.err = err
 			s.fetchDone = true
 			return
 		}
+		d := &s.decoded[slot]
 		s.seq++
+		// A recycled record is overwritten field by field; its consumer
+		// list is already empty (a producer empties it when it finishes,
+		// before it can commit) and keeps its backing array.
 		u := s.newUop()
-		consumers := u.consumers[:0]
-		*u = uop{
-			seq:         s.seq,
-			pc:          step.PC,
-			inst:        step.Inst,
-			kind:        step.Inst.Op.Kind(),
-			taken:       step.Taken,
-			nextPC:      step.NextPC,
-			dispatchC:   s.cycle,
-			state:       stWaiting,
-			inSampleROB: true,
-			writes:      [2]int8{-1, -1},
-			consumers:   consumers,
+		u.seq, u.pc, u.op, u.kind = s.seq, pc, d.op, d.kind
+		u.pending, u.consumers = 0, u.consumers[:0]
+		u.addr, u.taken, u.nextPC = addr, taken, s.arch.St.PC
+		u.state, u.doneC, u.inSampleROB, u.mispredicted = stWaiting, 0, true, false
+		u.dispatchC, u.execStartC, u.commitC = s.cycle, 0, 0
+		// Rename: a producer that has not finished gains u as a consumer.
+		// Dispatch runs after this cycle's broadcast, so an issued
+		// producer is still executing.
+		for _, r := range d.srcs[:d.nsrc] {
+			if w := s.lastWriter[r]; w != nil && w.state != stDone {
+				u.pending++
+				w.consumers = append(w.consumers, u)
+			}
 		}
-		s.resolveDeps(u, step)
+		u.writes = d.writes
+		for _, wi := range d.writes {
+			if wi >= 0 {
+				s.lastWriter[wi] = u
+			}
+		}
 		if isBranchKind(u.kind) {
 			s.unresolvedBranches++
 		}
@@ -936,7 +1035,7 @@ func (s *Sim) dispatch() {
 			s.redirectBranch = u
 			return
 		}
-		if step.Taken || u.kind == isa.KindJump || u.kind == isa.KindCall ||
+		if taken || u.kind == isa.KindJump || u.kind == isa.KindCall ||
 			u.kind == isa.KindIndirect || u.kind == isa.KindIndCall ||
 			u.kind == isa.KindReturn {
 			// Taken control flow ends the fetch group.
@@ -951,120 +1050,9 @@ func (s *Sim) clearPendingSyscall() {
 	}
 }
 
-// resolveDeps renames u's sources against in-flight producers and records
-// its effective address; it also updates the writer table. A producer
-// that has not finished gains u as a consumer. Dispatch runs after this
-// cycle's broadcast, so an issued producer is still executing.
-func (s *Sim) resolveDeps(u *uop, step interp.StepResult) {
-	op := u.inst.Op
-	addDep := func(r isa.Reg, fp bool) {
-		if !fp && r == isa.X0 {
-			return
-		}
-		idx := int(r)
-		if fp {
-			idx += 32
-		}
-		if w := s.lastWriter[idx]; w != nil && w.state != stDone {
-			u.pending++
-			w.consumers = append(w.consumers, u)
-		}
-	}
-
-	switch op.Kind() {
-	case isa.KindLoad, isa.KindPrefetch:
-		addDep(u.inst.Rs, false)
-	case isa.KindStore:
-		addDep(u.inst.Rs, false)
-		addDep(u.inst.Rt, op.ReadsFP())
-	case isa.KindBranch:
-		addDep(u.inst.Rs, false)
-		addDep(u.inst.Rt, false)
-	case isa.KindIndirect, isa.KindIndCall:
-		addDep(u.inst.Rs, false)
-	case isa.KindJump, isa.KindCall, isa.KindReturn, isa.KindSyscall, isa.KindNop:
-		if op == isa.RET {
-			addDep(isa.RA, false)
-		}
-		if op == isa.SYSCALL {
-			addDep(isa.A7, false)
-			addDep(isa.A0, false)
-		}
-	default:
-		// ALU / FP compute.
-		switch op {
-		case isa.LUI:
-			// no sources
-		case isa.ADDI, isa.ANDI, isa.ORI, isa.XORI, isa.SLLI, isa.SRLI,
-			isa.SRAI, isa.SLTI, isa.SLTIU:
-			addDep(u.inst.Rs, false)
-		case isa.CMOVZ, isa.CMOVNZ:
-			addDep(u.inst.Rs, false)
-			addDep(u.inst.Rt, false)
-			addDep(u.inst.Rd, false) // old value conditionally survives
-		case isa.FSQRT, isa.FNEG, isa.FMOV:
-			addDep(u.inst.Rs, true)
-		case isa.FCVTDL, isa.FMVDX:
-			addDep(u.inst.Rs, false)
-		case isa.FCVTLD, isa.FMVXD:
-			addDep(u.inst.Rs, true)
-		case isa.FEQ, isa.FLT, isa.FLE:
-			addDep(u.inst.Rs, true)
-			addDep(u.inst.Rt, true)
-		default:
-			fp := op.ReadsFP()
-			addDep(u.inst.Rs, fp)
-			addDep(u.inst.Rt, fp)
-		}
-	}
-
-	if op.IsMemAccess() || op.Kind() == isa.KindPrefetch {
-		u.addr = step.Addr
-	}
-
-	// Writer table update. The cases are disjoint in the register they
-	// claim — destReg covers compute/load kinds, IsCall covers calls —
-	// so writes[0] takes the destination slot and writes[1] the syscall
-	// A0 slot; commit uses them to clear the table entries.
-	if d, fp, ok := destReg(u.inst); ok {
-		idx := int(d)
-		if fp {
-			idx += 32
-		}
-		if idx != 0 || fp {
-			s.lastWriter[idx] = u
-			u.writes[0] = int8(idx)
-		}
-	}
-	if op.IsCall() {
-		s.lastWriter[isa.RA] = u
-		u.writes[0] = int8(isa.RA)
-	}
-	if op == isa.SYSCALL {
-		s.lastWriter[isa.A0] = u
-		u.writes[1] = int8(isa.A0)
-	}
-}
-
-// destReg reports the destination register of inst, and whether it is an
-// FP register.
-func destReg(inst isa.Instruction) (isa.Reg, bool, bool) {
-	op := inst.Op
-	switch op.Kind() {
-	case isa.KindLoad:
-		return inst.Rd, op.WritesFP(), true
-	case isa.KindALU, isa.KindMul, isa.KindDiv:
-		return inst.Rd, false, true
-	case isa.KindFPU, isa.KindFDiv:
-		return inst.Rd, op.WritesFP(), true
-	}
-	return 0, false, false
-}
-
 // predict runs the front-end predictors for u and marks mispredicts.
 func (s *Sim) predict(u *uop) {
-	op := u.inst.Op
-	switch {
+	switch op := u.op; {
 	case op.IsConditional():
 		s.stats.Branches++
 		if s.dir.Predict(u.pc) != u.taken {
