@@ -6,9 +6,28 @@
 // an LLC miss produces the CPI≈279 loads the deepsjeng case study (§VI-B)
 // hunts. The geometry defaults mimic the paper's Xeon W-2195 (1.1/18/24 MiB
 // L1/L2/L3 per §V).
+//
+// A level costs what the simulated program touches, not what the modelled
+// machine holds: its sets are built in chunks of 64, each on the first fill
+// that lands in it. A program whose data fits in a few hundred KiB never
+// builds most of the Xeon's 24 MiB L3.
 package cache
 
 import "fmt"
+
+// A level's sets are stored in chunks of chunkSets sets; a level with
+// fewer sets is one chunk of exactly its size.
+const (
+	chunkBits = 6
+	chunkSets = 1 << chunkBits
+)
+
+// way is one cache way: tag holds the cached line number plus one, so the
+// zero value is an invalid way, and lru its last-touch stamp.
+type way struct {
+	tag uint64
+	lru uint64
+}
 
 // Level is one set-associative cache level with LRU replacement.
 type Level struct {
@@ -18,13 +37,11 @@ type Level struct {
 	lineBits uint
 	latency  uint64
 
-	// Way w of set s lives at index s*ways+w of each array, so a level
-	// is three allocations however many sets it has.
-	tags []uint64
-	// lru holds each way's last-touch stamp.
-	lru   []uint64
-	valid []bool
-	stamp uint64
+	// chunks[c] holds sets c*chunkSets onwards, way w of the chunk's set
+	// s at index s*ways+w. A nil chunk has never been filled: every way
+	// in it is invalid.
+	chunks [][]way
+	stamp  uint64
 
 	// Stats.
 	Hits   uint64
@@ -48,13 +65,10 @@ func NewLevel(name string, size, ways, lineSize int, latency uint64) *Level {
 			panic("bad line size")
 		}
 	}
-	l := &Level{
+	return &Level{
 		name: name, sets: sets, ways: ways, lineBits: lineBits, latency: latency,
-		tags:  make([]uint64, sets*ways),
-		lru:   make([]uint64, sets*ways),
-		valid: make([]bool, sets*ways),
+		chunks: make([][]way, (sets+chunkSets-1)/chunkSets),
 	}
-	return l
 }
 
 // Name returns the level's label ("L1", …).
@@ -63,42 +77,61 @@ func (l *Level) Name() string { return l.name }
 // Latency returns the hit latency in cycles.
 func (l *Level) Latency() uint64 { return l.latency }
 
-// set returns the first array index of addr's set, and addr's line.
+// set returns addr's set index and its tag (line number plus one).
 func (l *Level) set(addr uint64) (int, uint64) {
 	line := addr >> l.lineBits
-	return int(line&uint64(l.sets-1)) * l.ways, line
+	return int(line & uint64(l.sets-1)), line + 1
+}
+
+// waysOf returns the ways of set, or nil when its chunk was never filled.
+func (l *Level) waysOf(set int) []way {
+	c := l.chunks[set>>chunkBits]
+	if c == nil {
+		return nil
+	}
+	base := (set & (chunkSets - 1)) * l.ways
+	return c[base : base+l.ways]
 }
 
 // lookup probes for addr and updates LRU on hit.
 func (l *Level) lookup(addr uint64) bool {
-	base, line := l.set(addr)
+	set, tag := l.set(addr)
 	l.stamp++
-	for i := base; i < base+l.ways; i++ {
-		if l.valid[i] && l.tags[i] == line {
-			l.lru[i] = l.stamp
+	ws := l.waysOf(set)
+	for i := range ws {
+		if ws[i].tag == tag {
+			ws[i].lru = l.stamp
 			return true
 		}
 	}
 	return false
 }
 
-// fill installs addr's line, evicting LRU.
+// fill installs addr's line, evicting the first invalid way, else the
+// first least-recently-used one.
 func (l *Level) fill(addr uint64) {
-	base, line := l.set(addr)
-	victim := base
-	for i := base; i < base+l.ways; i++ {
-		if !l.valid[i] {
+	set, tag := l.set(addr)
+	ws := l.waysOf(set)
+	if ws == nil {
+		n := chunkSets
+		if l.sets < n {
+			n = l.sets
+		}
+		l.chunks[set>>chunkBits] = make([]way, n*l.ways)
+		ws = l.waysOf(set)
+	}
+	victim := 0
+	for i := range ws {
+		if ws[i].tag == 0 {
 			victim = i
 			break
 		}
-		if l.lru[i] < l.lru[victim] {
+		if ws[i].lru < ws[victim].lru {
 			victim = i
 		}
 	}
 	l.stamp++
-	l.tags[victim] = line
-	l.valid[victim] = true
-	l.lru[victim] = l.stamp
+	ws[victim] = way{tag: tag, lru: l.stamp}
 }
 
 // Hierarchy is an inclusive multi-level cache hierarchy backed by a
@@ -163,44 +196,40 @@ func New(cfg Config) *Hierarchy {
 
 // Access looks addr up, filling all levels on the way back (inclusive),
 // and returns the access latency in cycles.
-func (h *Hierarchy) Access(addr uint64) uint64 {
-	for i, l := range h.levels {
-		if l.lookup(addr) {
-			l.Hits++
-			// Fill the levels above the hit.
-			for j := 0; j < i; j++ {
-				h.levels[j].fill(addr)
-			}
-			return l.latency
-		}
-		l.Misses++
-	}
-	h.MemAccesses++
-	for _, l := range h.levels {
-		l.fill(addr)
-	}
-	return h.memLatency
-}
+func (h *Hierarchy) Access(addr uint64) uint64 { return h.access(addr, true) }
 
-// Prefetch pulls addr's line into every level without charging latency to
-// the caller. It returns the latency the fill would have cost, which the
-// pipeline model uses to decide when the line becomes usable.
-func (h *Hierarchy) Prefetch(addr uint64) uint64 {
-	// A prefetch is an access whose latency is hidden; tag state changes
-	// identically.
+// Prefetch pulls addr's line into every level, changing tag state exactly
+// as Access does. It counts MemAccesses but no per-level Hits or Misses,
+// which count demand accesses only. It returns the latency the access
+// would have cost; the pipeline charges a prefetch one cycle and does not
+// use it.
+func (h *Hierarchy) Prefetch(addr uint64) uint64 { return h.access(addr, false) }
+
+// access walks the levels for addr, fills the levels above the one that
+// hits (all of them on a miss to memory) and returns the latency. demand
+// selects whether the per-level Hits and Misses count the walk.
+func (h *Hierarchy) access(addr uint64, demand bool) uint64 {
+	lat := h.memLatency
+	hit := len(h.levels)
 	for i, l := range h.levels {
 		if l.lookup(addr) {
-			for j := 0; j < i; j++ {
-				h.levels[j].fill(addr)
+			if demand {
+				l.Hits++
 			}
-			return l.latency
+			lat, hit = l.latency, i
+			break
+		}
+		if demand {
+			l.Misses++
 		}
 	}
-	h.MemAccesses++
-	for _, l := range h.levels {
+	if hit == len(h.levels) {
+		h.MemAccesses++
+	}
+	for _, l := range h.levels[:hit] {
 		l.fill(addr)
 	}
-	return h.memLatency
+	return lat
 }
 
 // Levels exposes the per-level stats.
@@ -208,17 +237,3 @@ func (h *Hierarchy) Levels() []*Level { return h.levels }
 
 // MemLatency returns the backing memory latency in cycles.
 func (h *Hierarchy) MemLatency() uint64 { return h.memLatency }
-
-// Stats renders a one-line summary per level.
-func (h *Hierarchy) Stats() string {
-	s := ""
-	for _, l := range h.levels {
-		total := l.Hits + l.Misses
-		rate := 0.0
-		if total > 0 {
-			rate = float64(l.Hits) / float64(total)
-		}
-		s += fmt.Sprintf("%s: %d/%d hits (%.1f%%)  ", l.name, l.Hits, total, 100*rate)
-	}
-	return s + fmt.Sprintf("mem: %d", h.MemAccesses)
-}

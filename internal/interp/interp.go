@@ -457,10 +457,8 @@ func umul128(a, b uint64) (hi, lo uint64) {
 	return hi, lo
 }
 
-// TakeBranch reports whether a conditional branch with the given operand
-// values is taken. Exported logic shared with the pipeline simulator.
-func TakeBranch(op isa.Op, a, b uint64) bool { return takeBranch(op, a, b) }
-
+// takeBranch reports whether a conditional branch with the given operand
+// values is taken.
 func takeBranch(op isa.Op, a, b uint64) bool {
 	switch op {
 	case isa.BEQ:

@@ -3,6 +3,8 @@ package ooo
 import (
 	"strings"
 	"testing"
+
+	"optiwise/internal/isa"
 )
 
 // Store-to-load forwarding: a load from a just-stored address must not pay
@@ -30,6 +32,57 @@ loop:
 	perIter := float64(st.Cycles) / 30000
 	if perIter > 6 {
 		t.Errorf("%.1f cycles/iter: store forwarding seems broken", perIter)
+	}
+
+	// One load and one store to the same cold word. The load's address
+	// waits on a divide, so the store, whose address is ready at once,
+	// has executed by the time the load issues but cannot commit before
+	// it. Only a store older than the load may forward.
+	const order = `
+.func main
+main:
+    li s10, 0x100000000000
+    li t0, 7
+    div t3, t0, t0
+    addi t3, t3, -1
+    add s11, s10, t3
+    %FIRST%
+    %SECOND%
+    li a0, 0
+    li a7, 93
+    syscall
+.endfunc
+`
+	load, store := "ld t2, 0(s11)", "st t1, 0(s10)"
+	for _, tc := range []struct {
+		name          string
+		first, second string
+		want          uint64
+	}{
+		{"older store forwards", store, load, 2},
+		{"younger store does not forward", load, store, XeonW2195().Cache.MemLatency},
+	} {
+		src := strings.NewReplacer("%FIRST%", tc.first, "%SECOND%", tc.second).Replace(order)
+		s, _ := runSim(t, src, XeonW2195(), Options{TraceLimit: 100})
+		var ld, st *TimelineEntry
+		for i, e := range s.Trace() {
+			switch e.Op {
+			case isa.LD:
+				ld = &s.Trace()[i]
+			case isa.ST:
+				st = &s.Trace()[i]
+			}
+		}
+		if ld == nil || st == nil {
+			t.Fatalf("%s: trace lacks the load or the store", tc.name)
+		}
+		if st.Done > ld.Start || st.Commit <= ld.Start {
+			t.Fatalf("%s: store executed %d..%d, committed %d; load issued %d: the store was not in flight",
+				tc.name, st.Start, st.Done, st.Commit, ld.Start)
+		}
+		if lat := ld.Done - ld.Start; lat != tc.want {
+			t.Errorf("%s: load latency %d, want %d", tc.name, lat, tc.want)
+		}
 	}
 }
 

@@ -132,6 +132,14 @@ type Sim struct {
 	robLen  int
 	robMask int
 
+	// The store queue holds the in-flight stores (the ROB's store
+	// entries) oldest first, in a ring sized like the ROB's: dispatch
+	// pushes each store, commit pops it as it moves to the store buffer.
+	// Store-to-load forwarding searches it instead of the whole ROB.
+	sqBuf  []*uop
+	sqHead int
+	sqLen  int
+
 	// iqLen counts dispatched uops that have not issued yet; it gates
 	// dispatch at IQSize. readyQ holds those whose operands are all
 	// available, in dispatch (seq) order, which is the order the issue
@@ -315,6 +323,7 @@ func New(cfg Config, img *program.Image, opts Options) *Sim {
 	}
 	s.robBuf = make([]*uop, robCap)
 	s.robMask = robCap - 1
+	s.sqBuf = make([]*uop, robCap)
 	s.readyQ = make([]*uop, 0, cfg.IQSize)
 	s.exec = make([]*uop, 0, cfg.IQSize)
 	// One uop record per possible in-flight slot plus the commit group
@@ -345,6 +354,9 @@ func (s *Sim) robPopFront() {
 	s.robHead = (s.robHead + 1) & s.robMask
 	s.robLen--
 }
+
+// sqAt returns the i-th oldest in-flight store.
+func (s *Sim) sqAt(i int) *uop { return s.sqBuf[(s.sqHead+i)&s.robMask] }
 
 // newUop returns a zeroed-by-caller uop record, recycled when possible.
 func (s *Sim) newUop() *uop {
@@ -603,6 +615,10 @@ func (s *Sim) commit() {
 			done := drainStart + s.cache.Access(u.addr)
 			s.lastDrain = done
 			s.sb = append(s.sb, sbEntry{addr: u.addr, drainDone: done})
+			// The committing store is the oldest in flight.
+			s.sqBuf[s.sqHead] = nil
+			s.sqHead = (s.sqHead + 1) & s.robMask
+			s.sqLen--
 		}
 		// Maintain the commit-time call stack for perf-style unwinding.
 		switch {
@@ -856,13 +872,11 @@ func canAbort(k isa.Kind) bool {
 // loadLatency computes a load's latency, checking store forwarding first.
 func (s *Sim) loadLatency(u *uop) uint64 {
 	line := u.addr >> 3
-	// Forward from an older in-flight store to the same 8-byte word.
-	for i := s.robLen - 1; i >= 0; i-- {
-		o := s.robAt(i)
-		if o.seq >= u.seq {
-			continue
-		}
-		if o.kind == isa.KindStore && o.addr>>3 == line {
+	// Forward from an older in-flight store to the same 8-byte word,
+	// youngest first.
+	for i := s.sqLen - 1; i >= 0; i-- {
+		o := s.sqAt(i)
+		if o.seq < u.seq && o.addr>>3 == line {
 			return 2 // store-to-load forward
 		}
 	}
@@ -1018,6 +1032,10 @@ func (s *Sim) dispatch() {
 			u.inSampleROB = false
 		}
 		s.robPush(u)
+		if u.kind == isa.KindStore {
+			s.sqBuf[(s.sqHead+s.sqLen)&s.robMask] = u
+			s.sqLen++
+		}
 		s.iqLen++
 		if u.pending == 0 {
 			// The youngest uop: appending keeps the queue in seq order.
