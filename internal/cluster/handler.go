@@ -11,7 +11,6 @@ import (
 
 	"optiwise/internal/fault"
 	"optiwise/internal/obs"
-	"optiwise/internal/serve"
 )
 
 // Cluster protocol headers.
@@ -37,7 +36,7 @@ const (
 func (n *Node) Handler() http.Handler {
 	base := n.srv.Handler()
 	mux := http.NewServeMux()
-	submit := n.submitHandler(base)
+	submit := n.submitHandler()
 	lookup := n.lookupHandler(base)
 	for _, prefix := range []string{"/v1", "/api/v1"} {
 		mux.Handle("POST "+prefix+"/jobs", submit)
@@ -60,69 +59,50 @@ func (n *Node) Handler() http.Handler {
 	return mux
 }
 
-// submitHandler routes POST /v1/jobs. The body is read once, decoded
-// to compute the submission's canonical key, and relayed verbatim to
-// the key's owner; on a connection failure the next ring owner is
-// tried (forward failover), and when every owner is unreachable the
-// node executes locally — accepting work redundantly beats bouncing
-// it.
-func (n *Node) submitHandler(base http.Handler) http.Handler {
+// submitHandler routes POST /v1/jobs. The server reads and decodes the
+// body once, and route sends it verbatim to the key's owner; on a
+// connection failure the next ring owner is tried (forward failover),
+// and when every owner is unreachable the node executes locally —
+// accepting work redundantly beats bouncing it. Malformed submissions
+// are answered here, exactly as on a single node.
+func (n *Node) submitHandler() http.Handler {
+	submit := n.srv.SubmitHandler(n.route)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		ring := n.mem.Ring()
-		if r.Header.Get(hdrForwarded) != "" || ring.Size() <= 1 {
-			w.Header().Set(hdrNode, n.cfg.Self)
-			base.ServeHTTP(w, r)
-			return
-		}
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, n.srv.Config().MaxBodyBytes))
-		if err != nil {
-			writeJSONError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", n.srv.Config().MaxBodyBytes))
-			return
-		}
-		local := func() {
-			w.Header().Set(hdrNode, n.cfg.Self)
-			r2 := r.Clone(r.Context())
-			r2.Body = io.NopCloser(bytes.NewReader(body))
-			r2.ContentLength = int64(len(body))
-			base.ServeHTTP(w, r2)
-		}
-		prog, opts, err := serve.DecodeSubmission(body)
-		if err != nil {
-			// Malformed submissions are answered locally so the error
-			// rendering (shape, status) stays identical to a single node.
-			local()
-			return
-		}
-		key, err := n.srv.CanonicalKey(prog, opts)
-		if err != nil {
-			local()
-			return
-		}
-		// Pin the trace ID before routing: the forwarded submission, the
-		// owner's spans, and every later hop (peer fetch, replication) must
-		// share one ID for the stitched trace to assemble. An incoming
-		// traceparent wins; otherwise the router mints.
-		traceID, err := obs.ParseTraceparent(r.Header.Get("traceparent"))
-		if err != nil {
-			traceID = obs.NewTraceID()
-		}
-		owners := ring.Owners(key, n.cfg.ForwardAttempts)
-		for _, owner := range owners {
-			if owner == n.cfg.Self {
-				local()
-				return
-			}
-			if relayed := n.forward(w, r, owner, body, traceID); relayed {
-				return
-			}
-			n.forwardFailovers.Add(1)
-			n.metrics.forwardFailovers.Inc()
-		}
-		obs.Warn("cluster: all ring owners unreachable, executing locally",
-			obs.F("digest", shortKey(key)), obs.F("owners", fmt.Sprint(owners)))
-		local()
+		// A forward that relays the owner's answer renames the node.
+		w.Header().Set(hdrNode, n.cfg.Self)
+		submit(w, r)
 	})
+}
+
+// route is the serve.Route of a cluster node: it forwards a submission
+// whose key another node owns and reports false when the job runs here.
+func (n *Node) route(w http.ResponseWriter, r *http.Request, body []byte, key string) bool {
+	ring := n.mem.Ring()
+	if r.Header.Get(hdrForwarded) != "" || ring.Size() <= 1 {
+		return false
+	}
+	// Pin the trace ID before routing: the forwarded submission, the
+	// owner's spans, and every later hop (peer fetch, replication) must
+	// share one ID for the stitched trace to assemble. An incoming
+	// traceparent wins; otherwise the router mints.
+	traceID, err := obs.ParseTraceparent(r.Header.Get("traceparent"))
+	if err != nil {
+		traceID = obs.NewTraceID()
+	}
+	owners := ring.Owners(key, n.cfg.ForwardAttempts)
+	for _, owner := range owners {
+		if owner == n.cfg.Self {
+			return false
+		}
+		if relayed := n.forward(w, r, owner, body, traceID); relayed {
+			return true
+		}
+		n.forwardFailovers.Add(1)
+		n.metrics.forwardFailovers.Inc()
+	}
+	obs.Warn("cluster: all ring owners unreachable, executing locally",
+		obs.F("digest", shortKey(key)), obs.F("owners", fmt.Sprint(owners)))
+	return false
 }
 
 // forward relays one submission to owner and, on success, the full

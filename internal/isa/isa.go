@@ -388,15 +388,18 @@ var intRegsByName = func() map[string]Reg {
 	return m
 }()
 
-// FPRegByName resolves an FP register by name ("f7").
+// FPRegByName resolves an FP register by its canonical name ("f7"):
+// exactly the names FPRegName returns, so "f07", "f+1" and "F1" are not
+// registers.
 func FPRegByName(name string) (Reg, bool) {
-	var n int
-	if _, err := fmt.Sscanf(name, "f%d", &n); err != nil || n < 0 || n >= NumRegs {
-		return 0, false
-	}
-	// Reject trailing garbage such as "f7x".
-	if fmt.Sprintf("f%d", n) != name {
-		return 0, false
-	}
-	return Reg(n), true
+	r, ok := fpRegsByName[name]
+	return r, ok
 }
+
+var fpRegsByName = func() map[string]Reg {
+	m := make(map[string]Reg, NumRegs)
+	for i := 0; i < NumRegs; i++ {
+		m[FPRegName(Reg(i))] = Reg(i)
+	}
+	return m
+}()

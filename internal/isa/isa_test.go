@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -136,6 +137,51 @@ func TestFPRegByName(t *testing.T) {
 		if _, ok := FPRegByName(bad); ok {
 			t.Errorf("FPRegByName(%q) should fail", bad)
 		}
+	}
+}
+
+// fpRegByNameFmt is the fmt-based FPRegByName the lookup table
+// replaced, kept as the reference for the set of accepted names.
+func fpRegByNameFmt(name string) (Reg, bool) {
+	var n int
+	if _, err := fmt.Sscanf(name, "f%d", &n); err != nil || n < 0 || n >= NumRegs {
+		return 0, false
+	}
+	// Reject trailing garbage such as "f7x".
+	if fmt.Sprintf("f%d", n) != name {
+		return 0, false
+	}
+	return Reg(n), true
+}
+
+// TestFPRegByNameMatchesFmt compares FPRegByName with the reference over
+// every f-number below 1000 in many spellings: signs, leading zeros and
+// spaces, case, and trailing bytes.
+func TestFPRegByNameMatchesFmt(t *testing.T) {
+	corpus := []string{"", "f", "F", "f+", "f-", "f ", " f1", "g2", "x1", "fa", "f0x1"}
+	for n := 0; n < 1000; n++ {
+		for _, num := range []string{fmt.Sprint(n), fmt.Sprintf("%02d", n), fmt.Sprintf("%03d", n),
+			"+" + fmt.Sprint(n), "-" + fmt.Sprint(n), " " + fmt.Sprint(n)} {
+			for _, head := range []string{"f", "F"} {
+				for _, tail := range []string{"", "x", " ", "0", "\n", ",", "f"} {
+					corpus = append(corpus, head+num+tail)
+				}
+			}
+		}
+	}
+	accepted := make(map[string]bool)
+	for _, name := range corpus {
+		got, gotOK := FPRegByName(name)
+		want, wantOK := fpRegByNameFmt(name)
+		if got != want || gotOK != wantOK {
+			t.Errorf("FPRegByName(%q) = %v,%v, reference %v,%v", name, got, gotOK, want, wantOK)
+		}
+		if gotOK {
+			accepted[name] = true
+		}
+	}
+	if len(accepted) != NumRegs {
+		t.Errorf("corpus accepted %d distinct names, want the %d canonical ones", len(accepted), NumRegs)
 	}
 }
 

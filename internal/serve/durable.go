@@ -154,12 +154,12 @@ func (s *Server) persistSubmission(g *group, leader *Job, sub Submission, timeou
 	if s.store == nil {
 		return
 	}
-	var buf bytes.Buffer
-	if err := g.prog.WriteBinary(&buf); err != nil {
+	image, err := g.prog.Binary()
+	if err != nil {
 		obs.Warn("serve: persist program failed", obs.F("digest", shortDigest(g.key)), obs.F("err", err.Error()))
 		return
 	}
-	if err := s.store.WriteProgram(g.key, buf.Bytes()); err != nil {
+	if err := s.store.WriteProgram(g.key, image); err != nil {
 		obs.Warn("serve: persist program failed", obs.F("digest", shortDigest(g.key)), obs.F("err", err.Error()))
 		return
 	}

@@ -7,3 +7,20 @@ import "optiwise"
 func (s *Server) CachedResult(key string) (*optiwise.Result, bool) {
 	return s.cache.get(key)
 }
+
+// CanonicalKey returns the job key SubmitWith assigns prog under opts.
+func (s *Server) CanonicalKey(prog *optiwise.Program, opts optiwise.Options) (string, error) {
+	_, key, err := s.canonicalKey(prog, opts)
+	return key, err
+}
+
+// DecodeSubmission decodes a POST /v1/jobs body as the submit handler
+// does, returning the program (from the memo) and job key it would
+// submit.
+func (s *Server) DecodeSubmission(body []byte) (*optiwise.Program, string, error) {
+	d, err := s.decodeSubmission(body)
+	if err != nil {
+		return nil, "", err
+	}
+	return d.prog, d.key, nil
+}

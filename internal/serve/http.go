@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -59,7 +60,7 @@ func (s *Server) Handler() http.Handler {
 		mux.HandleFunc(method+" /v1"+path, h)
 		mux.HandleFunc(method+" /api/v1"+path, h)
 	}
-	api("POST", "/jobs", s.handleSubmit)
+	api("POST", "/jobs", s.SubmitHandler(nil))
 	api("GET", "/jobs", s.handleJobList)
 	api("GET", "/jobs/{id}", s.handleStatus)
 	api("GET", "/jobs/{id}/report", s.handleReport)
@@ -196,46 +197,83 @@ func (o *submitOptions) toOptions() (optiwise.Options, error) {
 	return opts, nil
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	var req submitRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", s.cfg.MaxBodyBytes))
+// Route decides where a submission runs, for SubmitHandler. It gets the
+// raw body and the job key the body decoded to; it either answers the
+// request itself (the cluster layer forwards the body to the key's ring
+// owner) and returns true, or returns false to run the job here.
+type Route func(w http.ResponseWriter, r *http.Request, body []byte, key string) bool
+
+// SubmitHandler serves POST /v1/jobs. The body is decoded, its program
+// assembled (or fetched from the program memo) and its job key derived
+// once; a non-nil route then sees the key before the job is submitted
+// here. Handler mounts it with a nil route.
+func (s *Server) SubmitHandler(route Route) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+		if err != nil {
+			var tooLarge *http.MaxBytesError
+			if errors.As(err, &tooLarge) {
+				writeError(w, http.StatusRequestEntityTooLarge,
+					fmt.Sprintf("request body exceeds %d bytes", s.cfg.MaxBodyBytes))
+				return
+			}
+			writeError(w, http.StatusBadRequest, "malformed request: "+err.Error())
 			return
 		}
-		writeError(w, http.StatusBadRequest, "malformed request: "+err.Error())
-		return
+		d, err := s.decodeSubmission(body)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, err.Error())
+			return
+		}
+		if route != nil && route(w, r, body, d.key) {
+			return
+		}
+		s.serveSubmission(w, r, d)
 	}
-	prog, err := req.program()
+}
+
+// decodedSubmission is a POST /v1/jobs body decoded, validated and
+// keyed: what a route routes on is what this node submits.
+type decodedSubmission struct {
+	req  submitRequest
+	prog *optiwise.Program
+	opts optiwise.Options // validated and canonical
+	key  string
+}
+
+// decodeSubmission parses and validates a POST /v1/jobs body, resolves
+// its program through the memo and derives its job key. Errors are the
+// client's (HTTP 400).
+func (s *Server) decodeSubmission(body []byte) (*decodedSubmission, error) {
+	d := &decodedSubmission{}
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&d.req); err != nil {
+		return nil, fmt.Errorf("malformed request: %w", err)
+	}
+	var err error
+	if d.prog, err = s.program(&d.req); err != nil {
+		return nil, err
+	}
+	opts, err := d.req.Options.toOptions()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
+		return nil, fmt.Errorf("invalid options: %w", err)
 	}
-	opts, err := req.Options.toOptions()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid options: "+err.Error())
-		return
+	if opts.Machine, err = optiwise.MachineByName(d.req.Machine); err != nil {
+		return nil, err
 	}
-	opts.Machine, err = optiwise.MachineByName(req.Machine)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
+	if d.opts, d.key, err = s.canonicalKey(d.prog, opts); err != nil {
+		return nil, err
 	}
-	if err := opts.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
+	if d.req.TimeoutMS < 0 {
+		return nil, fmt.Errorf("timeout_ms must be non-negative, got %d", d.req.TimeoutMS)
 	}
-	if req.TimeoutMS < 0 {
-		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("timeout_ms must be non-negative, got %d", req.TimeoutMS))
-		return
-	}
-	traceID := strings.TrimSpace(req.TraceID)
+	return d, nil
+}
+
+// serveSubmission submits a decoded body and answers the request.
+func (s *Server) serveSubmission(w http.ResponseWriter, r *http.Request, d *decodedSubmission) {
+	traceID := strings.TrimSpace(d.req.TraceID)
 	if h := r.Header.Get("traceparent"); h != "" {
 		tid, err := obs.ParseTraceparent(h)
 		if err != nil {
@@ -244,10 +282,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		traceID = tid
 	}
-	job, err := s.SubmitWith(prog, opts, Submission{
-		Timeout: time.Duration(req.TimeoutMS) * time.Millisecond,
+	job, err := s.submitKeyed(d.prog, d.opts, d.key, Submission{
+		Timeout: time.Duration(d.req.TimeoutMS) * time.Millisecond,
 		TraceID: traceID,
-		Lineage: strings.TrimSpace(req.Lineage),
+		Lineage: strings.TrimSpace(d.req.Lineage),
 	})
 	switch {
 	case errors.Is(err, ErrQueueFull):
@@ -264,7 +302,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// one can still correlate logs, metrics exemplars, and the
 	// /jobs/{id}/trace export.
 	w.Header().Set("traceparent", "00-"+job.TraceID+"-0000000000000001-01")
-	if req.Wait {
+	if d.req.Wait {
 		select {
 		case <-job.Done():
 		case <-r.Context().Done():
@@ -279,35 +317,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, job.Status())
 }
 
-// DecodeSubmission parses a POST /v1/jobs body into the program and
-// options it describes, without submitting. The cluster router uses it
-// to compute a submission's canonical key (see CanonicalKey) and pick
-// the owning node before relaying the raw body; parsing here and in
-// handleSubmit must agree or routing would disagree with execution.
-func DecodeSubmission(body []byte) (*optiwise.Program, optiwise.Options, error) {
-	var req submitRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		return nil, optiwise.Options{}, fmt.Errorf("malformed request: %w", err)
-	}
-	prog, err := req.program()
-	if err != nil {
-		return nil, optiwise.Options{}, err
-	}
-	opts, err := req.Options.toOptions()
-	if err != nil {
-		return nil, optiwise.Options{}, fmt.Errorf("invalid options: %w", err)
-	}
-	opts.Machine, err = optiwise.MachineByName(req.Machine)
-	if err != nil {
-		return nil, optiwise.Options{}, err
-	}
-	return prog, opts, nil
-}
-
-// program materializes the submitted program from source or binary.
-func (r *submitRequest) program() (*optiwise.Program, error) {
+// program materializes the submitted program from source or binary,
+// through the server's program memo.
+func (s *Server) program(r *submitRequest) (*optiwise.Program, error) {
 	switch {
 	case r.Source != "" && len(r.Binary) > 0:
 		return nil, errors.New("submit exactly one of source or binary, not both")
@@ -316,17 +328,9 @@ func (r *submitRequest) program() (*optiwise.Program, error) {
 		if module == "" {
 			module = "job"
 		}
-		prog, err := optiwise.Assemble(module, r.Source)
-		if err != nil {
-			return nil, fmt.Errorf("assemble: %w", err)
-		}
-		return prog, nil
+		return s.programs.source(module, r.Source)
 	case len(r.Binary) > 0:
-		prog, err := optiwise.ReadBinary(bytes.NewReader(r.Binary))
-		if err != nil {
-			return nil, fmt.Errorf("load binary: %w", err)
-		}
-		return prog, nil
+		return s.programs.binary(r.Binary)
 	default:
 		return nil, errors.New("submit one of source (OWISA assembly) or binary (OWX image)")
 	}

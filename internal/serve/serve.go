@@ -222,12 +222,14 @@ type Server struct {
 	queue    chan *group
 	lineages *lineageStore
 	metrics  serverMetrics
+	// programs memoizes the programs HTTP submissions decode to.
+	programs programMemo
 	// The result store's tiers: cache is memory; store is the durable
 	// layer (nil without Config.DataDir) — the disk tier plus the job
 	// journal and program segments; ring is the cluster tier
 	// (nil on a single node). pending holds the executions journal
 	// replay proved incomplete, re-enqueued by Start.
-	cache   *resultCache
+	cache   resultCache
 	store   *durable.Store
 	ring    RingTier
 	pending []pendingReplay
@@ -320,6 +322,7 @@ func NewDurable(cfg Config) (*Server, error) {
 		cfg:      cfg,
 		queue:    make(chan *group, cfg.QueueDepth),
 		cache:    newResultCache(cfg.CacheBytes),
+		programs: newProgramMemo(),
 		lineages: newLineageStore(cfg.LineageDepth, cfg.MaxLineages),
 		metrics:  newServerMetrics(),
 		jobs:     make(map[string]*Job),
@@ -472,23 +475,25 @@ type Submission struct {
 // one submission attribute that is deliberately NOT part of the job's
 // content address, the lineage key, on the job.
 func (s *Server) SubmitWith(prog *optiwise.Program, opts optiwise.Options, sub Submission) (*Job, error) {
+	opts, key, err := s.canonicalKey(prog, opts)
+	if err != nil {
+		return nil, err
+	}
+	return s.submitKeyed(prog, opts, key, sub)
+}
+
+// submitKeyed submits prog under opts, already validated and
+// canonicalized by canonicalKey, which also derived key.
+func (s *Server) submitKeyed(prog *optiwise.Program, opts optiwise.Options, key string, sub Submission) (*Job, error) {
 	timeout, traceID := sub.Timeout, sub.TraceID
 	if traceID != "" && !obs.ValidTraceID(traceID) {
 		return nil, fmt.Errorf("serve: malformed trace ID %q (want 32 lowercase hex digits, non-zero)", traceID)
 	}
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	opts = s.canonicalize(opts)
 	if timeout <= 0 {
 		timeout = s.cfg.DefaultTimeout
 	}
 	if timeout > s.cfg.MaxTimeout {
 		timeout = s.cfg.MaxTimeout
-	}
-	key, err := jobKey(prog, opts)
-	if err != nil {
-		return nil, err
 	}
 	j := newJob(key, prog.Module(), opts.Machine.Name, traceID)
 	j.lineage = sub.Lineage
@@ -562,11 +567,23 @@ func (s *Server) SubmitWith(prog *optiwise.Program, opts optiwise.Options, sub S
 	return j, nil
 }
 
+// canonicalKey validates opts, canonicalizes them and derives the job
+// key. Every job key — a library submission's and a decoded HTTP
+// body's, which the cluster routes on — comes from here, so routing and
+// caching agree about a job's identity.
+func (s *Server) canonicalKey(prog *optiwise.Program, opts optiwise.Options) (optiwise.Options, string, error) {
+	if err := opts.Validate(); err != nil {
+		return opts, "", err
+	}
+	opts = s.canonicalize(opts)
+	key, err := jobKey(prog, opts)
+	return opts, key, err
+}
+
 // canonicalize applies the server's option normalization: Canonical()
 // strips observation-channel attributes from the content address, then
-// MaxCycles is clamped by Config.MaxJobCycles. Every path that derives
-// a job key — Submit and the exported CanonicalKey — must share this,
-// or routing and caching would disagree about a job's identity.
+// MaxCycles is clamped by Config.MaxJobCycles. Nodes must share
+// MaxJobCycles for their keys to agree.
 func (s *Server) canonicalize(opts optiwise.Options) optiwise.Options {
 	opts = opts.Canonical()
 	if s.cfg.MaxJobCycles > 0 &&
@@ -574,18 +591,6 @@ func (s *Server) canonicalize(opts optiwise.Options) optiwise.Options {
 		opts.MaxCycles = uint64(s.cfg.MaxJobCycles)
 	}
 	return opts
-}
-
-// CanonicalKey validates opts and returns the content-addressed job key
-// Submit would assign this submission — exactly the digest the cache
-// and the cluster ring route on. Cluster routers call it to pick a
-// job's owner without submitting; nodes must share MaxJobCycles
-// configuration for their keys to agree.
-func (s *Server) CanonicalKey(prog *optiwise.Program, opts optiwise.Options) (string, error) {
-	if err := opts.Validate(); err != nil {
-		return "", err
-	}
-	return jobKey(prog, s.canonicalize(opts))
 }
 
 // onDeadline records a deadline expiry in the failure counter.

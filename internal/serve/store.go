@@ -287,84 +287,98 @@ func (s *Server) ResultDigests() (map[string]string, error) {
 
 // resultCache is the memory tier: decoded results evicted LRU under a
 // byte budget. An entry's size is its wire payload's length, so the
-// budget tracks the bytes the result occupies everywhere else.
+// budget tracks the bytes the result occupies everywhere else. Hit and
+// miss accounting is left to the caller, because a cache miss that
+// coalesces onto an in-flight execution still counts as a hit at the
+// service level.
 type resultCache struct {
-	mu     sync.Mutex
-	budget int64
-	bytes  int64
-	order  *list.List // front = most recently used; values are *cacheEntry
-	byKey  map[string]*list.Element
-
-	mHits      *obs.CounterMetric
-	mMisses    *obs.CounterMetric
-	mEvictions *obs.CounterMetric
-	mBytes     *obs.GaugeMetric
-}
-
-type cacheEntry struct {
-	key  string
-	res  *optiwise.Result
-	size int64
+	*lru[*optiwise.Result]
 }
 
 // newResultCache builds a cache with the given byte budget. A zero or
 // negative budget disables caching entirely (Get always misses, Put is
 // a no-op), which keeps the service correct for memory-constrained
 // deployments.
-func newResultCache(budget int64) *resultCache {
-	return &resultCache{
-		budget:     budget,
-		order:      list.New(),
-		byKey:      make(map[string]*list.Element),
-		mHits:      obs.Counter(obs.MServeCacheHits),
-		mMisses:    obs.Counter(obs.MServeCacheMisses),
-		mEvictions: obs.Counter(obs.MServeCacheEvictions),
-		mBytes:     obs.Gauge(obs.MServeCacheBytes),
+func newResultCache(budget int64) resultCache {
+	return resultCache{newLRU[*optiwise.Result](budget,
+		obs.Counter(obs.MServeCacheEvictions), obs.Gauge(obs.MServeCacheBytes))}
+}
+
+// put stores res under key at the given size (see lru.put). Nil and
+// degraded results are refused unconditionally — defense in
+// depth behind the runGroup success check: a degraded (single-pass)
+// profile under a full profile's digest would poison every later
+// submission of the same job (DESIGN.md §8).
+func (c resultCache) put(key string, res *optiwise.Result, size int64) {
+	if res == nil || res.Degraded {
+		return
+	}
+	c.lru.put(key, res, size)
+}
+
+// lru is a map evicted least-recently-used under a byte budget: the
+// result cache's memory tier and the program memo. Sizes are the
+// caller's; an entry larger than the whole budget is not stored at all
+// (storing it would immediately evict everything else for one entry),
+// and a zero or negative budget stores nothing.
+type lru[V any] struct {
+	mu     sync.Mutex
+	budget int64
+	bytes  int64
+	order  *list.List // front = most recently used; values are *lruEntry[V]
+	byKey  map[string]*list.Element
+
+	// Optional (nil-safe) metrics: evictions and the byte footprint.
+	evictions *obs.CounterMetric
+	size      *obs.GaugeMetric
+}
+
+type lruEntry[V any] struct {
+	key  string
+	val  V
+	size int64
+}
+
+func newLRU[V any](budget int64, evictions *obs.CounterMetric, size *obs.GaugeMetric) *lru[V] {
+	return &lru[V]{
+		budget:    budget,
+		order:     list.New(),
+		byKey:     make(map[string]*list.Element),
+		evictions: evictions,
+		size:      size,
 	}
 }
 
-// get returns the cached result for key, refreshing its recency.
-// Metric accounting (hit vs. miss) is left to the caller, because a
-// cache miss that coalesces onto an in-flight execution still counts
-// as a hit at the service level.
-func (c *resultCache) get(key string) (*optiwise.Result, bool) {
+// get returns the value stored under key, refreshing its recency.
+func (c *lru[V]) get(key string) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.byKey[key]
 	if !ok {
-		return nil, false
+		var zero V
+		return zero, false
 	}
 	c.order.MoveToFront(el)
-	return el.Value.(*cacheEntry).res, true
+	return el.Value.(*lruEntry[V]).val, true
 }
 
-// put stores res under key at the given size, evicting least-recently-
-// used entries until the byte budget holds. An entry larger than the
-// whole budget is not cached at all (storing it would immediately evict
-// everything else for a single-use result).
-//
-// Nil and degraded results are refused unconditionally — defense in
-// depth behind the runGroup success check: a degraded (single-pass)
-// profile under a full profile's digest would poison every later
-// submission of the same job (DESIGN.md §8).
-func (c *resultCache) put(key string, res *optiwise.Result, size int64) {
-	if res == nil || res.Degraded {
-		return
-	}
+// put stores val under key at the given size, evicting least-recently-
+// used entries until the byte budget holds.
+func (c *lru[V]) put(key string, val V, size int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.budget <= 0 || size > c.budget {
 		return
 	}
 	if el, ok := c.byKey[key]; ok {
-		// Replace in place (identical digest means identical content, but
-		// refresh anyway so sizes stay consistent).
-		ent := el.Value.(*cacheEntry)
+		// Replace in place (keys are content digests, so the value is
+		// equivalent, but refresh anyway so sizes stay consistent).
+		ent := el.Value.(*lruEntry[V])
 		c.bytes += size - ent.size
-		ent.res, ent.size = res, size
+		ent.val, ent.size = val, size
 		c.order.MoveToFront(el)
 	} else {
-		c.byKey[key] = c.order.PushFront(&cacheEntry{key: key, res: res, size: size})
+		c.byKey[key] = c.order.PushFront(&lruEntry[V]{key: key, val: val, size: size})
 		c.bytes += size
 	}
 	for c.bytes > c.budget {
@@ -372,24 +386,24 @@ func (c *resultCache) put(key string, res *optiwise.Result, size int64) {
 		if back == nil {
 			break
 		}
-		ent := back.Value.(*cacheEntry)
+		ent := back.Value.(*lruEntry[V])
 		c.order.Remove(back)
 		delete(c.byKey, ent.key)
 		c.bytes -= ent.size
-		c.mEvictions.Inc()
+		c.evictions.Inc()
 	}
-	c.mBytes.Set(c.bytes)
+	c.size.Set(c.bytes)
 }
 
-// len reports the number of cached results.
-func (c *resultCache) len() int {
+// len reports the number of entries.
+func (c *lru[V]) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.byKey)
 }
 
 // usedBytes reports the current byte footprint.
-func (c *resultCache) usedBytes() int64 {
+func (c *lru[V]) usedBytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.bytes

@@ -37,11 +37,7 @@ loop:
 		// The key a telemetry_window of 512 had.
 		{`{"sample_period":300,"stream_window":512}`, "a8ac9187902ca85cc534a2798b3738875b6a5ec7dd66db1d45918f2a0a6994fe"},
 	} {
-		prog, opts, err := serve.DecodeSubmission(body(c.options))
-		if err != nil {
-			t.Fatal(err)
-		}
-		key, err := srv.CanonicalKey(prog, opts)
+		_, key, err := srv.DecodeSubmission(body(c.options))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,7 +45,7 @@ loop:
 			t.Errorf("%s: key %s, want %s", c.options, key, c.key)
 		}
 	}
-	_, _, err := serve.DecodeSubmission(body(`{"telemetry_window":512}`))
+	_, _, err := srv.DecodeSubmission(body(`{"telemetry_window":512}`))
 	if err == nil || !strings.Contains(err.Error(), "telemetry_window") {
 		t.Errorf("telemetry_window accepted: %v", err)
 	}

@@ -23,6 +23,7 @@
 package optiwise
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -68,9 +69,16 @@ func MachineByName(name string) (Machine, error) {
 	return Machine{}, fmt.Errorf("unknown machine %q (available: xeon, xeon-w2195, n1, neoverse-n1)", name)
 }
 
-// Program is an assembled OWISA module ready to run or profile.
+// Program is an assembled OWISA module ready to run or profile. It is
+// immutable once built and safe for concurrent use: one Program may be
+// profiled by any number of goroutines at once.
 type Program struct {
 	prog *program.Program
+
+	// The OWX image, encoded on first use by Binary.
+	owxOnce sync.Once
+	owx     []byte
+	owxErr  error
 }
 
 // Assemble builds a Program from OWISA assembly source. The module name
@@ -89,7 +97,26 @@ func (p *Program) Module() string { return p.prog.Module }
 // WriteBinary serializes the assembled program as an OWX image — the
 // repository's ELF stand-in, consumable by the optiwise CLI without
 // re-assembly.
-func (p *Program) WriteBinary(w io.Writer) error { return p.prog.WriteOWX(w) }
+func (p *Program) WriteBinary(w io.Writer) error {
+	b, err := p.Binary()
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(b)
+	return err
+}
+
+// Binary returns the OWX image WriteBinary writes. The program encodes
+// it once and every call returns the same slice, which callers must not
+// modify.
+func (p *Program) Binary() ([]byte, error) {
+	p.owxOnce.Do(func() {
+		var buf bytes.Buffer
+		p.owxErr = p.prog.WriteOWX(&buf)
+		p.owx = buf.Bytes()
+	})
+	return p.owx, p.owxErr
+}
 
 // ReadBinary loads a program from an OWX image written by WriteBinary.
 func ReadBinary(r io.Reader) (*Program, error) {
@@ -101,7 +128,9 @@ func ReadBinary(r io.Reader) (*Program, error) {
 }
 
 // Raw exposes the underlying program image for advanced use (report
-// annotation, custom analyses).
+// annotation, custom analyses). It is read-only: the Program caches its
+// OWX encoding (Binary), and a profiling service may share one Program
+// across many submissions.
 func (p *Program) Raw() *program.Program { return p.prog }
 
 // RunResult describes one native (uninstrumented, unsampled) execution.

@@ -264,6 +264,45 @@ func TestBinaryRoundTripThroughPublicAPI(t *testing.T) {
 	}
 }
 
+// TestBinaryEncodedOnce: Binary is the image WriteOWX writes, encoded
+// on the first call only — later calls and WriteBinary reuse the same
+// bytes without allocating.
+func TestBinaryEncodedOnce(t *testing.T) {
+	p, err := Assemble("quick", quickSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := p.Raw().WriteOWX(&want); err != nil {
+		t.Fatal(err)
+	}
+	first, err := p.Binary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first, want.Bytes()) {
+		t.Fatal("Binary differs from the program's OWX encoding")
+	}
+	var sink bytes.Buffer
+	sink.Grow(2 * len(first))
+	allocs := testing.AllocsPerRun(10, func() {
+		again, err := p.Binary()
+		if err != nil || &again[0] != &first[0] {
+			t.Fatal("Binary re-encoded the program")
+		}
+		sink.Reset()
+		if err := p.WriteBinary(&sink); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Binary and WriteBinary allocate %.0f times per call after the first", allocs)
+	}
+	if !bytes.Equal(sink.Bytes(), want.Bytes()) {
+		t.Error("WriteBinary differs from the program's OWX encoding")
+	}
+}
+
 func TestDisableStackProfiling(t *testing.T) {
 	p, err := Assemble("quick", quickSrc)
 	if err != nil {
