@@ -7,7 +7,7 @@ import (
 )
 
 // FlatGraph is the wire form of a Graph: blocks and edges flattened
-// into index-addressed tables that survive JSON encoding. The in-memory
+// into index-addressed tables that survive serialization. The in-memory
 // Graph threads *Edge pointers through both endpoints' Succs/Preds
 // lists; flattening writes each edge exactly once (from its source
 // block's Succs) and Unflatten rebuilds the shared-pointer shape and

@@ -10,10 +10,12 @@ package cluster_test
 
 import (
 	"bytes"
+	"io"
 	"net"
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -293,13 +295,15 @@ func TestClusterAntiEntropyRepairsDivergence(t *testing.T) {
 }
 
 // TestReplicaIngestRejectsBadPayloads: the replica endpoint refuses a
-// checksum mismatch and a structurally empty payload, and non-durable
-// nodes refuse the protocol outright.
+// checksum mismatch and a well-framed payload without export tables,
+// and non-durable nodes refuse the protocol outright.
 func TestReplicaIngestRejectsBadPayloads(t *testing.T) {
 	nodes := startDurableCluster(t, 1)
-	url := nodes[0].url() + "/cluster/v1/replicas/feedfacefeedface"
+	// A well-formed key, so each payload reaches the gate it is meant
+	// to fail; the error body names which gate that was.
+	url := nodes[0].url() + "/cluster/v1/replicas/" + strings.Repeat("feedface", 8)
 
-	post := func(payload []byte, checksum string) int {
+	post := func(payload []byte, checksum string) (int, string) {
 		req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(payload))
 		if err != nil {
 			t.Fatal(err)
@@ -309,15 +313,19 @@ func TestReplicaIngestRejectsBadPayloads(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp.Body.Close()
-		return resp.StatusCode
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body) //nolint:errcheck // a short body fails the match below
+		return resp.StatusCode, string(body)
 	}
-	if code := post([]byte(`{"export":{}}`), "0000"); code != http.StatusBadRequest {
-		t.Errorf("checksum mismatch accepted: %d", code)
+	if code, body := post(resultPayload(t), "0000"); code != http.StatusBadRequest || !strings.Contains(body, "checksum mismatch") {
+		t.Errorf("checksum mismatch: %d %s, want 400 naming the checksum", code, body)
 	}
-	empty := []byte(`{}`)
-	if code := post(empty, serve.WireChecksum(empty)); code != http.StatusBadRequest {
-		t.Errorf("structurally empty payload accepted: %d", code)
+	empty, err := (&serve.WireResult{}).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code, body := post(empty, serve.WireChecksum(empty)); code != http.StatusBadRequest || !strings.Contains(body, "missing export tables") {
+		t.Errorf("payload without export tables: %d %s, want 400 naming the missing tables", code, body)
 	}
 	if digests := digestsOf(t, nodes[0]); len(digests) != 0 {
 		t.Errorf("rejected payloads reached the store: %v", digests)
@@ -332,5 +340,35 @@ func TestReplicaIngestRejectsBadPayloads(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotImplemented {
 		t.Errorf("non-durable node accepted a replica: %d", resp.StatusCode)
+	}
+}
+
+// TestClusterIndependentComputationsAgree: a payload depends on the
+// result alone, so two nodes that compute one key independently hold
+// byte-identical segments. Their digests are equal, which is the
+// condition under which anti-entropy finds nothing to report.
+func TestClusterIndependentComputationsAgree(t *testing.T) {
+	nodes := startDurableCluster(t, 2)
+	// No replica push and no peer fetch: each node must simulate.
+	plan, err := fault.Parse("cluster.replicate:error; cluster.peer.fetch:error")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fault.Set(plan)
+	defer fault.Set(nil)
+
+	body := submission(7, 35)
+	var digest string
+	for _, tn := range nodes {
+		jr := postJob(t, tn.url(), body, map[string]string{"X-Optiwise-Forwarded": "test"})
+		mustDone(t, jr, "submission on "+tn.addr)
+		if jr.Cached || jr.PeerFetched {
+			t.Fatalf("%s did not compute the key itself: %+v", tn.addr, jr)
+		}
+		digest = jr.Digest
+	}
+	a, b := digestsOf(t, nodes[0])[digest], digestsOf(t, nodes[1])[digest]
+	if a == "" || a != b {
+		t.Errorf("independent computations stored digests %.12s and %.12s", a, b)
 	}
 }

@@ -15,9 +15,29 @@ import (
 	"sync"
 	"testing"
 
+	"optiwise"
 	"optiwise/internal/cluster"
 	"optiwise/internal/serve"
 )
+
+// resultPayload is a real result's wire payload, as a node would push
+// it: clusterProg profiled and encoded by the result store's codec.
+func resultPayload(t *testing.T) []byte {
+	t.Helper()
+	prog, err := optiwise.Assemble("cjob", clusterProg(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := optiwise.Profile(prog, optiwise.Options{SamplePeriod: 300})
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, _, err := serve.EncodeWireResult(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return payload
+}
 
 // nonOwner returns a node other than the one at addr.
 func nonOwner(t *testing.T, nodes []*testNode, addr string) *testNode {
@@ -115,7 +135,7 @@ func TestClusterConcurrentDuplicatesFetchOnce(t *testing.T) {
 // results/. Well-formed keys still reach the checksum gate.
 func TestClusterResultKeysMustBeDigests(t *testing.T) {
 	nodes := startDurableCluster(t, 1)
-	payload := []byte(`{"export":{}}`)
+	payload := resultPayload(t)
 	sum := serve.WireChecksum(payload)
 
 	do := func(method, path string, body []byte, checksum string) int {

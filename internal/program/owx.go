@@ -24,6 +24,18 @@ type owxFile struct {
 	Prog    Program
 }
 
+// Gob numbers types process-wide, in the order it first meets them,
+// and an image carries those numbers — so without this, an image's
+// bytes (which job keys hash) would depend on what the process
+// gob-encoded before its first WriteOWX. Encoding owxFile here, before
+// any caller can, gives its types the numbers a fresh process gives
+// them.
+func init() {
+	if err := gob.NewEncoder(io.Discard).Encode(owxFile{}); err != nil {
+		panic(fmt.Sprintf("program: register owx types: %v", err))
+	}
+}
+
 // WriteOWX serializes p as an OWX binary image.
 func (p *Program) WriteOWX(w io.Writer) error {
 	if _, err := io.WriteString(w, owxMagic); err != nil {

@@ -2,6 +2,12 @@ package program
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/gob"
+	"encoding/hex"
+	"io"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -211,6 +217,54 @@ func TestOWXRoundTrip(t *testing.T) {
 		if got.Text[i] != p.Text[i] {
 			t.Fatalf("instruction %d mismatch", i)
 		}
+	}
+}
+
+// owxDigest is the hex SHA-256 of sampleProgram's OWX image.
+func owxDigest(t *testing.T) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := sampleProgram().WriteOWX(&buf); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(buf.Bytes())
+	return hex.EncodeToString(sum[:])
+}
+
+// gobHistory is a type unrelated to OWX that the child process below
+// gob-encodes before its first image.
+type gobHistory struct {
+	Name   string
+	Counts map[string][]float64
+}
+
+// TestOWXIndependentOfGobHistory: an image's bytes, which job keys
+// hash, must not depend on what the process gob-encoded first. A child
+// run of this test binary encodes an unrelated type, then writes the
+// same program; its image must hash like this process's.
+func TestOWXIndependentOfGobHistory(t *testing.T) {
+	const marker = "owx-sha256="
+	if os.Getenv("OPTIWISE_OWX_GOB_CHILD") == "1" {
+		h := gobHistory{Name: "x", Counts: map[string][]float64{"a": {1}}}
+		if err := gob.NewEncoder(io.Discard).Encode(h); err != nil {
+			t.Fatal(err)
+		}
+		os.Stdout.WriteString(marker + owxDigest(t) + "\n") //nolint:errcheck // read by the parent
+		return
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestOWXIndependentOfGobHistory$")
+	cmd.Env = append(os.Environ(), "OPTIWISE_OWX_GOB_CHILD=1")
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("child: %v\n%s", err, out)
+	}
+	_, child, ok := strings.Cut(string(out), marker)
+	if !ok {
+		t.Fatalf("child printed no digest:\n%s", out)
+	}
+	child, _, _ = strings.Cut(child, "\n")
+	if want := owxDigest(t); child != want {
+		t.Errorf("image after an unrelated gob encode hashes %.12s, want %.12s", child, want)
 	}
 }
 

@@ -242,7 +242,8 @@ func (s *Server) replayJournal(sum *durable.ReplaySummary) {
 		}
 		var exp *core.Export
 		if payload, err := s.store.ReadResult(key); err == nil {
-			if w, err := parseWire(payload); err == nil {
+			var w WireResult
+			if err := w.UnmarshalBinary(payload); err == nil {
 				exp = w.Export
 			}
 		}

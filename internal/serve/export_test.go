@@ -24,3 +24,6 @@ func (s *Server) DecodeSubmission(body []byte) (*optiwise.Program, string, error
 	}
 	return d.prog, d.key, nil
 }
+
+// WireMagic is the payload magic; the schema fingerprint follows it.
+const WireMagic = wireMagic

@@ -55,8 +55,9 @@ type Config struct {
 	// (default 64).
 	QueueDepth int
 	// CacheBytes is the memory tier's byte budget (default 256 MiB); <0
-	// disables it. An entry counts its wire payload's length, which runs
-	// 3–8% above the result's export-JSON size.
+	// disables it. An entry counts its payload's length, about a quarter
+	// of the result's export-JSON size; the decoded results behind a full
+	// budget take about 3.5× the budget in heap (DESIGN.md §6).
 	CacheBytes int64
 	// MaxBodyBytes caps an HTTP submission body (default 32 MiB).
 	MaxBodyBytes int64

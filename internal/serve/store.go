@@ -4,16 +4,12 @@ import (
 	"container/list"
 	"context"
 	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"sync"
 
 	"optiwise"
-	"optiwise/internal/cfg"
-	"optiwise/internal/core"
 	"optiwise/internal/fault"
 	"optiwise/internal/obs"
 )
@@ -28,11 +24,11 @@ import (
 //	ring    sibling nodes, through the RingTier the cluster layer
 //	        installs (nil on a single node)
 //
-// A result has one wire encoding (WireResult), made once when the
-// result is admitted — or received ready-made from the ring. The
-// payload's length sizes the memory entry, the payload itself becomes
-// the disk segment, and the same bytes are pushed to the ring. Only
-// full-fidelity results ever enter any tier.
+// A result has one payload (WireResult's binary encoding, wire.go),
+// made once when the result is admitted — or received ready-made from
+// the ring. The payload's length sizes the memory entry, the payload
+// itself becomes the disk segment, and the same bytes are pushed to the
+// ring. Only full-fidelity results ever enter any tier.
 
 // RingTier is the result store's cluster tier, implemented by
 // internal/cluster. It moves opaque payloads: checksum verification and
@@ -66,64 +62,10 @@ func validKey(key string) bool {
 	return true
 }
 
-// WireResult is the store's one encoding, shared by its disk segments
-// and the ring transfers: the profile's serialized analysis tables plus
-// its flattened CFG. The program image never travels or persists here —
-// the node asking about (or replaying) a key necessarily holds the
-// image, because the key is derived from it.
-type WireResult struct {
-	Export *core.Export   `json:"export"`
-	Graph  *cfg.FlatGraph `json:"graph,omitempty"`
-}
-
 // wire is one result's payload and checksum.
 type wire struct {
 	payload []byte
 	sum     string
-}
-
-// EncodeWireResult serializes res into the wire envelope and returns
-// the payload plus its hex SHA-256 — the digest ring transfers carry in
-// X-Optiwise-Checksum and the anti-entropy pass compares between owners.
-func EncodeWireResult(res *optiwise.Result) ([]byte, string, error) {
-	payload, err := json.Marshal(WireResult{Export: res.Export(), Graph: res.Graph.Flatten()})
-	if err != nil {
-		return nil, "", fmt.Errorf("serve: encode result: %w", err)
-	}
-	return payload, WireChecksum(payload), nil
-}
-
-// WireChecksum returns the hex SHA-256 of a wire payload.
-func WireChecksum(payload []byte) string {
-	sum := sha256.Sum256(payload)
-	return hex.EncodeToString(sum[:])
-}
-
-// DecodeWireResult rebuilds a full Result from a wire payload against
-// the local program image. Callers verify the payload's checksum (or
-// its segment frame) first.
-func DecodeWireResult(payload []byte, prog *optiwise.Program) (*optiwise.Result, error) {
-	w, err := parseWire(payload)
-	if err != nil {
-		return nil, err
-	}
-	g, err := w.Graph.Unflatten()
-	if err != nil {
-		return nil, err
-	}
-	return core.FromExport(w.Export, prog.Raw(), g), nil
-}
-
-// parseWire unmarshals a wire payload, which must carry export tables.
-func parseWire(payload []byte) (*WireResult, error) {
-	var w WireResult
-	if err := json.Unmarshal(payload, &w); err != nil {
-		return nil, fmt.Errorf("serve: decode result payload: %w", err)
-	}
-	if w.Export == nil {
-		return nil, fmt.Errorf("serve: result payload missing export tables")
-	}
-	return &w, nil
 }
 
 // getResult is Submit's fast path: memory, then disk, through the
@@ -268,7 +210,8 @@ func (s *Server) IngestResult(key string, payload []byte, checksum string) error
 	if got := WireChecksum(payload); got != checksum {
 		return fmt.Errorf("serve: result checksum mismatch (got %.12s, want %.12s)", got, checksum)
 	}
-	if _, err := parseWire(payload); err != nil {
+	var w WireResult
+	if err := w.UnmarshalBinary(payload); err != nil {
 		return err
 	}
 	return s.store.WriteResult(key, payload)

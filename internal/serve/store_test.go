@@ -9,14 +9,18 @@ package serve_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"optiwise"
+	"optiwise/internal/durable"
 	"optiwise/internal/fault"
 	"optiwise/internal/serve"
+	"optiwise/internal/trailer"
 )
 
 // fakeRing is a scriptable serve.RingTier. fetch answers Fetch (nil
@@ -283,5 +287,104 @@ func waitPushes(t *testing.T, ring *fakeRing, want int) map[string][][]byte {
 			t.Fatalf("%d keys pushed, want %d", len(p), want)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestBadPayloadsAreMisses: a payload that is truncated, carries a
+// trailing byte, a foreign magic or schema fingerprint, no export
+// tables, or is a segment from the JSON-era encoding is refused at
+// replica ingest, is a miss and a recomputation as a disk segment or a
+// ring fetch, and skips its lineage version at replay — never a crash.
+func TestBadPayloadsAreMisses(t *testing.T) {
+	withRegistry(t)
+	src, opts := progSource(5), optiwise.Options{SamplePeriod: 300}
+	want, good := referenceRun(t, src, opts)
+	res, err := serve.DecodeWireResult(good, mustProgram(t, src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	jsonEra, err := json.Marshal(map[string]any{"export": res.Export(), "graph": res.Graph.Flatten()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	noExport, err := (&serve.WireResult{}).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	flip := func(i int) []byte {
+		b := bytes.Clone(good)
+		b[i] ^= 0xff
+		return b
+	}
+	cases := []struct {
+		name    string
+		payload []byte
+	}{
+		{"truncated", good[:len(good)/2]},
+		{"truncated header", good[:len(serve.WireMagic)+3]},
+		{"trailing byte", append(bytes.Clone(good), 0)},
+		{"bad magic", flip(0)},
+		{"wrong fingerprint", flip(len(serve.WireMagic))},
+		{"no export tables", noExport},
+		{"JSON-era", jsonEra},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			sum := serve.WireChecksum(c.payload)
+
+			// Replica ingest refuses it and leaves the segment alone.
+			dir := t.TempDir()
+			srv1 := newDurable(t, dir, serve.Config{Workers: 1})
+			srv1.Start()
+			j1 := submitWait(t, srv1, src, opts, serve.Submission{Lineage: "lin"})
+			if err := srv1.IngestResult(j1.Digest, c.payload, sum); err == nil {
+				t.Error("IngestResult accepted the payload")
+			}
+			if digests, _ := srv1.ResultDigests(); digests[j1.Digest] != serve.WireChecksum(good) {
+				t.Error("a refused ingest changed the stored segment")
+			}
+			if err := srv1.Shutdown(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+
+			// As the disk segment: replay skips the lineage version, and
+			// the resubmission recomputes and restores the segment.
+			seg := filepath.Join(dir, "results", j1.Digest+".owpr")
+			if err := durable.AtomicWrite(seg, trailer.Append(bytes.Clone(c.payload)), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			srv2 := newDurable(t, dir, serve.Config{Workers: 1})
+			srv2.Start()
+			defer srv2.Shutdown(context.Background()) //nolint:errcheck
+			if n := srv2.Stats().LineageKeys; n != 0 {
+				t.Errorf("replay recorded %d lineages from the bad segment", n)
+			}
+			j2 := submitWait(t, srv2, src, opts, serve.Submission{})
+			if j2.Status().Cached {
+				t.Error("bad segment served as a cache hit")
+			}
+			if !bytes.Equal(resultJSON(t, j2), want) {
+				t.Error("recomputed result differs from a local computation")
+			}
+			if digests, _ := srv2.ResultDigests(); digests[j2.Digest] != serve.WireChecksum(good) {
+				t.Error("recomputation did not restore the segment")
+			}
+
+			// As a ring fetch: a miss, and the worker simulates.
+			ring := &fakeRing{fetch: func(context.Context, string) ([]byte, string, bool) {
+				return c.payload, sum, true
+			}}
+			srv3 := serve.New(serve.Config{Workers: 1})
+			srv3.SetClusterHooks(ring, nil, nil)
+			srv3.Start()
+			defer srv3.Shutdown(context.Background()) //nolint:errcheck
+			j3 := submitWait(t, srv3, src, opts, serve.Submission{})
+			if j3.Status().PeerFetched || ring.fetchCount() != 1 {
+				t.Errorf("peer_fetched %v after %d fetches, want a miss after one", j3.Status().PeerFetched, ring.fetchCount())
+			}
+			if !bytes.Equal(resultJSON(t, j3), want) {
+				t.Error("result after a bad fetch differs from a local computation")
+			}
+		})
 	}
 }
