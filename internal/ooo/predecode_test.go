@@ -177,3 +177,34 @@ func TestPredecodeCases(t *testing.T) {
 		}
 	}
 }
+
+// TestPredecodeFlags checks each op's slotFlags against the predicates
+// the pipeline stages used to derive per uop from its kind.
+func TestPredecodeFlags(t *testing.T) {
+	for op := isa.Op(0); int(op) < isa.NumOps+2; op++ {
+		k := op.Kind()
+		endsGroup := false
+		switch k {
+		case isa.KindJump, isa.KindCall, isa.KindIndirect, isa.KindIndCall, isa.KindReturn:
+			endsGroup = true
+		}
+		f := predecode([]isa.Instruction{{Op: op}})[0].flags
+		for _, c := range []struct {
+			name string
+			flag slotFlags
+			want bool
+		}{
+			{"branch", fBranch, refIsBranchKind(k)},
+			{"can-abort", fCanAbort, refCanAbort(k)},
+			{"call", fCall, op.IsCall()},
+			{"return", fReturn, op.IsReturn()},
+			{"conditional", fConditional, op.IsConditional()},
+			{"indirect", fIndirect, op.IsIndirect()},
+			{"ends-group", fEndsGroup, endsGroup},
+		} {
+			if got := f&c.flag != 0; got != c.want {
+				t.Errorf("%v (kind %d): %s flag %v, want %v", op, k, c.name, got, c.want)
+			}
+		}
+	}
+}

@@ -21,37 +21,38 @@ const (
 	stDone                    // result available, awaiting commit
 )
 
-// uop is one dynamic instruction in flight.
+// uop is one dynamic instruction in flight. It is held by value in the
+// reorder-buffer ring from dispatch to commit; everything else names it by
+// its sequence number. The one-byte fields come first and share a word.
 type uop struct {
-	seq  uint64
-	pc   uint64 // absolute
-	op   isa.Op
-	kind isa.Kind
+	seq   uint64
+	pc    uint64 // absolute
+	op    isa.Op
+	kind  isa.Kind
+	flags slotFlags
+	state uopState
 
-	// Dataflow. pending counts source operands whose producer had not
-	// finished at dispatch and has not broadcast since; the uop is ready
-	// to issue at zero. consumers lists the waiting uops this one wakes
-	// when it finishes; its backing array survives recycling.
-	pending   uint8
-	consumers []*uop
+	// pending counts source operands whose producer had not finished at
+	// dispatch and has not broadcast since; the uop is ready to issue at
+	// zero.
+	pending      uint8
+	taken        bool // from the functional trace
+	inSampleROB  bool
+	mispredicted bool
+
+	// consumers lists the seqs of the waiting uops this one wakes when it
+	// finishes; its backing array stays with the ring slot, so the steady
+	// state allocates none.
+	consumers []uint64
 
 	// Dynamic facts from the functional trace.
 	addr   uint64 // effective address for memory ops
-	taken  bool
 	nextPC uint64
 
-	state       uopState
-	doneC       uint64 // cycle the result becomes available
-	inSampleROB bool
-
-	mispredicted bool
-
-	// writes lists the lastWriter slots this uop occupies (-1 = empty),
-	// so commit can clear its table entries without scanning all 64.
-	writes [2]int8
+	doneC uint64 // cycle the result becomes available
 
 	// Timeline (for the figure 2 trace).
-	dispatchC, execStartC, commitC uint64
+	dispatchC, execStartC uint64
 }
 
 // Sample is one sampling-interrupt observation.
@@ -123,48 +124,49 @@ type Sim struct {
 	cycle uint64
 	seq   uint64
 
-	// The reorder buffer is a fixed power-of-two ring: the oldest
-	// in-flight uop is robAt(0), dispatch order follows. A ring keeps
-	// per-cycle commit at two index updates instead of re-slicing (and
-	// periodically re-allocating) a growing slice.
-	robBuf  []*uop
-	robHead int
-	robLen  int
-	robMask int
+	// The reorder buffer is a power-of-two ring of uop values: the uop
+	// with sequence number q lives at rob[q&robMask] from dispatch to
+	// commit. Sequence numbers start at 1 and the in-flight uops are
+	// exactly headSeq..seq, so a seq below headSeq has retired and its
+	// slot may already hold a younger uop. Every other structure names a
+	// uop by seq, so commit is one increment and nothing is recycled.
+	rob     []uop
+	robMask uint64
+	headSeq uint64
 
-	// The store queue holds the in-flight stores (the ROB's store
-	// entries) oldest first, in a ring sized like the ROB's: dispatch
-	// pushes each store, commit pops it as it moves to the store buffer.
-	// Store-to-load forwarding searches it instead of the whole ROB.
-	sqBuf  []*uop
+	// The store queue holds the seqs of the in-flight stores oldest
+	// first, in a ring as long as the ROB's: dispatch pushes each store,
+	// commit pops it as it moves to the store buffer. Store-to-load
+	// forwarding searches it instead of the whole ROB.
+	sq     []uint64
 	sqHead int
 	sqLen  int
 
 	// iqLen counts dispatched uops that have not issued yet; it gates
 	// dispatch at IQSize. readyQ holds those whose operands are all
-	// available, in dispatch (seq) order, which is the order the issue
-	// stage selects in.
+	// available, in seq order, which is the order the issue stage
+	// selects in.
 	iqLen  int
-	readyQ []*uop
+	readyQ []uint64
 
 	// exec holds issued-but-unfinished uops so the per-cycle result
 	// broadcast (and kernel-time shifts) touch only executing work
-	// instead of scanning the whole ROB.
-	exec []*uop
+	// instead of scanning the whole ROB. execMin is the earliest doneC
+	// among them (noEvent when exec is empty): broadcast returns at once
+	// while it lies in the future, and nextEvent reads it.
+	exec    []uint64
+	execMin uint64
 
-	// free/freeNext recycle uop records. Commit parks retired uops on
-	// freeNext for one full cycle — the same cycle's dispatch() still
-	// reads a committed pendingSyscall before dropping it — and the next
-	// cycle's top moves them to free for reuse. No dependence edge can
-	// reach a retired uop: a producer empties its consumer list when it
-	// finishes, before it can commit. The steady state allocates no uops
-	// at all.
-	free     []*uop
-	freeNext []*uop
+	// lastWriter holds the seq of the last dispatched writer of each
+	// register (0-31 int, 32-63 fp). A writer is a live producer only
+	// while its seq is at least headSeq; once it retires the
+	// architectural value is final, so commit never touches the table.
+	lastWriter [64]uint64
 
-	// Last uop to write each register (0-31 int, 32-63 fp); nil when the
-	// architectural value is final.
-	lastWriter [64]*uop
+	// edSeq is the early-dequeue frontier (Config.EarlyDequeue): every
+	// in-flight uop below it is behind no unresolved branch, and the
+	// uop at edSeq, when in flight, is the oldest unresolved branch.
+	edSeq uint64
 
 	// Store buffer: drain completion cycles of committed stores, oldest
 	// first; drainDone never decreases along the slice.
@@ -175,19 +177,19 @@ type Sim struct {
 	// Fetch redirect: fetch is frozen until this cycle (mispredict or
 	// syscall serialization).
 	fetchStallUntil uint64
-	// redirectBranch, when non-nil, is an unresolved mispredicted branch;
-	// fetch is frozen until it resolves and schedules the redirect.
-	redirectBranch *uop
+	// redirectBranch, when non-zero, is the seq of an unresolved
+	// mispredicted branch; fetch is frozen until it resolves and
+	// schedules the redirect.
+	redirectBranch uint64
 	fetchDone      bool // interpreter exhausted
-	pendingSyscall *uop // fetched syscall blocks further fetch until commit
+	// pendingSyscall is the seq of the last fetched syscall; it blocks
+	// further fetch while in flight (at least headSeq), i.e. until it
+	// commits.
+	pendingSyscall uint64
 
 	// Non-pipelined units.
 	divBusyUntil  uint64
 	fdivBusyUntil uint64
-
-	// unresolvedBranches counts in-flight control transfers that have not
-	// yet produced their outcome (early-dequeue speculation gate).
-	unresolvedBranches int
 
 	// Commit-time call stack (return addresses, innermost first is the
 	// last element; snapshots reverse it).
@@ -321,52 +323,20 @@ func New(cfg Config, img *program.Image, opts Options) *Sim {
 	for robCap < cfg.ROBSize {
 		robCap <<= 1
 	}
-	s.robBuf = make([]*uop, robCap)
-	s.robMask = robCap - 1
-	s.sqBuf = make([]*uop, robCap)
-	s.readyQ = make([]*uop, 0, cfg.IQSize)
-	s.exec = make([]*uop, 0, cfg.IQSize)
-	// One uop record per possible in-flight slot plus the commit group
-	// parked on freeNext, carved from a single backing array for
-	// locality; the free list then satisfies every dispatch.
-	chunk := make([]uop, cfg.ROBSize+cfg.CommitWidth+1)
-	s.free = make([]*uop, len(chunk))
-	for i := range chunk {
-		s.free[i] = &chunk[i]
-	}
-	s.freeNext = make([]*uop, 0, cfg.CommitWidth+1)
+	s.rob = make([]uop, robCap)
+	s.robMask = uint64(robCap - 1)
+	s.headSeq, s.edSeq, s.execMin = 1, 1, noEvent
+	s.sq = make([]uint64, robCap)
+	s.readyQ = make([]uint64, 0, cfg.IQSize)
+	s.exec = make([]uint64, 0, cfg.IQSize)
 	return s
 }
 
-// robAt returns the i-th oldest in-flight uop.
-func (s *Sim) robAt(i int) *uop { return s.robBuf[(s.robHead+i)&s.robMask] }
+// at returns the in-flight uop with sequence number q.
+func (s *Sim) at(q uint64) *uop { return &s.rob[q&s.robMask] }
 
-// robPush appends u at the young end of the reorder buffer; the caller
-// has already checked robLen against the configured ROB size.
-func (s *Sim) robPush(u *uop) {
-	s.robBuf[(s.robHead+s.robLen)&s.robMask] = u
-	s.robLen++
-}
-
-// robPopFront retires the oldest in-flight uop.
-func (s *Sim) robPopFront() {
-	s.robBuf[s.robHead] = nil
-	s.robHead = (s.robHead + 1) & s.robMask
-	s.robLen--
-}
-
-// sqAt returns the i-th oldest in-flight store.
-func (s *Sim) sqAt(i int) *uop { return s.sqBuf[(s.sqHead+i)&s.robMask] }
-
-// newUop returns a zeroed-by-caller uop record, recycled when possible.
-func (s *Sim) newUop() *uop {
-	if n := len(s.free); n > 0 {
-		u := s.free[n-1]
-		s.free = s.free[:n-1]
-		return u
-	}
-	return new(uop)
-}
+// robLen is the number of uops in flight.
+func (s *Sim) robLen() int { return int(s.seq + 1 - s.headSeq) }
 
 // cancelCheckInterval is how many simulated cycles elapse between the
 // cooperative context-cancellation checks in RunContext. The check is a
@@ -405,7 +375,7 @@ func (s *Sim) RunContext(ctx context.Context, maxCycles uint64) (Stats, error) {
 	polling := done != nil || faulty
 	countdown := uint64(1) // check on the first cycle: a dead ctx never simulates
 	for {
-		if s.fetchDone && s.robLen == 0 {
+		if s.fetchDone && s.robLen() == 0 {
 			break
 		}
 		if maxCycles != 0 && s.cycle >= maxCycles {
@@ -431,30 +401,11 @@ func (s *Sim) RunContext(ctx context.Context, maxCycles uint64) (Stats, error) {
 				}
 			}
 		}
-		s.cycle++
-		// Uops that committed last cycle have been released by that
-		// cycle's dispatch; recycle them now.
-		if len(s.freeNext) > 0 {
-			s.free = append(s.free, s.freeNext...)
-			s.freeNext = s.freeNext[:0]
-		}
-		s.committedThis = false
-		seq, samples := s.seq, s.stats.Samples
-		s.commit()
-		issued := s.issue()
-		s.dispatch()
-		if s.trueAttr {
-			s.chargeTrue(1)
-		}
-		if s.iv != nil {
-			s.iv.tick(s)
-		}
-		s.maybeSample()
+		active := s.step()
 		if s.err != nil {
 			return s.stats, s.err
 		}
-		if s.committedThis || issued || s.seq != seq || s.stats.Samples != samples ||
-			(s.fetchDone && s.robLen == 0) {
+		if active || (s.fetchDone && s.robLen() == 0) {
 			continue
 		}
 		// A quiet cycle (of a run that is not over): nothing committed,
@@ -489,6 +440,25 @@ func (s *Sim) RunContext(ctx context.Context, maxCycles uint64) (Stats, error) {
 	s.stats.Cycles = s.cycle
 	s.stats.UserCycles = s.cycle - s.kernelCycles
 	return s.stats, nil
+}
+
+// step simulates one cycle and reports whether it was active: whether
+// anything committed, issued, finished, dispatched or was sampled.
+func (s *Sim) step() bool {
+	s.cycle++
+	s.committedThis = false
+	seq, samples := s.seq, s.stats.Samples
+	s.commit()
+	issued := s.issue()
+	s.dispatch()
+	if s.trueAttr {
+		s.chargeTrue(1)
+	}
+	if s.iv != nil {
+		s.iv.tick(s)
+	}
+	s.maybeSample()
+	return s.committedThis || issued || s.seq != seq || s.stats.Samples != samples
 }
 
 // Arch exposes the architectural machine (for output and exit status).
@@ -527,8 +497,8 @@ func (s *Sim) chargeTrue(n uint64) {
 	switch u := s.oldestSampleVisible(); {
 	case u != nil:
 		pc = u.pc
-	case s.robLen > 0:
-		pc = s.robAt(0).pc
+	case s.robLen() > 0:
+		pc = s.at(s.headSeq).pc
 	case !s.fetchDone:
 		// Empty window (mispredict redirect shadow): a sampler would
 		// observe the next instruction to enter the machine.
@@ -562,10 +532,8 @@ func (s *Sim) nextEvent() uint64 {
 			next = c
 		}
 	}
-	for _, u := range s.exec {
-		at(u.doneC)
-	}
-	if s.robLen > 0 && s.robAt(0).state == stDone && len(s.sb) >= s.cfg.SBSize {
+	at(s.execMin)
+	if s.robLen() > 0 && s.at(s.headSeq).state == stDone && len(s.sb) >= s.cfg.SBSize {
 		at(s.sb[0].drainDone)
 	}
 	at(s.fetchStallUntil)
@@ -599,8 +567,8 @@ func (s *Sim) commit() {
 		s.sb = s.sb[:copy(s.sb, s.sb[drained:])]
 	}
 
-	for n := 0; n < s.cfg.CommitWidth && s.robLen > 0; n++ {
-		u := s.robAt(0)
+	for n := 0; n < s.cfg.CommitWidth && s.headSeq <= s.seq; n++ {
+		u := s.at(s.headSeq)
 		if u.state != stDone || u.doneC > s.cycle {
 			break
 		}
@@ -616,32 +584,23 @@ func (s *Sim) commit() {
 			s.lastDrain = done
 			s.sb = append(s.sb, sbEntry{addr: u.addr, drainDone: done})
 			// The committing store is the oldest in flight.
-			s.sqBuf[s.sqHead] = nil
-			s.sqHead = (s.sqHead + 1) & s.robMask
+			s.sqHead = (s.sqHead + 1) & int(s.robMask)
 			s.sqLen--
 		}
 		// Maintain the commit-time call stack for perf-style unwinding.
 		switch {
-		case u.op.IsCall():
+		case u.flags&fCall != 0:
 			s.callStack = append(s.callStack, u.pc+isa.InstBytes)
-		case u.op.IsReturn():
+		case u.flags&fReturn != 0:
 			if len(s.callStack) > 0 {
 				s.callStack = s.callStack[:len(s.callStack)-1]
 			}
 		}
-		u.commitC = s.cycle
-		u.inSampleROB = false
 		s.recordTrace(u)
-		s.robPopFront()
-		// Clear the writer-table slots this uop occupies so no new
-		// dependence edge can reach it after retirement, then park the
-		// record for recycling at the top of the next cycle.
-		for _, wi := range u.writes {
-			if wi >= 0 && s.lastWriter[wi] == u {
-				s.lastWriter[wi] = nil
-			}
-		}
-		s.freeNext = append(s.freeNext, u)
+		// Retiring is moving the head: the slot, the writer-table
+		// entries naming this seq and a pendingSyscall equal to it all
+		// go stale at once.
+		s.headSeq++
 		s.stats.Instructions++
 		s.committedThis = true
 	}
@@ -652,6 +611,7 @@ type sbEntry struct {
 	drainDone uint64
 }
 
+// recordTrace records u, committing this cycle, in the timeline.
 func (s *Sim) recordTrace(u *uop) {
 	if s.traceLimit == 0 || u.seq > s.traceLimit {
 		return
@@ -659,7 +619,7 @@ func (s *Sim) recordTrace(u *uop) {
 	s.trace = append(s.trace, TimelineEntry{
 		Seq: u.seq, PC: u.pc, Op: u.op,
 		Dispatch: u.dispatchC, Start: u.execStartC,
-		Done: u.doneC, Commit: u.commitC,
+		Done: u.doneC, Commit: s.cycle,
 	})
 }
 
@@ -680,11 +640,12 @@ func (s *Sim) issue() bool {
 	issued := 0
 	aluUsed, mulUsed, fpuUsed, loadUsed, storeUsed := 0, 0, 0, 0, 0
 	keep := s.readyQ[:0]
-	for i, u := range s.readyQ {
+	for i, q := range s.readyQ {
 		if issued >= s.cfg.IssueWidth {
 			keep = append(keep, s.readyQ[i:]...)
 			break
 		}
+		u := s.at(q)
 		ok := true
 		var lat uint64
 		switch u.kind {
@@ -759,7 +720,7 @@ func (s *Sim) issue() bool {
 			lat = s.cfg.SyscallLat
 		}
 		if !ok {
-			keep = append(keep, u)
+			keep = append(keep, q)
 			continue
 		}
 		issued++
@@ -767,7 +728,8 @@ func (s *Sim) issue() bool {
 		u.state = stIssued
 		u.execStartC = s.cycle
 		u.doneC = s.cycle + lat
-		s.exec = append(s.exec, u)
+		s.exec = append(s.exec, q)
+		s.execMin = min(s.execMin, u.doneC)
 		s.finishAt(u)
 	}
 	s.readyQ = keep
@@ -775,98 +737,89 @@ func (s *Sim) issue() bool {
 }
 
 // broadcast promotes issued uops whose result time has arrived and wakes
-// the consumers whose last outstanding operand that was, then runs the
-// early-dequeue pass. Only members of the exec list can change state
-// here, so it scans executing work rather than the whole ROB. It reports
-// whether anything finished.
+// the consumers whose last outstanding operand that was, then advances
+// the early-dequeue frontier. Only members of the exec list can change
+// state here, so it scans executing work rather than the whole ROB, and
+// not even that on a cycle before execMin. It reports whether anything
+// finished.
 func (s *Sim) broadcast() bool {
-	branchResolved := false
+	if s.execMin > s.cycle {
+		return false
+	}
 	executing := len(s.exec)
-	keepExec := s.exec[:0]
-	for _, u := range s.exec {
+	keep, next := s.exec[:0], noEvent
+	for _, q := range s.exec {
+		u := s.at(q)
 		if u.doneC > s.cycle {
-			keepExec = append(keepExec, u)
+			keep = append(keep, q)
+			next = min(next, u.doneC)
 			continue
 		}
 		u.state = stDone
-		if isBranchKind(u.kind) {
-			s.unresolvedBranches--
-			branchResolved = true
-		}
 		for _, c := range u.consumers {
-			if c.pending--; c.pending == 0 {
+			w := s.at(c)
+			if w.pending--; w.pending == 0 {
 				s.wake(c)
 			}
 		}
 		u.consumers = u.consumers[:0]
 	}
-	s.exec = keepExec
-	// Early-dequeue model: ops that stayed ROB-resident only because an
-	// older branch was unresolved (speculative, hence abortable) are
-	// removed once no older unresolved branch remains.
-	if s.cfg.EarlyDequeue && branchResolved {
-		unresolved := 0
-		for i := 0; i < s.robLen; i++ {
-			u := s.robAt(i)
-			if unresolved == 0 && !canAbort(u.kind) {
-				u.inSampleROB = false
-			}
-			if isBranchKind(u.kind) && u.state != stDone {
-				unresolved++
-			}
-		}
+	s.exec, s.execMin = keep, next
+	if s.cfg.EarlyDequeue {
+		s.earlyDequeue()
 	}
 	return len(s.exec) < executing
 }
 
-// wake inserts u into the ready queue at its place in seq order. Woken
-// uops are usually among the youngest waiting, so the backward walk is
-// short.
-func (s *Sim) wake(u *uop) {
-	q := append(s.readyQ, u)
-	i := len(q) - 1
-	for ; i > 0 && q[i-1].seq > u.seq; i-- {
-		q[i] = q[i-1]
+// earlyDequeue advances the early-dequeue frontier (§V-B AArch64): a
+// dispatched op that cannot abort and is behind no unresolved branch
+// (so not speculative) leaves the sampling-visible reorder buffer, even
+// before it executes. The walk resumes at edSeq and stops at the next
+// unresolved branch, so each uop is passed once: at dispatch when
+// nothing older is unresolved, or when the branch holding it back
+// resolves.
+func (s *Sim) earlyDequeue() {
+	for ; s.edSeq <= s.seq; s.edSeq++ {
+		u := s.at(s.edSeq)
+		if u.flags&fBranch != 0 && u.state != stDone {
+			return
+		}
+		if u.flags&fCanAbort == 0 {
+			u.inSampleROB = false
+		}
 	}
-	q[i] = u
-	s.readyQ = q
 }
 
-func isBranchKind(k isa.Kind) bool {
-	switch k {
-	case isa.KindBranch, isa.KindIndirect, isa.KindIndCall, isa.KindReturn:
-		return true
+// wake inserts seq q into the ready queue at its place in seq order.
+// Woken uops are usually among the youngest waiting, so the backward
+// walk is short.
+func (s *Sim) wake(q uint64) {
+	rq := append(s.readyQ, q)
+	i := len(rq) - 1
+	for ; i > 0 && rq[i-1] > q; i-- {
+		rq[i] = rq[i-1]
 	}
-	return false
+	rq[i] = q
+	s.readyQ = rq
 }
 
 // finishAt handles side effects that occur when u's execution completes:
 // predictor training and mispredict redirect scheduling.
 func (s *Sim) finishAt(u *uop) {
-	u.state = stIssued
-	switch op := u.op; {
-	case op.IsConditional():
+	switch {
+	case u.flags&fConditional != 0:
 		// Trained at resolve time.
 		s.dir.Update(u.pc, u.taken)
-	case op.IsIndirect():
+	case u.flags&fIndirect != 0:
 		s.btb.Update(u.pc, u.nextPC)
 	}
-	if u.mispredicted && s.redirectBranch == u {
+	if u.mispredicted && s.redirectBranch == u.seq {
 		until := u.doneC + s.cfg.MispredictPenalty
 		if until > s.fetchStallUntil {
 			s.fetchStallUntil = until
 		}
-		s.redirectBranch = nil
+		s.redirectBranch = 0
 	}
-}
-
-func canAbort(k isa.Kind) bool {
-	switch k {
-	case isa.KindLoad, isa.KindStore, isa.KindBranch, isa.KindIndirect,
-		isa.KindIndCall, isa.KindReturn, isa.KindSyscall:
-		return true
-	}
-	return false
 }
 
 // loadLatency computes a load's latency, checking store forwarding first.
@@ -875,8 +828,8 @@ func (s *Sim) loadLatency(u *uop) uint64 {
 	// Forward from an older in-flight store to the same 8-byte word,
 	// youngest first.
 	for i := s.sqLen - 1; i >= 0; i-- {
-		o := s.sqAt(i)
-		if o.seq < u.seq && o.addr>>3 == line {
+		q := s.sq[(s.sqHead+i)&int(s.robMask)]
+		if q < u.seq && s.at(q).addr>>3 == line {
 			return 2 // store-to-load forward
 		}
 	}
@@ -895,8 +848,9 @@ func (s *Sim) loadLatency(u *uop) uint64 {
 // decoded is the static half of one text slot's dispatch, translated once
 // per image.
 type decoded struct {
-	op   isa.Op
-	kind isa.Kind
+	op    isa.Op
+	kind  isa.Kind
+	flags slotFlags
 	// srcs[:nsrc] are the lastWriter slots (0-31 int, 32-63 fp) of the
 	// source operands, X0 dropped. A register read twice appears twice:
 	// each read counts toward the consumer's pending.
@@ -907,13 +861,59 @@ type decoded struct {
 	writes [2]int8
 }
 
+// slotFlags are the facts about an op that the pipeline stages branch on,
+// derived from its kind once per text slot so no stage re-derives them.
+type slotFlags uint8
+
+const (
+	// fBranch: a control transfer whose outcome is known only when it
+	// executes (conditional, indirect, indirect call, return); it holds
+	// younger ops in the sampling-visible ROB under early dequeue.
+	fBranch slotFlags = 1 << iota
+	// fCanAbort: a load, store, fBranch op or syscall, which stays
+	// sampling-visible under early dequeue until it commits.
+	fCanAbort
+	fCall        // pushes a return address (direct or indirect call)
+	fReturn      // pops one
+	fConditional // trains the direction predictor
+	fIndirect    // trains the BTB (indirect jump, indirect call, return)
+	// fEndsGroup: an unconditional control transfer, which ends the
+	// fetch group (a taken conditional branch ends it too).
+	fEndsGroup
+)
+
+// fPredicted marks the ops predict has work for.
+const fPredicted = fConditional | fCall | fIndirect
+
+// flagsOf derives an op's slotFlags.
+func flagsOf(op isa.Op) slotFlags {
+	var f slotFlags
+	switch op.Kind() {
+	case isa.KindBranch:
+		f = fBranch | fCanAbort | fConditional
+	case isa.KindIndirect:
+		f = fBranch | fCanAbort | fIndirect | fEndsGroup
+	case isa.KindIndCall:
+		f = fBranch | fCanAbort | fIndirect | fCall | fEndsGroup
+	case isa.KindReturn:
+		f = fBranch | fCanAbort | fIndirect | fReturn | fEndsGroup
+	case isa.KindCall:
+		f = fCall | fEndsGroup
+	case isa.KindJump:
+		f = fEndsGroup
+	case isa.KindLoad, isa.KindStore, isa.KindSyscall:
+		f = fCanAbort
+	}
+	return f
+}
+
 // predecode builds the per-slot dispatch table of a text segment.
 func predecode(text []isa.Instruction) []decoded {
 	tab := make([]decoded, len(text))
 	for i, inst := range text {
 		d := &tab[i]
 		op := inst.Op
-		d.op, d.kind, d.writes = op, op.Kind(), [2]int8{-1, -1}
+		d.op, d.kind, d.flags, d.writes = op, op.Kind(), flagsOf(op), [2]int8{-1, -1}
 		src := func(r isa.Reg, fp bool) {
 			switch {
 			case fp:
@@ -975,13 +975,12 @@ func predecode(text []isa.Instruction) []decoded {
 }
 
 func (s *Sim) dispatch() {
-	s.clearPendingSyscall()
 	if s.fetchDone || s.cycle < s.fetchStallUntil ||
-		s.redirectBranch != nil || s.pendingSyscall != nil {
+		s.redirectBranch != 0 || s.pendingSyscall >= s.headSeq {
 		return
 	}
 	for n := 0; n < s.cfg.FetchWidth; n++ {
-		if s.robLen >= s.cfg.ROBSize || s.iqLen >= s.cfg.IQSize {
+		if s.robLen() >= s.cfg.ROBSize || s.iqLen >= s.cfg.IQSize {
 			return
 		}
 		if s.arch.Exited {
@@ -997,81 +996,73 @@ func (s *Sim) dispatch() {
 		}
 		d := &s.decoded[slot]
 		s.seq++
-		// A recycled record is overwritten field by field; its consumer
-		// list is already empty (a producer empties it when it finishes,
-		// before it can commit) and keeps its backing array.
-		u := s.newUop()
-		u.seq, u.pc, u.op, u.kind = s.seq, pc, d.op, d.kind
+		q := s.seq
+		// The slot's previous occupant has retired; its fields are
+		// overwritten one by one. Its consumer list is already empty (a
+		// producer empties it when it finishes, before it can commit)
+		// and keeps its backing array.
+		u := s.at(q)
+		u.seq, u.pc, u.op, u.kind, u.flags = q, pc, d.op, d.kind, d.flags
 		u.pending, u.consumers = 0, u.consumers[:0]
 		u.addr, u.taken, u.nextPC = addr, taken, s.arch.St.PC
 		u.state, u.doneC, u.inSampleROB, u.mispredicted = stWaiting, 0, true, false
-		u.dispatchC, u.execStartC, u.commitC = s.cycle, 0, 0
-		// Rename: a producer that has not finished gains u as a consumer.
-		// Dispatch runs after this cycle's broadcast, so an issued
-		// producer is still executing.
+		u.dispatchC, u.execStartC = s.cycle, 0
+		// Rename: a live producer that has not finished gains u as a
+		// consumer. Dispatch runs after this cycle's broadcast, so an
+		// issued producer is still executing.
 		for _, r := range d.srcs[:d.nsrc] {
-			if w := s.lastWriter[r]; w != nil && w.state != stDone {
-				u.pending++
-				w.consumers = append(w.consumers, u)
+			if w := s.lastWriter[r]; w >= s.headSeq {
+				if p := s.at(w); p.state != stDone {
+					u.pending++
+					p.consumers = append(p.consumers, q)
+				}
 			}
 		}
-		u.writes = d.writes
 		for _, wi := range d.writes {
 			if wi >= 0 {
-				s.lastWriter[wi] = u
+				s.lastWriter[wi] = q
 			}
 		}
-		if isBranchKind(u.kind) {
-			s.unresolvedBranches++
+		if s.cfg.EarlyDequeue {
+			// A non-abortable op with no unresolved branch ahead of it
+			// leaves the sampling-visible ROB now. Back-pressure (a full
+			// issue queue) is then what keeps ops sampling-visible.
+			s.earlyDequeue()
 		}
-		// Early-dequeue commit model (§V-B AArch64): a dispatched op that
-		// cannot abort and is not speculative leaves the sampling-visible
-		// reorder buffer immediately, even before executing. Back-pressure
-		// (a full issue queue) is then what keeps ops sampling-visible.
-		if s.cfg.EarlyDequeue && !canAbort(u.kind) && s.unresolvedBranches == 0 {
-			u.inSampleROB = false
-		}
-		s.robPush(u)
 		if u.kind == isa.KindStore {
-			s.sqBuf[(s.sqHead+s.sqLen)&s.robMask] = u
+			s.sq[(s.sqHead+s.sqLen)&int(s.robMask)] = q
 			s.sqLen++
 		}
 		s.iqLen++
 		if u.pending == 0 {
 			// The youngest uop: appending keeps the queue in seq order.
-			s.readyQ = append(s.readyQ, u)
+			s.readyQ = append(s.readyQ, q)
 		}
-		s.predict(u)
+		if u.flags&fPredicted != 0 {
+			s.predict(u)
+		}
 		if u.kind == isa.KindSyscall {
 			// Syscalls serialize the front end until they commit.
-			s.pendingSyscall = u
+			s.pendingSyscall = q
 			return
 		}
 		if u.mispredicted {
 			// Fetch freezes on the wrong path; the redirect is scheduled
 			// when the branch resolves (finishAt).
-			s.redirectBranch = u
+			s.redirectBranch = q
 			return
 		}
-		if taken || u.kind == isa.KindJump || u.kind == isa.KindCall ||
-			u.kind == isa.KindIndirect || u.kind == isa.KindIndCall ||
-			u.kind == isa.KindReturn {
+		if taken || u.flags&fEndsGroup != 0 {
 			// Taken control flow ends the fetch group.
 			return
 		}
 	}
 }
 
-func (s *Sim) clearPendingSyscall() {
-	if s.pendingSyscall != nil && s.pendingSyscall.commitC != 0 {
-		s.pendingSyscall = nil
-	}
-}
-
 // predict runs the front-end predictors for u and marks mispredicts.
 func (s *Sim) predict(u *uop) {
 	switch op := u.op; {
-	case op.IsConditional():
+	case u.flags&fConditional != 0:
 		s.stats.Branches++
 		if s.dir.Predict(u.pc) != u.taken {
 			u.mispredicted = true
@@ -1128,7 +1119,7 @@ func (s *Sim) maybeSample() {
 		// Delivered only once commit makes progress: the stalled head has
 		// retired and the sampled PC skids onto its successor. If the ROB
 		// is empty (e.g. right at program end) deliver immediately.
-		if s.committedThis || s.robLen == 0 {
+		if s.committedThis || s.robLen() == 0 {
 			s.deliverSample()
 		}
 	}
@@ -1146,8 +1137,8 @@ func (s *Sim) deliverSample() {
 		// allocation frontier — the op that could not dispatch because of
 		// issue-queue back-pressure (§V-B, figure 9).
 		pc = s.arch.St.PC
-	} else if s.robLen > 0 {
-		pc = s.robAt(0).pc
+	} else if s.robLen() > 0 {
+		pc = s.at(s.headSeq).pc
 	} else {
 		pc = s.arch.St.PC // between instructions: next PC
 	}
@@ -1199,10 +1190,13 @@ func (s *Sim) advanceKernel(cost uint64) {
 	// times of issued-but-unfinished work (memory continues in reality;
 	// this simplification keeps user-cycle accounting exact). The exec
 	// list is exactly the issued-but-unfinished set.
-	for _, u := range s.exec {
-		if u.doneC > s.cycle-cost {
+	for _, q := range s.exec {
+		if u := s.at(q); u.doneC > s.cycle-cost {
 			u.doneC += cost
 		}
+	}
+	if s.execMin != noEvent && s.execMin > s.cycle-cost {
+		s.execMin += cost
 	}
 	if s.fetchStallUntil > s.cycle-cost && s.fetchStallUntil < ^uint64(0)>>2 {
 		s.fetchStallUntil += cost
@@ -1227,8 +1221,8 @@ func (s *Sim) advanceKernel(cost uint64) {
 // hardware (the whole ROB on x86; abortable/undispatched ops only in the
 // early-dequeue model).
 func (s *Sim) oldestSampleVisible() *uop {
-	for i := 0; i < s.robLen; i++ {
-		if u := s.robAt(i); u.inSampleROB {
+	for q := s.headSeq; q <= s.seq; q++ {
+		if u := s.at(q); u.inSampleROB {
 			return u
 		}
 	}

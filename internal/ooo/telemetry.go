@@ -165,14 +165,14 @@ func (iv *intervalTracker) tick(s *Sim) {
 // window without flushing it; the run loop calls it directly for the
 // quiet cycles it skips.
 func (iv *intervalTracker) account(s *Sim, n uint64) {
-	iv.robSum += n * uint64(s.robLen)
+	iv.robSum += n * uint64(s.robLen())
 	switch {
 	case s.committedThis:
 		iv.stalls.Commit += n
-	case s.robLen == 0:
+	case s.robLen() == 0:
 		iv.stalls.Frontend += n
 	default:
-		head := s.robAt(0)
+		head := s.at(s.headSeq)
 		switch {
 		case head.state == stDone:
 			// Finished but unretirable: store-buffer pressure (figure 8)

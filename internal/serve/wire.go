@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"reflect"
 	"strings"
 
@@ -67,9 +68,56 @@ type wireCodec struct {
 	dec func(d *wireDecoder, v reflect.Value)
 }
 
+// wireEncoder appends a payload to buf. A sizing encoder appends
+// nothing and only counts in n the bytes it would append, so
+// MarshalBinary allocates the payload once, at its exact length.
 type wireEncoder struct {
-	buf []byte
-	err error
+	buf    []byte
+	sizing bool
+	n      int
+	err    error
+}
+
+func (e *wireEncoder) u8(b byte) {
+	if e.sizing {
+		e.n++
+		return
+	}
+	e.buf = append(e.buf, b)
+}
+
+func (e *wireEncoder) uvarint(x uint64) {
+	if e.sizing {
+		e.n += (bits.Len64(x|1) + 6) / 7
+		return
+	}
+	e.buf = binary.AppendUvarint(e.buf, x)
+}
+
+// varint writes x zigzag-encoded, as binary.AppendVarint does.
+func (e *wireEncoder) varint(x int64) {
+	ux := uint64(x) << 1
+	if x < 0 {
+		ux = ^ux
+	}
+	e.uvarint(ux)
+}
+
+func (e *wireEncoder) fixed64(x uint64) {
+	if e.sizing {
+		e.n += 8
+		return
+	}
+	e.buf = binary.LittleEndian.AppendUint64(e.buf, x)
+}
+
+func (e *wireEncoder) str(s string) {
+	e.uvarint(uint64(len(s)))
+	if e.sizing {
+		e.n += len(s)
+		return
+	}
+	e.buf = append(e.buf, s...)
 }
 
 // wireDecoder reads buf from off. The first failure is sticky: it
@@ -157,7 +205,7 @@ func (wc *wireCompiler) compile(t reflect.Type) (*wireCodec, error) {
 			if v.Bool() {
 				b = 1
 			}
-			e.buf = append(e.buf, b)
+			e.u8(b)
 		}
 		c.dec = func(d *wireDecoder, v reflect.Value) {
 			switch d.next() {
@@ -170,7 +218,7 @@ func (wc *wireCompiler) compile(t reflect.Type) (*wireCodec, error) {
 		}
 	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
 		shift := 64 - t.Bits()
-		c.enc = func(e *wireEncoder, v reflect.Value) { e.buf = binary.AppendVarint(e.buf, v.Int()) }
+		c.enc = func(e *wireEncoder, v reflect.Value) { e.varint(v.Int()) }
 		c.dec = func(d *wireDecoder, v reflect.Value) {
 			ux := d.uvarint()
 			x := int64(ux >> 1)
@@ -185,7 +233,7 @@ func (wc *wireCompiler) compile(t reflect.Type) (*wireCodec, error) {
 		}
 	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
 		shift := 64 - t.Bits()
-		c.enc = func(e *wireEncoder, v reflect.Value) { e.buf = binary.AppendUvarint(e.buf, v.Uint()) }
+		c.enc = func(e *wireEncoder, v reflect.Value) { e.uvarint(v.Uint()) }
 		c.dec = func(d *wireDecoder, v reflect.Value) {
 			x := d.uvarint()
 			if (x<<shift)>>shift != x {
@@ -204,7 +252,7 @@ func (wc *wireCompiler) compile(t reflect.Type) (*wireCodec, error) {
 				}
 				return
 			}
-			e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(f))
+			e.fixed64(math.Float64bits(f))
 		}
 		c.dec = func(d *wireDecoder, v reflect.Value) {
 			if d.left() < 8 {
@@ -220,10 +268,7 @@ func (wc *wireCompiler) compile(t reflect.Type) (*wireCodec, error) {
 			v.SetFloat(f)
 		}
 	case reflect.String:
-		c.enc = func(e *wireEncoder, v reflect.Value) {
-			s := v.String()
-			e.buf = append(binary.AppendUvarint(e.buf, uint64(len(s))), s...)
-		}
+		c.enc = func(e *wireEncoder, v reflect.Value) { e.str(v.String()) }
 		c.dec = func(d *wireDecoder, v reflect.Value) {
 			n := d.uvarint()
 			if n > uint64(d.left()) {
@@ -242,11 +287,11 @@ func (wc *wireCompiler) compile(t reflect.Type) (*wireCodec, error) {
 		wc.sig.WriteString("]")
 		c.enc = func(e *wireEncoder, v reflect.Value) {
 			if v.IsNil() {
-				e.buf = append(e.buf, 0)
+				e.u8(0)
 				return
 			}
 			n := v.Len()
-			e.buf = binary.AppendUvarint(e.buf, uint64(n)+1)
+			e.uvarint(uint64(n) + 1)
 			for i := 0; i < n; i++ {
 				elem.enc(e, v.Index(i))
 			}
@@ -275,10 +320,10 @@ func (wc *wireCompiler) compile(t reflect.Type) (*wireCodec, error) {
 		wc.sig.WriteString(")")
 		c.enc = func(e *wireEncoder, v reflect.Value) {
 			if v.IsNil() {
-				e.buf = append(e.buf, 0)
+				e.u8(0)
 				return
 			}
-			e.buf = append(e.buf, 1)
+			e.u8(1)
 			elem.enc(e, v.Elem())
 		}
 		c.dec = func(d *wireDecoder, v reflect.Value) {
@@ -334,13 +379,17 @@ func (wc *wireCompiler) compile(t reflect.Type) (*wireCodec, error) {
 }
 
 // MarshalBinary returns w's payload. A NaN or infinite float is an
-// error, as it is for json.Marshal.
+// error, as it is for json.Marshal. A sizing pass over w comes first,
+// so the payload is allocated once.
 func (w *WireResult) MarshalBinary() ([]byte, error) {
-	e := wireEncoder{buf: append(make([]byte, 0, 4096), wireHeader...)}
-	wireRoot.enc(&e, reflect.ValueOf(w).Elem())
-	if e.err != nil {
-		return nil, fmt.Errorf("serve: encode result: %w", e.err)
+	v := reflect.ValueOf(w).Elem()
+	size := wireEncoder{sizing: true}
+	wireRoot.enc(&size, v)
+	if size.err != nil {
+		return nil, fmt.Errorf("serve: encode result: %w", size.err)
 	}
+	e := wireEncoder{buf: append(make([]byte, 0, len(wireHeader)+size.n), wireHeader...)}
+	wireRoot.enc(&e, v)
 	return e.buf, nil
 }
 

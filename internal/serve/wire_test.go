@@ -320,3 +320,33 @@ func FuzzDecodeWireResult(f *testing.F) {
 		}
 	})
 }
+
+// TestWireEncodeAllocatesThePayloadOnce: MarshalBinary sizes the payload
+// in a first pass and then allocates it once, at its final length,
+// instead of growing a buffer by doubling.
+func TestWireEncodeAllocatesThePayloadOnce(t *testing.T) {
+	_, results := wireResults(t)
+	for _, name := range []string{"full", "tiered", "windowed"} {
+		w := &WireResult{Export: results[name].Export(), Graph: results[name].Graph.Flatten()}
+		payload, err := w.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cap(payload) != len(payload) {
+			t.Errorf("%s: a %d-byte payload has capacity %d", name, len(payload), cap(payload))
+		}
+		const runs = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			w.MarshalBinary() //nolint:errcheck // encoded above
+		}
+		runtime.ReadMemStats(&after)
+		perEncode := float64(after.TotalAlloc-before.TotalAlloc) / runs
+		t.Logf("%s: %d-byte payload, %.0f bytes allocated per encode", name, len(payload), perEncode)
+		if perEncode > 1.1*float64(len(payload)) {
+			t.Errorf("%s: encoding a %d-byte payload allocated %.0f bytes, want at most 1.1x the payload",
+				name, len(payload), perEncode)
+		}
+	}
+}

@@ -2,10 +2,18 @@
 """Same-runner A/B of the repository benchmark: this checkout against a parent.
 
     python3 scripts/ab.py <parent-rev>
+    python3 scripts/ab.py --aa <rev>
 
-Checks <parent-rev> out into a temporary git worktree. For every workload in
-BENCHMARK.json it runs ten alternating parent/change pairs, seeds 1-10 with
-odd seeds running the parent first, each through that tree's own
+Exports two sibling trees into one temporary directory, both the same way
+(`git archive` of a tree object, unpacked by tar): "parent" from
+<parent-rev>, and "change" from a snapshot of this checkout's working tree
+(tracked edits and untracked files, .gitignore respected, the real index
+untouched). With --aa both trees come from <rev>: an A/A self-check, whose
+rows show the harness's own bias and noise between two identical trees.
+
+For every workload in BENCHMARK.json it runs ten alternating parent/change
+pairs, seeds 1-10 with odd seeds running the parent first, each through that
+tree's own
 
     bash perfbench/run.sh --workload W --seed N --seconds <run_seconds> --trace 0
 
@@ -20,6 +28,10 @@ and judges the medians of every end-to-end metric against the metric's
                 better than every parent run)
     ok          otherwise
 
+Each row also shows in how many pairs (same seed) the change read better
+than the parent; ties count for neither side. The count informs, it does
+not judge.
+
 The run also fails when any run reports `correct == false` (or its run.sh
 exits non-zero) and when the change's failed/attempted share of operations
 exceeds the parent's. Exit status 0 means every workload passed.
@@ -32,6 +44,7 @@ CARGO_TARGET_DIR is ignored.
 import json
 import math
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -86,7 +99,7 @@ def judge(end_to_end, parent, change):
         passed = False
         lines.append(f"FAIL failed ops: change {c_share:.4%} of attempted > parent {p_share:.4%}")
     lines.append(f"{'metric':<20} {'parent':>12} {'change':>12} {'delta':>8} "
-                 f"{'bound':>6} {'p-iqr':>7}  verdict")
+                 f"{'bound':>6} {'p-iqr':>7} {'wins':>6}  verdict")
     for m in end_to_end:
         name, bound = m["name"], m["bound"]
         pv = [r["metrics"][name]["value"] for r in parent if r["correct"] and name in r["metrics"]]
@@ -98,6 +111,10 @@ def judge(end_to_end, parent, change):
         worse = delta if m["better"] == "lower" else -delta
         iqr = spread(pv)
         all_better = max(cv) < min(pv) if m["better"] == "lower" else min(cv) > max(pv)
+        pairs = [(p["metrics"][name]["value"], c["metrics"][name]["value"])
+                 for p, c in zip(parent, change)
+                 if p["correct"] and c["correct"] and name in p["metrics"] and name in c["metrics"]]
+        wins = sum(1 for p, c in pairs if (c < p if m["better"] == "lower" else c > p))
         if worse > bound:
             verdict = "FAIL"
             passed = False
@@ -106,7 +123,7 @@ def judge(end_to_end, parent, change):
         else:
             verdict = "ok"
         lines.append(f"{name:<20} {p_med:>12.4f} {c_med:>12.4f} {delta:>+8.1%} "
-                     f"{bound:>6.0%} {iqr:>7.1%}  {verdict}")
+                     f"{bound:>6.0%} {iqr:>7.1%} {wins:>3}/{len(pairs):<2}  {verdict}")
     return passed, lines
 
 
@@ -120,43 +137,75 @@ def measure(tree, workload, seed, seconds):
         return {"correct": False, "attempted": 0, "failed": 0, "metrics": {}}
 
 
-def git(*args):
-    return subprocess.run(["git", "-C", ROOT, *args], check=True,
+def git(repo, *args, env=None):
+    return subprocess.run(["git", "-C", repo, *args], check=True, env=env,
                           stdout=subprocess.PIPE, text=True).stdout.strip()
 
 
+def parse_args(argv):
+    """Returns (aa, rev) for `<rev>` or `--aa <rev>`."""
+    aa = argv[:1] == ["--aa"]
+    rest = argv[1:] if aa else argv
+    if len(rest) != 1 or rest[0].startswith("-"):
+        raise SystemExit("usage: python3 scripts/ab.py [--aa] <rev>")
+    return aa, rest[0]
+
+
+def snapshot(repo, scratch):
+    """A tree object of repo's working tree, as `git add -A` would stage it.
+
+    It goes through a private index file, so the repository's own index and
+    stash are left as they were.
+    """
+    env = dict(os.environ, GIT_INDEX_FILE=os.path.join(scratch, "index"))
+    git(repo, "read-tree", "HEAD", env=env)
+    git(repo, "add", "-A", env=env)
+    return git(repo, "write-tree", env=env)
+
+
+def export(repo, treeish, dest):
+    """Unpacks `git archive treeish` into the new directory dest."""
+    os.mkdir(dest)
+    archive = subprocess.Popen(["git", "-C", repo, "archive", "--format=tar", treeish],
+                               stdout=subprocess.PIPE)
+    subprocess.run(["tar", "-x", "-C", dest], stdin=archive.stdout, check=True)
+    archive.stdout.close()
+    if archive.wait() != 0:
+        raise SystemExit(f"git archive {treeish} failed")
+
+
 def main():
-    if len(sys.argv) != 2 or sys.argv[1].startswith("-"):
-        raise SystemExit("usage: python3 scripts/ab.py <parent-rev>")
-    rev = git("rev-parse", "--verify", sys.argv[1] + "^{commit}")
+    aa, arg = parse_args(sys.argv[1:])
+    rev = git(ROOT, "rev-parse", "--verify", arg + "^{commit}")
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         bench = json.load(f)
     os.environ.pop("CARGO_TARGET_DIR", None)
-    tmp = tempfile.mkdtemp(prefix="ab-parent-")
-    parent_tree = os.path.join(tmp, "tree")
-    git("worktree", "add", "--detach", parent_tree, rev)
+    tmp = tempfile.mkdtemp(prefix="ab-")
+    trees = {"parent": os.path.join(tmp, "parent"), "change": os.path.join(tmp, "change")}
+    title = f"A/A {rev[:12]} against itself" if aa else f"parent {rev[:12]} vs change"
     passed = True
     try:
+        export(ROOT, rev, trees["parent"])
+        export(ROOT, rev if aa else snapshot(ROOT, tmp), trees["change"])
         for w in bench["workloads"]:
             workload = w["name"]
             runs = {"parent": [], "change": []}
             for seed in range(1, PAIRS + 1):
                 order = ("parent", "change") if seed % 2 else ("change", "parent")
                 for side in order:
-                    tree = parent_tree if side == "parent" else ROOT
-                    runs[side].append(measure(tree, workload, seed, bench["run_seconds"]))
+                    runs[side].append(measure(trees[side], workload, seed, bench["run_seconds"]))
                 print(f"# {workload} seed {seed} done", file=sys.stderr, flush=True)
             ok, lines = judge(bench["end_to_end"], runs["parent"], runs["change"])
             passed &= ok
-            print(f"{workload}: parent {rev[:12]} vs change, {PAIRS} pairs of "
+            print(f"{workload}: {title}, {PAIRS} pairs of "
                   f"{bench['run_seconds']} s runs: {'ok' if ok else 'FAIL'}")
             for line in lines:
                 print("  " + line)
             sys.stdout.flush()
     finally:
         os.chdir(ROOT)
-        git("worktree", "remove", "--force", parent_tree)
-        os.rmdir(tmp)
+        subprocess.run(["chmod", "-R", "u+w", tmp], check=False)  # Go caches are read-only
+        shutil.rmtree(tmp)
     print("ab: ok" if passed else "ab: FAIL")
     sys.exit(0 if passed else 1)
 

@@ -1,12 +1,15 @@
-"""Unit tests for scripts/ab.py's judge. Run from the repository root:
+"""Unit tests for scripts/ab.py's judge and tree export. Run from the repository root:
 
     python3 -m unittest scripts/ab_test.py
 """
 
 import copy
+import filecmp
 import json
 import os
+import shutil
 import sys
+import tempfile
 import unittest
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
@@ -84,6 +87,8 @@ class JudgeTest(unittest.TestCase):
         }))
         self.assertTrue(passed, report)
         self.assertNotIn("FAIL", report)
+        self.assertRegex(report, r"latency_p50_ms .* 10/10 +ok")
+        self.assertRegex(report, r"cpi_err_func_pct .*  0/10 +ok")  # a tie wins nothing
 
     def test_wide_parent_spread_is_unresolved(self):
         parent = runs()
@@ -96,6 +101,65 @@ class JudgeTest(unittest.TestCase):
         passed, lines = ab.judge(END_TO_END, parent, runs({"latency_p50_ms": 0.5}))
         self.assertTrue(passed, lines)
         self.assertRegex("\n".join(lines), r"(?m)latency_p50_ms .* ok$")
+
+
+class TreesTest(unittest.TestCase):
+    """Both sides of a run are `git archive` exports into sibling directories."""
+
+    def setUp(self):
+        self.tmp = tempfile.mkdtemp(prefix="ab-test-")
+        self.repo = os.path.join(self.tmp, "repo")
+        os.mkdir(self.repo)
+        self.git("init", "-q")
+        self.write(".gitignore", "ignored/\n")
+        self.write("a.txt", "one\n")
+        self.git("add", "-A")
+        self.git("-c", "user.name=t", "-c", "user.email=t@t", "commit", "-qm", "base")
+
+    def tearDown(self):
+        shutil.rmtree(self.tmp)
+
+    def git(self, *args):
+        return ab.git(self.repo, *args)
+
+    def write(self, name, text):
+        path = os.path.join(self.repo, name)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "w") as f:
+            f.write(text)
+
+    def read(self, tree, name):
+        with open(os.path.join(self.tmp, tree, name)) as f:
+            return f.read()
+
+    def test_change_tree_is_the_working_tree(self):
+        self.write("a.txt", "two\n")
+        self.write("new.txt", "new\n")
+        self.write("ignored/build.out", "x\n")
+        status = self.git("status", "--porcelain")
+        ab.export(self.repo, "HEAD", os.path.join(self.tmp, "parent"))
+        ab.export(self.repo, ab.snapshot(self.repo, self.tmp), os.path.join(self.tmp, "change"))
+        self.assertEqual(self.read("parent", "a.txt"), "one\n")
+        self.assertFalse(os.path.exists(os.path.join(self.tmp, "parent", "new.txt")))
+        self.assertEqual(self.read("change", "a.txt"), "two\n")
+        self.assertEqual(self.read("change", "new.txt"), "new\n")
+        self.assertFalse(os.path.exists(os.path.join(self.tmp, "change", "ignored")))
+        # The repository's own index is untouched.
+        self.assertEqual(self.git("status", "--porcelain"), status)
+
+    def test_aa_trees_are_identical(self):
+        ab.export(self.repo, "HEAD", os.path.join(self.tmp, "parent"))
+        ab.export(self.repo, "HEAD", os.path.join(self.tmp, "change"))
+        cmp = filecmp.dircmp(os.path.join(self.tmp, "parent"), os.path.join(self.tmp, "change"))
+        self.assertEqual(cmp.common_files, [".gitignore", "a.txt"])
+        self.assertEqual((cmp.left_only, cmp.right_only, cmp.diff_files), ([], [], []))
+
+    def test_parse_args(self):
+        self.assertEqual(ab.parse_args(["HEAD^"]), (False, "HEAD^"))
+        self.assertEqual(ab.parse_args(["--aa", "HEAD"]), (True, "HEAD"))
+        for argv in ([], ["--aa"], ["-x"], ["a", "b"], ["--aa", "a", "b"]):
+            with self.assertRaises(SystemExit):
+                ab.parse_args(argv)
 
 
 if __name__ == "__main__":
