@@ -11,6 +11,7 @@ import (
 
 	"optiwise/internal/fault"
 	"optiwise/internal/obs"
+	"optiwise/internal/serve"
 )
 
 // Cluster protocol headers.
@@ -135,7 +136,8 @@ func (n *Node) forward(w http.ResponseWriter, r *http.Request, owner string, bod
 	// Buffer the whole response before relaying a byte: an owner dying
 	// mid-response must remain fail-over-able, which it is not once the
 	// client saw a partial answer.
-	respBody, err := io.ReadAll(io.LimitReader(resp.Body, n.srv.Config().MaxBodyBytes*4))
+	limit := n.srv.Config().MaxBodyBytes * 4
+	respBody, err := serve.ReadBody(io.LimitReader(resp.Body, limit), resp.ContentLength, limit)
 	if err != nil {
 		return false
 	}
@@ -229,7 +231,8 @@ func (n *Node) proxy(w http.ResponseWriter, r *http.Request, addr string) bool {
 		return false
 	}
 	defer resp.Body.Close()
-	respBody, err := io.ReadAll(io.LimitReader(resp.Body, n.srv.Config().MaxBodyBytes*4))
+	limit := n.srv.Config().MaxBodyBytes * 4
+	respBody, err := serve.ReadBody(io.LimitReader(resp.Body, limit), resp.ContentLength, limit)
 	if err != nil {
 		return false
 	}

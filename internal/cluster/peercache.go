@@ -113,7 +113,8 @@ func (n *Node) fetchFrom(ctx context.Context, addr, key string) ([]byte, string,
 		}
 		return nil, "", fmt.Errorf("cluster: peer %s answered %s", addr, resp.Status)
 	}
-	payload, err := io.ReadAll(io.LimitReader(resp.Body, n.srv.Config().MaxBodyBytes*4))
+	limit := n.srv.Config().MaxBodyBytes * 4
+	payload, err := serve.ReadBody(io.LimitReader(resp.Body, limit), resp.ContentLength, limit)
 	if err != nil {
 		return nil, "", err
 	}

@@ -11,6 +11,7 @@ import (
 
 	"optiwise/internal/fault"
 	"optiwise/internal/obs"
+	"optiwise/internal/serve"
 )
 
 // Result replication and anti-entropy repair (DESIGN.md §13). A durable
@@ -108,7 +109,8 @@ func (n *Node) handleReplica(w http.ResponseWriter, r *http.Request) {
 	}
 	start := time.Now()
 	key := r.PathValue("digest")
-	payload, err := io.ReadAll(io.LimitReader(r.Body, n.srv.Config().MaxBodyBytes*4))
+	limit := n.srv.Config().MaxBodyBytes * 4
+	payload, err := serve.ReadBody(io.LimitReader(r.Body, limit), r.ContentLength, limit)
 	if err != nil {
 		writeJSONError(w, http.StatusBadRequest, err.Error())
 		return

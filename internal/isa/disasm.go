@@ -2,6 +2,7 @@ package isa
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -9,67 +10,97 @@ import (
 // are printed as hexadecimal module offsets; callers that know the symbol
 // table (see internal/program) can substitute symbolic names.
 func Disassemble(inst Instruction) string {
+	var buf [48]byte
+	return string(AppendDisassembly(buf[:0], inst))
+}
+
+// AppendDisassembly appends the text Disassemble returns for inst to b
+// and returns the extended slice: the allocation-free form the report
+// renderers call once per annotated instruction.
+func AppendDisassembly(b []byte, inst Instruction) []byte {
 	op := inst.Op
+	b = append(b, op.String()...)
 	switch op {
-	case NOP:
-		return "nop"
-	case RET:
-		return "ret"
-	case SYSCALL:
-		return "syscall"
+	case NOP, RET, SYSCALL:
+		return b
 	}
+	b = append(b, ' ')
 	switch op.Kind() {
 	case KindALU, KindMul, KindDiv:
 		switch op {
 		case LUI:
-			return fmt.Sprintf("%s %s, %d", op, IntRegName(inst.Rd), inst.Imm)
+			b = append(b, IntRegName(inst.Rd)...)
+			return appendImm(append(b, ", "...), inst.Imm)
 		case ADDI, ANDI, ORI, XORI, SLLI, SRLI, SRAI, SLTI, SLTIU:
-			return fmt.Sprintf("%s %s, %s, %d", op,
-				IntRegName(inst.Rd), IntRegName(inst.Rs), inst.Imm)
+			b = append(b, IntRegName(inst.Rd)...)
+			b = append(append(b, ", "...), IntRegName(inst.Rs)...)
+			return appendImm(append(b, ", "...), inst.Imm)
 		default:
-			return fmt.Sprintf("%s %s, %s, %s", op,
-				IntRegName(inst.Rd), IntRegName(inst.Rs), IntRegName(inst.Rt))
+			b = append(b, IntRegName(inst.Rd)...)
+			b = append(append(b, ", "...), IntRegName(inst.Rs)...)
+			return append(append(b, ", "...), IntRegName(inst.Rt)...)
 		}
 	case KindFPU, KindFDiv:
 		switch op {
 		case FSQRT, FNEG, FMOV:
-			return fmt.Sprintf("%s %s, %s", op, FPRegName(inst.Rd), FPRegName(inst.Rs))
+			b = append(b, FPRegName(inst.Rd)...)
+			return append(append(b, ", "...), FPRegName(inst.Rs)...)
 		case FCVTDL, FMVDX:
-			return fmt.Sprintf("%s %s, %s", op, FPRegName(inst.Rd), IntRegName(inst.Rs))
+			b = append(b, FPRegName(inst.Rd)...)
+			return append(append(b, ", "...), IntRegName(inst.Rs)...)
 		case FCVTLD, FMVXD:
-			return fmt.Sprintf("%s %s, %s", op, IntRegName(inst.Rd), FPRegName(inst.Rs))
+			b = append(b, IntRegName(inst.Rd)...)
+			return append(append(b, ", "...), FPRegName(inst.Rs)...)
 		case FEQ, FLT, FLE:
-			return fmt.Sprintf("%s %s, %s, %s", op,
-				IntRegName(inst.Rd), FPRegName(inst.Rs), FPRegName(inst.Rt))
+			b = append(b, IntRegName(inst.Rd)...)
+			b = append(append(b, ", "...), FPRegName(inst.Rs)...)
+			return append(append(b, ", "...), FPRegName(inst.Rt)...)
 		default:
-			return fmt.Sprintf("%s %s, %s, %s", op,
-				FPRegName(inst.Rd), FPRegName(inst.Rs), FPRegName(inst.Rt))
+			b = append(b, FPRegName(inst.Rd)...)
+			b = append(append(b, ", "...), FPRegName(inst.Rs)...)
+			return append(append(b, ", "...), FPRegName(inst.Rt)...)
 		}
 	case KindLoad:
 		if op == FLD {
-			return fmt.Sprintf("%s %s, %d(%s)", op,
-				FPRegName(inst.Rd), inst.Imm, IntRegName(inst.Rs))
+			b = append(b, FPRegName(inst.Rd)...)
+		} else {
+			b = append(b, IntRegName(inst.Rd)...)
 		}
-		return fmt.Sprintf("%s %s, %d(%s)", op,
-			IntRegName(inst.Rd), inst.Imm, IntRegName(inst.Rs))
+		return appendMem(append(b, ", "...), inst)
 	case KindStore:
 		if op == FST {
-			return fmt.Sprintf("%s %s, %d(%s)", op,
-				FPRegName(inst.Rt), inst.Imm, IntRegName(inst.Rs))
+			b = append(b, FPRegName(inst.Rt)...)
+		} else {
+			b = append(b, IntRegName(inst.Rt)...)
 		}
-		return fmt.Sprintf("%s %s, %d(%s)", op,
-			IntRegName(inst.Rt), inst.Imm, IntRegName(inst.Rs))
+		return appendMem(append(b, ", "...), inst)
 	case KindPrefetch:
-		return fmt.Sprintf("%s %d(%s)", op, inst.Imm, IntRegName(inst.Rs))
+		return appendMem(b, inst)
 	case KindBranch:
-		return fmt.Sprintf("%s %s, %s, 0x%x", op,
-			IntRegName(inst.Rs), IntRegName(inst.Rt), inst.Target)
+		b = append(b, IntRegName(inst.Rs)...)
+		b = append(append(b, ", "...), IntRegName(inst.Rt)...)
+		return AppendHex(append(b, ", "...), inst.Target)
 	case KindJump, KindCall:
-		return fmt.Sprintf("%s 0x%x", op, inst.Target)
+		return AppendHex(b, inst.Target)
 	case KindIndirect, KindIndCall:
-		return fmt.Sprintf("%s %s", op, IntRegName(inst.Rs))
+		return append(b, IntRegName(inst.Rs)...)
 	}
-	return op.String()
+	// Any other op prints its mnemonic alone: drop the separator.
+	return b[:len(b)-1]
+}
+
+func appendImm(b []byte, imm int64) []byte { return strconv.AppendInt(b, imm, 10) }
+
+// AppendHex appends v as fmt's 0x%x renders it.
+func AppendHex(b []byte, v uint64) []byte {
+	return strconv.AppendUint(append(b, "0x"...), v, 16)
+}
+
+// appendMem appends a displacement(base) memory operand.
+func appendMem(b []byte, inst Instruction) []byte {
+	b = appendImm(b, inst.Imm)
+	b = append(append(b, '('), IntRegName(inst.Rs)...)
+	return append(b, ')')
 }
 
 // DisassembleAll renders a sequence of instructions, one per line, with

@@ -13,7 +13,10 @@
 // multiple of four within its module.
 package isa
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // InstBytes is the size of every OWISA instruction in bytes. Fixed-width
 // encoding keeps address arithmetic trivial for the profilers.
@@ -370,7 +373,15 @@ func IntRegName(r Reg) string {
 }
 
 // FPRegName returns the name of floating-point register r.
-func FPRegName(r Reg) string { return fmt.Sprintf("f%d", uint8(r)) }
+func FPRegName(r Reg) string { return fpRegNames[r] }
+
+// fpRegNames holds "f0" … "f255", one name for every Reg value.
+var fpRegNames = func() (names [1 << 8]string) {
+	for i := range names {
+		names[i] = "f" + strconv.Itoa(i)
+	}
+	return names
+}()
 
 // IntRegByName resolves an integer register by ABI name ("a0") or numeric
 // name ("x10").

@@ -136,16 +136,19 @@ func (p *Program) LineAt(off uint64) (LineEntry, bool) {
 	return LineEntry{}, false
 }
 
-// SymbolizeTarget renders a module offset as "name+0x..." when a function
-// covers it, else as a bare hex offset. Used by report annotation.
-func (p *Program) SymbolizeTarget(off uint64) string {
+// AppendTarget appends a module offset to b as "name+0x..." when a
+// function covers it, else as a bare hex offset. Report annotation calls
+// it once per direct control transfer.
+func (p *Program) AppendTarget(b []byte, off uint64) []byte {
 	if f, ok := p.FuncAt(off); ok {
+		b = append(b, f.Name...)
 		if off == f.Lo {
-			return f.Name
+			return b
 		}
-		return fmt.Sprintf("%s+0x%x", f.Name, off-f.Lo)
+		off -= f.Lo
+		b = append(b, '+')
 	}
-	return fmt.Sprintf("0x%x", off)
+	return isa.AppendHex(b, off)
 }
 
 // Validate checks internal consistency: direct control-transfer targets in

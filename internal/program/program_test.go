@@ -105,13 +105,13 @@ func TestLineAt(t *testing.T) {
 
 func TestSymbolizeTarget(t *testing.T) {
 	p := sampleProgram()
-	if s := p.SymbolizeTarget(0); s != "f" {
+	if s := string(p.AppendTarget(nil, 0)); s != "f" {
 		t.Errorf("got %q", s)
 	}
-	if s := p.SymbolizeTarget(0x10); s != "g+0x4" {
+	if s := string(p.AppendTarget(nil, 0x10)); s != "g+0x4" {
 		t.Errorf("got %q", s)
 	}
-	if s := p.SymbolizeTarget(0x100); s != "0x100" {
+	if s := string(p.AppendTarget(nil, 0x100)); s != "0x100" {
 		t.Errorf("got %q", s)
 	}
 }

@@ -1,9 +1,9 @@
 package report
 
 import (
-	"fmt"
 	"io"
-	"strings"
+	"strconv"
+	"unicode/utf8"
 
 	"optiwise/internal/core"
 	"optiwise/internal/ooo"
@@ -20,12 +20,12 @@ import (
 // sparkRunes are the eight block-element levels of a sparkline cell.
 var sparkRunes = []rune("▁▂▃▄▅▆▇█")
 
-// sparkline renders vals scaled against their maximum into at most width
-// cells, downsampling by averaging fixed-size groups when necessary. An
-// all-zero series renders as all-minimum cells.
-func sparkline(vals []float64, width int) string {
+// appendSparkline appends vals scaled against their maximum as at most
+// width cells, downsampling by averaging fixed-size groups when
+// necessary. An all-zero series renders as all-minimum cells.
+func appendSparkline(b []byte, vals []float64, width int) []byte {
 	if len(vals) == 0 || width <= 0 {
-		return ""
+		return b
 	}
 	if len(vals) > width {
 		grouped := make([]float64, 0, width)
@@ -49,7 +49,6 @@ func sparkline(vals []float64, width int) string {
 			max = v
 		}
 	}
-	var b strings.Builder
 	for _, v := range vals {
 		idx := 0
 		if max > 0 {
@@ -61,9 +60,9 @@ func sparkline(vals []float64, width int) string {
 				idx = len(sparkRunes) - 1
 			}
 		}
-		b.WriteRune(sparkRunes[idx])
+		b = utf8.AppendRune(b, sparkRunes[idx])
 	}
-	return b.String()
+	return b
 }
 
 // phase is a run of consecutive intervals sharing a dominant stall cause.
@@ -121,21 +120,34 @@ func mergePhases(ivs []ooo.Interval) []phase {
 // sparkline over the run followed by one row per dominant-stall phase.
 // Profiles collected without a telemetry window produce a one-line note.
 func WritePhaseSummary(w io.Writer, p *core.Profile) error {
-	if err := preamble(w, p, ""); err != nil {
+	phases := mergePhases(p.Intervals)
+	b, err := begin(p, "", phaseBytes(phases))
+	if err != nil {
 		return err
 	}
-	return phaseSummaryBody(w, p)
+	return write(w, appendPhaseSummary(b, p, phases))
 }
 
-func phaseSummaryBody(w io.Writer, p *core.Profile) error {
+// phaseBytes presizes a phase summary: its header lines, the sparkline
+// and one row per phase.
+func phaseBytes(phases []phase) int {
+	return 4*headerBytes + phaseRowBytes*len(phases)
+}
+
+const phaseRowBytes = 80
+
+var phaseHeader = header([]int{-22, 10, 6, -12, 8, 8},
+	"CYCLES", "INSTS", "IPC", "STALL", "MISPRED%", "L1MISS%")
+
+// appendPhaseSummary appends the summary of p, whose intervals merge
+// into phases.
+func appendPhaseSummary(b []byte, p *core.Profile, phases []phase) []byte {
 	if len(p.Intervals) == 0 {
-		_, err := fmt.Fprintln(w, "no interval telemetry collected (profile with a telemetry window to enable)")
-		return err
+		return append(b, "no interval telemetry collected (profile with a telemetry window to enable)\n"...)
 	}
-	if _, err := fmt.Fprintf(w, "PHASES: %d intervals @ %d-cycle window\n",
-		len(p.Intervals), p.IntervalWindow); err != nil {
-		return err
-	}
+	b = strconv.AppendInt(append(b, "PHASES: "...), int64(len(p.Intervals)), 10)
+	b = strconv.AppendUint(append(b, " intervals @ "...), p.IntervalWindow, 10)
+	b = append(b, "-cycle window\n"...)
 	ipcs := make([]float64, len(p.Intervals))
 	maxIPC := 0.0
 	for i, iv := range p.Intervals {
@@ -144,14 +156,11 @@ func phaseSummaryBody(w io.Writer, p *core.Profile) error {
 			maxIPC = iv.IPC
 		}
 	}
-	if _, err := fmt.Fprintf(w, "IPC %s (peak %.2f)\n", sparkline(ipcs, 60), maxIPC); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "%-22s %10s %6s %-12s %8s %8s\n",
-		"CYCLES", "INSTS", "IPC", "STALL", "MISPRED%", "L1MISS%"); err != nil {
-		return err
-	}
-	for _, ph := range mergePhases(p.Intervals) {
+	b = appendSparkline(append(b, "IPC "...), ipcs, 60)
+	b = appendFloat(append(b, " (peak "...), maxIPC, 2, 0)
+	b = append(b, ")\n"...)
+	b = append(b, phaseHeader...)
+	for _, ph := range phases {
 		ipc := 0.0
 		if ph.cycles > 0 {
 			ipc = float64(ph.insts) / float64(ph.cycles)
@@ -164,11 +173,16 @@ func phaseSummaryBody(w io.Writer, p *core.Profile) error {
 		if tot := ph.l1Hits + ph.l1Misses; tot > 0 {
 			l1 = 100 * float64(ph.l1Misses) / float64(tot)
 		}
-		rng := fmt.Sprintf("[%d,%d)", ph.start, ph.end)
-		if _, err := fmt.Fprintf(w, "%-22s %10d %6.2f %-12s %7.1f%% %7.1f%%\n",
-			rng, ph.insts, ipc, ph.dominant, mis, l1); err != nil {
-			return err
-		}
+		start := len(b)
+		b = strconv.AppendUint(append(b, '['), ph.start, 10)
+		b = strconv.AppendUint(append(b, ','), ph.end, 10)
+		b = pad(append(b, ')'), start, -22)
+		b = appendUint(append(b, ' '), ph.insts, 10)
+		b = appendFloat(append(b, ' '), ipc, 2, 6)
+		b = appendStr(append(b, ' '), ph.dominant, -12)
+		b = appendFloat(append(b, ' '), mis, 1, 7)
+		b = appendFloat(append(b, "% "...), l1, 1, 7)
+		b = append(b, "%\n"...)
 	}
-	return nil
+	return b
 }

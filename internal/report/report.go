@@ -9,16 +9,23 @@
 // so every renderer prominently flags them rather than letting a partial
 // view masquerade as a full one. WriteAll emits the banner exactly once by
 // composing the unbannered body helpers.
+//
+// The tables and CSV exports in this file append into one byte slice,
+// presized from the record counts, and reach w in a single Write (the
+// helpers in text.go stand in for fmt's verbs); a renderer that fails
+// writes nothing.
 package report
 
 import (
 	"fmt"
 	"io"
+	"strconv"
 
 	"optiwise/internal/core"
 	"optiwise/internal/fault"
 	"optiwise/internal/isa"
 	"optiwise/internal/obs"
+	"optiwise/internal/program"
 )
 
 // degradedNote returns the one-line warning describing what a degraded
@@ -29,13 +36,13 @@ func degradedNote(p *core.Profile) string {
 	}
 	switch p.FailedPass {
 	case core.PassInstrumentation:
-		return fmt.Sprintf("DEGRADED RESULT (sampling-only): instrumentation pass failed: %s; "+
-			"execution counts are time-share estimates, per-instruction CPI unavailable", p.DegradedReason)
+		return "DEGRADED RESULT (sampling-only): instrumentation pass failed: " + p.DegradedReason + "; " +
+			"execution counts are time-share estimates, per-instruction CPI unavailable"
 	case core.PassSampling:
-		return fmt.Sprintf("DEGRADED RESULT (counts-only): sampling pass failed: %s; "+
-			"no cycle data, functions ranked by retired instructions", p.DegradedReason)
+		return "DEGRADED RESULT (counts-only): sampling pass failed: " + p.DegradedReason + "; " +
+			"no cycle data, functions ranked by retired instructions"
 	default:
-		return fmt.Sprintf("DEGRADED RESULT: %s", p.DegradedReason)
+		return "DEGRADED RESULT: " + p.DegradedReason
 	}
 }
 
@@ -51,58 +58,98 @@ func tieredNote(p *core.Profile) string {
 		return "TIERED PROFILE: tiered run degraded before selective instrumentation; " +
 			"all counts marked '~' are extrapolated from sampling time-shares"
 	}
-	return fmt.Sprintf("TIERED PROFILE: selective instrumentation over %d hot range(s); "+
-		"counts marked '~' are extrapolated from sampling time-shares", len(p.HotRanges))
+	return "TIERED PROFILE: selective instrumentation over " + strconv.Itoa(len(p.HotRanges)) + " hot range(s); " +
+		"counts marked '~' are extrapolated from sampling time-shares"
 }
 
-// writeBanner writes the degraded and tiered notes (if any) with the
+// appendBanner appends the degraded and tiered notes (if any) with the
 // given line prefix ("" for text tables, "# " for CSV). Full profiles
-// write nothing, keeping their reports byte-identical.
-func writeBanner(w io.Writer, p *core.Profile, prefix string) error {
-	for _, note := range []string{degradedNote(p), tieredNote(p)} {
+// append nothing, keeping their reports byte-identical.
+func appendBanner(b []byte, p *core.Profile, prefix string) []byte {
+	for _, note := range [...]string{degradedNote(p), tieredNote(p)} {
 		if note == "" {
 			continue
 		}
-		if _, err := fmt.Fprintf(w, "%s*** %s ***\n", prefix, note); err != nil {
-			return err
-		}
+		b = append(b, prefix...)
+		b = append(b, "*** "...)
+		b = append(b, note...)
+		b = append(b, " ***\n"...)
 	}
-	return nil
+	return b
 }
 
-// estCount renders an execution count, prefixed '~' when the count is a
-// tiered-mode extrapolation rather than a measurement. Exact counts
-// render exactly as the plain %d they always did.
-func estCount(v uint64, estimated bool) string {
-	if estimated {
-		return fmt.Sprintf("~%d", v)
-	}
-	return fmt.Sprintf("%d", v)
-}
+// bannerBytes bounds the banner's length, for presizing.
+const bannerBytes = 512
 
-// preamble is the shared renderer prologue: the report.render fault site
-// followed by the degraded banner.
-func preamble(w io.Writer, p *core.Profile, prefix string) error {
+// begin is the renderer prologue: the report.render fault site, then a
+// buffer with room for about size bytes more, holding the banner.
+func begin(p *core.Profile, prefix string, size int) ([]byte, error) {
 	if err := fault.Err(fault.SiteReport); err != nil {
-		return fmt.Errorf("report: render: %w", err)
+		return nil, fmt.Errorf("report: render: %w", err)
 	}
-	return writeBanner(w, p, prefix)
+	if p.Degraded || p.Tiered {
+		size += bannerBytes
+	}
+	return appendBanner(make([]byte, 0, size), p, prefix), nil
 }
+
+func write(w io.Writer, b []byte) error {
+	_, err := w.Write(b)
+	return err
+}
+
+// preamble is begin for the call graph, which writes to w as it goes:
+// it writes the banner at once.
+func preamble(w io.Writer, p *core.Profile, prefix string) error {
+	b, err := begin(p, prefix, 0)
+	if err != nil || len(b) == 0 {
+		return err
+	}
+	return write(w, b)
+}
+
+// Presizing estimates, in bytes: a table header and one row of each
+// table, a little above the typical row. Rows with long names outgrow
+// them, which costs a buffer growth, never a second pass.
+const (
+	headerBytes   = 100
+	summaryBytes  = 128
+	funcRowBytes  = 84
+	loopRowBytes  = 112
+	blockRowBytes = 64
+	lineRowBytes  = 64
+	instRowBytes  = 72 // one annotated instruction, symbolized target included
+	instCSVBytes  = 72
+	loopCSVBytes  = 64
+	blockRows     = 15 // WriteAll's block and line table lengths
+	lineRows      = 20
+)
 
 // WriteSummary prints the whole-program header block.
 func WriteSummary(w io.Writer, p *core.Profile) error {
-	if err := preamble(w, p, ""); err != nil {
+	b, err := begin(p, "", summaryBytes+len(p.Module))
+	if err != nil {
 		return err
 	}
-	return summaryBody(w, p)
+	return write(w, appendSummary(b, p))
 }
 
-func summaryBody(w io.Writer, p *core.Profile) error {
-	_, err := fmt.Fprintf(w,
-		"module %s: %d cycles, %d instructions, IPC %.2f (CPI %.2f), %d samples @ period %d\n",
-		p.Module, p.TotalCycles, p.TotalInsts, p.IPC, safeInv(p.IPC),
-		p.TotalSamples, p.SamplePeriod)
-	return err
+func appendSummary(b []byte, p *core.Profile) []byte {
+	b = append(b, "module "...)
+	b = append(b, p.Module...)
+	b = append(b, ": "...)
+	b = strconv.AppendUint(b, p.TotalCycles, 10)
+	b = append(b, " cycles, "...)
+	b = strconv.AppendUint(b, p.TotalInsts, 10)
+	b = append(b, " instructions, IPC "...)
+	b = appendFloat(b, p.IPC, 2, 0)
+	b = append(b, " (CPI "...)
+	b = appendFloat(b, safeInv(p.IPC), 2, 0)
+	b = append(b, "), "...)
+	b = strconv.AppendUint(b, p.TotalSamples, 10)
+	b = append(b, " samples @ period "...)
+	b = strconv.AppendUint(b, p.SamplePeriod, 10)
+	return append(b, '\n')
 }
 
 func safeInv(x float64) float64 {
@@ -114,240 +161,281 @@ func safeInv(x float64) float64 {
 
 // WriteFunctionTable prints per-function totals, hottest first.
 func WriteFunctionTable(w io.Writer, p *core.Profile) error {
-	if err := preamble(w, p, ""); err != nil {
+	b, err := begin(p, "", headerBytes+funcRowBytes*len(p.Funcs))
+	if err != nil {
 		return err
 	}
-	return functionTableBody(w, p)
+	return write(w, appendFunctionTable(b, p))
 }
 
-func functionTableBody(w io.Writer, p *core.Profile) error {
-	if _, err := fmt.Fprintf(w, "%-24s %7s %7s %12s %12s %6s %6s\n",
-		"FUNCTION", "TIME%", "SELF%", "INSTS", "TOTAL-INSTS", "CPI", "IPC"); err != nil {
-		return err
-	}
+var funcHeader = header([]int{-24, 7, 7, 12, 12, 6, 6},
+	"FUNCTION", "TIME%", "SELF%", "INSTS", "TOTAL-INSTS", "CPI", "IPC")
+
+func appendFunctionTable(b []byte, p *core.Profile) []byte {
+	b = append(b, funcHeader...)
 	for _, f := range p.Funcs {
 		selfFrac := 0.0
 		if p.TotalCycles > 0 {
 			selfFrac = float64(f.SelfCycles) / float64(p.TotalCycles)
 		}
-		if _, err := fmt.Fprintf(w, "%-24s %6.1f%% %6.1f%% %12s %12s %6.2f %6.2f\n",
-			f.Name, 100*f.TimeFrac, 100*selfFrac,
-			estCount(f.SelfInsts, f.Estimated), estCount(f.TotalInsts, f.Estimated),
-			f.CPI, f.IPC); err != nil {
-			return err
-		}
+		b = appendStr(b, f.Name, -24)
+		b = appendFloat(append(b, ' '), 100*f.TimeFrac, 1, 6)
+		b = appendFloat(append(b, "% "...), 100*selfFrac, 1, 6)
+		b = appendCount(append(b, "% "...), f.SelfInsts, f.Estimated, 12)
+		b = appendCount(append(b, ' '), f.TotalInsts, f.Estimated, 12)
+		b = appendFloat(append(b, ' '), f.CPI, 2, 6)
+		b = appendFloat(append(b, ' '), f.IPC, 2, 6)
+		b = append(b, '\n')
 	}
-	return nil
+	return b
 }
 
 // WriteLoopTable prints merged loops, hottest first. The indentation of
 // the header offset reflects nesting depth.
 func WriteLoopTable(w io.Writer, p *core.Profile) error {
-	if err := preamble(w, p, ""); err != nil {
+	b, err := begin(p, "", headerBytes+loopRowBytes*len(p.Loops))
+	if err != nil {
 		return err
 	}
-	return loopTableBody(w, p)
+	return write(w, appendLoopTable(b, p))
 }
 
-func loopTableBody(w io.Writer, p *core.Profile) error {
-	if _, err := fmt.Fprintf(w, "%-4s %-20s %-18s %7s %10s %10s %8s %6s %s\n",
-		"LOOP", "FUNCTION", "HEADER", "TIME%", "INVOC", "ITERS", "INST/IT", "CPI", "SOURCE"); err != nil {
-		return err
-	}
+var loopHeader = header([]int{-4, -20, -18, 7, 10, 10, 8, 6, 0},
+	"LOOP", "FUNCTION", "HEADER", "TIME%", "INVOC", "ITERS", "INST/IT", "CPI", "SOURCE")
+
+func appendLoopTable(b []byte, p *core.Profile) []byte {
+	b = append(b, loopHeader...)
 	for _, l := range p.Loops {
-		src := ""
-		if l.File != "" {
-			src = fmt.Sprintf("%s:%d-%d", l.File, l.StartLine, l.EndLine)
-		}
-		indent := ""
+		b = appendInt(b, int64(l.ID), -4)
+		b = appendStr(append(b, ' '), l.Func, -20)
+		b = append(b, ' ')
+		start := len(b)
 		for i := 0; i < l.Depth; i++ {
-			indent += "  "
+			b = append(b, "  "...)
 		}
-		if _, err := fmt.Fprintf(w, "%-4d %-20s %-18s %6.1f%% %10d %10d %8.1f %6.2f %s\n",
-			l.ID, l.Func, indent+fmt.Sprintf("0x%x", l.HeaderOffset),
-			100*l.TimeFrac, l.Invocations, l.Iterations, l.InstsPerIter,
-			l.CPI, src); err != nil {
-			return err
+		b = pad(isa.AppendHex(b, l.HeaderOffset), start, -18)
+		b = appendFloat(append(b, ' '), 100*l.TimeFrac, 1, 6)
+		b = appendUint(append(b, "% "...), l.Invocations, 10)
+		b = appendUint(append(b, ' '), l.Iterations, 10)
+		b = appendFloat(append(b, ' '), l.InstsPerIter, 1, 8)
+		b = appendFloat(append(b, ' '), l.CPI, 2, 6)
+		b = append(b, ' ')
+		if l.File != "" {
+			b = append(b, l.File...)
+			b = strconv.AppendInt(append(b, ':'), int64(l.StartLine), 10)
+			b = strconv.AppendInt(append(b, '-'), int64(l.EndLine), 10)
 		}
+		b = append(b, '\n')
 	}
-	return nil
+	return b
 }
 
 // WriteBlockTable prints the hottest basic blocks.
 func WriteBlockTable(w io.Writer, p *core.Profile, max int) error {
-	if err := preamble(w, p, ""); err != nil {
+	b, err := begin(p, "", headerBytes+blockRowBytes*tableRows(len(p.Blocks), max))
+	if err != nil {
 		return err
 	}
-	return blockTableBody(w, p, max)
+	return write(w, appendBlockTable(b, p, max))
 }
 
-func blockTableBody(w io.Writer, p *core.Profile, max int) error {
-	if _, err := fmt.Fprintf(w, "%-24s %7s %12s %8s %6s\n",
-		"BLOCK", "TIME%", "EXEC", "INSTS", "CPI"); err != nil {
-		return err
+// tableRows is how many of n records a table capped at max prints.
+func tableRows(n, max int) int {
+	if max > 0 && n > max {
+		return max
 	}
-	for i, b := range p.Blocks {
-		if max > 0 && i >= max {
-			break
+	return n
+}
+
+var blockHeader = header([]int{-24, 7, 12, 8, 6}, "BLOCK", "TIME%", "EXEC", "INSTS", "CPI")
+
+func appendBlockTable(b []byte, p *core.Profile, max int) []byte {
+	b = append(b, blockHeader...)
+	for _, blk := range p.Blocks[:tableRows(len(p.Blocks), max)] {
+		start := len(b)
+		if blk.Func != "" {
+			b = append(append(b, blk.Func...), '+')
 		}
-		name := fmt.Sprintf("%s+0x%x", b.Func, b.Start)
-		if b.Func == "" {
-			name = fmt.Sprintf("0x%x", b.Start)
-		}
-		if _, err := fmt.Fprintf(w, "%-24s %6.1f%% %12d %8d %6.2f\n",
-			name, 100*b.TimeFrac, b.ExecCount, b.Insts, b.CPI); err != nil {
-			return err
-		}
+		b = pad(isa.AppendHex(b, blk.Start), start, -24)
+		b = appendFloat(append(b, ' '), 100*blk.TimeFrac, 1, 6)
+		b = appendUint(append(b, "% "...), blk.ExecCount, 12)
+		b = appendInt(append(b, ' '), int64(blk.Insts), 8)
+		b = appendFloat(append(b, ' '), blk.CPI, 2, 6)
+		b = append(b, '\n')
 	}
-	return nil
+	return b
 }
 
 // WriteLineTable prints the hottest source lines.
 func WriteLineTable(w io.Writer, p *core.Profile, max int) error {
-	if err := preamble(w, p, ""); err != nil {
+	b, err := begin(p, "", headerBytes+lineRowBytes*tableRows(len(p.Lines), max))
+	if err != nil {
 		return err
 	}
-	return lineTableBody(w, p, max)
+	return write(w, appendLineTable(b, p, max))
 }
 
-func lineTableBody(w io.Writer, p *core.Profile, max int) error {
-	if _, err := fmt.Fprintf(w, "%-24s %7s %12s %10s %6s\n",
-		"SOURCE", "TIME%", "EXEC", "SAMPLES", "CPI"); err != nil {
-		return err
+var lineHeader = header([]int{-24, 7, 12, 10, 6}, "SOURCE", "TIME%", "EXEC", "SAMPLES", "CPI")
+
+func appendLineTable(b []byte, p *core.Profile, max int) []byte {
+	b = append(b, lineHeader...)
+	for _, l := range p.Lines[:tableRows(len(p.Lines), max)] {
+		start := len(b)
+		b = append(b, l.File...)
+		b = pad(strconv.AppendInt(append(b, ':'), int64(l.Line), 10), start, -24)
+		b = appendFloat(append(b, ' '), 100*l.TimeFrac, 1, 6)
+		b = appendCount(append(b, "% "...), l.ExecCount, l.Estimated, 12)
+		b = appendUint(append(b, ' '), l.Samples, 10)
+		b = appendFloat(append(b, ' '), l.CPI, 2, 6)
+		b = append(b, '\n')
 	}
-	for i, l := range p.Lines {
-		if max > 0 && i >= max {
-			break
-		}
-		if _, err := fmt.Fprintf(w, "%-24s %6.1f%% %12s %10d %6.2f\n",
-			fmt.Sprintf("%s:%d", l.File, l.Line), 100*l.TimeFrac,
-			estCount(l.ExecCount, l.Estimated), l.Samples, l.CPI); err != nil {
-			return err
-		}
-	}
-	return nil
+	return b
 }
+
+var eventHeader = header([]int{-24, 12, 10, 10, 10, 10},
+	"FUNCTION", "INSTS", "MISSES", "MPKI", "BR-MISS", "BR-MPKI")
 
 // WriteEventTable prints per-function sampled event rates: cache misses
 // and branch mispredicts per kilo-instruction — the "wide range of events"
 // perf records beyond the three fields OptiWISE's CPI math needs (§IV-A).
 func WriteEventTable(w io.Writer, p *core.Profile) error {
-	if err := preamble(w, p, ""); err != nil {
+	b, err := begin(p, "", headerBytes+funcRowBytes*len(p.Funcs))
+	if err != nil {
 		return err
 	}
-	if _, err := fmt.Fprintf(w, "%-24s %12s %10s %10s %10s %10s\n",
-		"FUNCTION", "INSTS", "MISSES", "MPKI", "BR-MISS", "BR-MPKI"); err != nil {
-		return err
-	}
+	b = append(b, eventHeader...)
 	for _, f := range p.Funcs {
 		if f.SelfInsts == 0 {
 			continue
 		}
 		mpki := 1000 * float64(f.CacheMisses) / float64(f.SelfInsts)
 		bpki := 1000 * float64(f.Mispredicts) / float64(f.SelfInsts)
-		if _, err := fmt.Fprintf(w, "%-24s %12d %10d %10.2f %10d %10.2f\n",
-			f.Name, f.SelfInsts, f.CacheMisses, mpki, f.Mispredicts, bpki); err != nil {
-			return err
-		}
+		b = appendStr(b, f.Name, -24)
+		b = appendUint(append(b, ' '), f.SelfInsts, 12)
+		b = appendUint(append(b, ' '), f.CacheMisses, 10)
+		b = appendFloat(append(b, ' '), mpki, 2, 10)
+		b = appendUint(append(b, ' '), f.Mispredicts, 10)
+		b = appendFloat(append(b, ' '), bpki, 2, 10)
+		b = append(b, '\n')
 	}
-	return nil
+	return write(w, b)
+}
+
+// annotatedHeader heads both annotated views; INSTRUCTION sits two
+// spaces from CPI, as the rows' text does.
+var annotatedHeader = header([]int{8, 10, 12, 8, 0}, "OFFSET", "SAMPLES", "EXEC", "CPI", " INSTRUCTION")
+
+// appendInstText appends inst's disassembly, with a direct
+// control-transfer target symbolized after it.
+func appendInstText(b []byte, prog *program.Program, inst isa.Instruction) []byte {
+	b = isa.AppendDisassembly(b, inst)
+	switch inst.Op.Kind() {
+	case isa.KindBranch, isa.KindJump, isa.KindCall:
+		b = prog.AppendTarget(append(b, " -> "...), inst.Target)
+	}
+	return b
 }
 
 // WriteAnnotatedFunc prints the figure 1/10-style annotated disassembly of
 // one function: offset, samples, execution count, CPI, and the
 // instruction, with symbolized direct targets.
 func WriteAnnotatedFunc(w io.Writer, p *core.Profile, name string) error {
-	if err := preamble(w, p, ""); err != nil {
+	fn, ok := p.Prog.FuncByName(name)
+	b, err := begin(p, "", annotatedFuncBytes(fn, name))
+	if err != nil {
 		return err
 	}
-	return annotatedFuncBody(w, p, name)
-}
-
-func annotatedFuncBody(w io.Writer, p *core.Profile, name string) error {
-	fn, ok := p.Prog.FuncByName(name)
 	if !ok {
 		return fmt.Errorf("report: no function %q", name)
 	}
-	if _, err := fmt.Fprintf(w, "%s:\n%8s %10s %12s %8s  %s\n",
-		name, "OFFSET", "SAMPLES", "EXEC", "CPI", "INSTRUCTION"); err != nil {
-		return err
-	}
+	return write(w, appendAnnotatedFunc(b, p, fn))
+}
+
+func annotatedFuncBytes(fn program.Function, name string) int {
+	return len(name) + 2 + headerBytes + instRowBytes*int((fn.Hi-fn.Lo)/isa.InstBytes)
+}
+
+func appendAnnotatedFunc(b []byte, p *core.Profile, fn program.Function) []byte {
+	b = append(append(b, fn.Name...), ":\n"...)
+	b = append(b, annotatedHeader...)
 	for off := fn.Lo; off < fn.Hi; off += isa.InstBytes {
 		inst, ok := p.Prog.InstAt(off)
 		if !ok {
 			continue
 		}
-		text := isa.Disassemble(inst)
-		switch inst.Op.Kind() {
-		case isa.KindBranch, isa.KindJump, isa.KindCall:
-			text = fmt.Sprintf("%s -> %s", text, p.Prog.SymbolizeTarget(inst.Target))
+		start := len(b)
+		b = pad(strconv.AppendUint(b, off, 16), start, 8)
+		if r, recorded := p.InstAt(off); recorded {
+			b = appendUint(append(b, ' '), r.Samples, 10)
+			b = appendCount(append(b, ' '), r.ExecCount, r.Estimated, 12)
+			b = appendFloat(append(b, ' '), r.CPI, 2, 8)
+		} else {
+			b = appendStr(append(b, ' '), "-", 10)
+			b = appendStr(append(b, ' '), "-", 12)
+			b = appendStr(append(b, ' '), "-", 8)
 		}
-		r, recorded := p.InstAt(off)
-		if !recorded {
-			if _, err := fmt.Fprintf(w, "%8x %10s %12s %8s  %s\n",
-				off, "-", "-", "-", text); err != nil {
-				return err
-			}
-			continue
-		}
-		if _, err := fmt.Fprintf(w, "%8x %10d %12s %8.2f  %s\n",
-			off, r.Samples, estCount(r.ExecCount, r.Estimated), r.CPI, text); err != nil {
-			return err
-		}
+		b = appendInstText(append(b, "  "...), p.Prog, inst)
+		b = append(b, '\n')
 	}
-	return nil
+	return b
 }
 
 // WriteAnnotatedLoop prints the annotated disassembly of one merged loop's
 // body blocks — the "interesting region" view the paper's loop analysis
 // exists to surface quickly.
 func WriteAnnotatedLoop(w io.Writer, p *core.Profile, loopID int) error {
-	if err := preamble(w, p, ""); err != nil {
-		return err
-	}
 	var loop *core.LoopRecord
 	for i := range p.Loops {
 		if p.Loops[i].ID == loopID {
 			loop = &p.Loops[i]
 		}
 	}
+	rows := 0
+	if loop != nil {
+		for _, start := range loop.BlockStarts {
+			if bi := p.Graph.BlockAt(start); bi >= 0 {
+				rows += int((p.Graph.Blocks[bi].End - p.Graph.Blocks[bi].Start) / isa.InstBytes)
+			}
+		}
+	}
+	b, err := begin(p, "", summaryBytes+headerBytes+instRowBytes*rows)
+	if err != nil {
+		return err
+	}
 	if loop == nil {
 		return fmt.Errorf("report: no loop %d", loopID)
 	}
-	if _, err := fmt.Fprintf(w,
-		"loop %d in %s (header 0x%x, depth %d): %d invocations, %d iterations, CPI %.2f\n",
-		loop.ID, loop.Func, loop.HeaderOffset, loop.Depth,
-		loop.Invocations, loop.Iterations, loop.CPI); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "%8s %10s %12s %8s  %s\n",
-		"OFFSET", "SAMPLES", "EXEC", "CPI", "INSTRUCTION"); err != nil {
-		return err
-	}
+	b = strconv.AppendInt(append(b, "loop "...), int64(loop.ID), 10)
+	b = append(append(b, " in "...), loop.Func...)
+	b = isa.AppendHex(append(b, " (header "...), loop.HeaderOffset)
+	b = strconv.AppendInt(append(b, ", depth "...), int64(loop.Depth), 10)
+	b = strconv.AppendUint(append(b, "): "...), loop.Invocations, 10)
+	b = strconv.AppendUint(append(b, " invocations, "...), loop.Iterations, 10)
+	b = appendFloat(append(b, " iterations, CPI "...), loop.CPI, 2, 0)
+	b = append(b, '\n')
+	b = append(b, annotatedHeader...)
 	for _, start := range loop.BlockStarts {
 		bi := p.Graph.BlockAt(start)
 		if bi < 0 {
 			continue
 		}
-		b := p.Graph.Blocks[bi]
-		for off := b.Start; off < b.End; off += isa.InstBytes {
+		blk := p.Graph.Blocks[bi]
+		for off := blk.Start; off < blk.End; off += isa.InstBytes {
 			inst, ok := p.Prog.InstAt(off)
 			if !ok {
 				continue
 			}
-			text := isa.Disassemble(inst)
-			switch inst.Op.Kind() {
-			case isa.KindBranch, isa.KindJump, isa.KindCall:
-				text = fmt.Sprintf("%s -> %s", text, p.Prog.SymbolizeTarget(inst.Target))
-			}
 			r, _ := p.InstAt(off)
-			if _, err := fmt.Fprintf(w, "%8x %10d %12d %8.2f  %s\n",
-				off, r.Samples, r.ExecCount, r.CPI, text); err != nil {
-				return err
-			}
+			col := len(b)
+			b = pad(strconv.AppendUint(b, off, 16), col, 8)
+			b = appendUint(append(b, ' '), r.Samples, 10)
+			b = appendUint(append(b, ' '), r.ExecCount, 12)
+			b = appendFloat(append(b, ' '), r.CPI, 2, 8)
+			b = appendInstText(append(b, "  "...), p.Prog, inst)
+			b = append(b, '\n')
 		}
 	}
-	return nil
+	return write(w, b)
 }
 
 // WriteAll prints the complete report: summary, functions, loops, hottest
@@ -357,99 +445,108 @@ func WriteAnnotatedLoop(w io.Writer, p *core.Profile, loopID int) error {
 func WriteAll(w io.Writer, p *core.Profile) error {
 	span := obs.Start("report").SetAttr("module", p.Module)
 	defer span.End()
-	if err := preamble(w, p, ""); err != nil {
+	var phases []phase
+	if len(p.Intervals) > 0 {
+		phases = mergePhases(p.Intervals)
+	}
+	hottest := hottestFunc(p)
+	fn, found := p.Prog.FuncByName(hottest)
+	size := summaryBytes + len(p.Module) + phaseBytes(phases) + 4*headerBytes +
+		funcRowBytes*len(p.Funcs) + loopRowBytes*len(p.Loops) +
+		blockRowBytes*tableRows(len(p.Blocks), blockRows) +
+		lineRowBytes*tableRows(len(p.Lines), lineRows) +
+		annotatedFuncBytes(fn, hottest)
+	b, err := begin(p, "", size)
+	if err != nil {
 		return err
 	}
-	if err := summaryBody(w, p); err != nil {
-		return err
-	}
+	b = appendSummary(b, p)
 	// The phase summary renders only when the run collected interval
 	// telemetry (Options.Window); default profiles stay
 	// byte-identical to earlier releases.
 	if len(p.Intervals) > 0 {
-		fmt.Fprintln(w)
-		if err := phaseSummaryBody(w, p); err != nil {
-			return err
+		b = appendPhaseSummary(append(b, '\n'), p, phases)
+	}
+	b = appendFunctionTable(append(b, '\n'), p)
+	b = appendLoopTable(append(b, '\n'), p)
+	b = appendBlockTable(append(b, '\n'), p, blockRows)
+	b = appendLineTable(append(b, '\n'), p, lineRows)
+	if len(p.Funcs) > 0 {
+		if !found {
+			return fmt.Errorf("report: no function %q", hottest)
 		}
+		b = appendAnnotatedFunc(append(b, '\n'), p, fn)
 	}
-	fmt.Fprintln(w)
-	if err := functionTableBody(w, p); err != nil {
-		return err
-	}
-	fmt.Fprintln(w)
-	if err := loopTableBody(w, p); err != nil {
-		return err
-	}
-	fmt.Fprintln(w)
-	if err := blockTableBody(w, p, 15); err != nil {
-		return err
-	}
-	fmt.Fprintln(w)
-	if err := lineTableBody(w, p, 20); err != nil {
-		return err
+	return write(w, b)
+}
+
+// hottestFunc names the function WriteAll annotates: the first with
+// sampled self cycles, else the first listed; "" when there is none.
+func hottestFunc(p *core.Profile) string {
+	for _, f := range p.Funcs {
+		if f.SelfCycles > 0 {
+			return f.Name
+		}
 	}
 	if len(p.Funcs) > 0 {
-		fmt.Fprintln(w)
-		hottest := p.Funcs[0].Name
-		for _, f := range p.Funcs {
-			if f.SelfCycles > 0 {
-				hottest = f.Name
-				break
-			}
-		}
-		if err := annotatedFuncBody(w, p, hottest); err != nil {
-			return err
-		}
+		return p.Funcs[0].Name
 	}
-	return nil
+	return ""
 }
 
 // WriteInstCSV exports per-instruction records as CSV. A degraded banner
 // is emitted as a "# " comment line so naive CSV consumers that skip
 // comments still parse, while anything inspecting the file sees the flag.
 func WriteInstCSV(w io.Writer, p *core.Profile) error {
-	if err := preamble(w, p, "# "); err != nil {
+	b, err := begin(p, "# ", headerBytes+instCSVBytes*len(p.Insts))
+	if err != nil {
 		return err
 	}
 	// Tiered profiles gain a trailing estimated column; full profiles
 	// keep the legacy schema byte-identically.
-	estCol := ""
+	b = append(b, "offset,func,file,line,exec,samples,cycles,cpi,disasm"...)
 	if p.Tiered {
-		estCol = ",estimated"
+		b = append(b, ",estimated"...)
 	}
-	if _, err := fmt.Fprintf(w, "offset,func,file,line,exec,samples,cycles,cpi,disasm%s\n", estCol); err != nil {
-		return err
-	}
+	b = append(b, '\n')
 	for _, r := range p.Insts {
-		est := ""
+		b = append(isa.AppendHex(b, r.Offset), ',')
+		b = append(append(b, r.Func...), ',')
+		b = append(append(b, r.File...), ',')
+		b = append(strconv.AppendInt(b, int64(r.Line), 10), ',')
+		b = append(strconv.AppendUint(b, r.ExecCount, 10), ',')
+		b = append(strconv.AppendUint(b, r.Samples, 10), ',')
+		b = append(strconv.AppendUint(b, r.Cycles, 10), ',')
+		b = append(appendFloat(b, r.CPI, 4, 0), ',')
+		b = strconv.AppendQuote(b, r.Disasm)
 		if p.Tiered {
-			est = fmt.Sprintf(",%t", r.Estimated)
+			b = strconv.AppendBool(append(b, ','), r.Estimated)
 		}
-		if _, err := fmt.Fprintf(w, "0x%x,%s,%s,%d,%d,%d,%d,%.4f,%q%s\n",
-			r.Offset, r.Func, r.File, r.Line, r.ExecCount, r.Samples,
-			r.Cycles, r.CPI, r.Disasm, est); err != nil {
-			return err
-		}
+		b = append(b, '\n')
 	}
-	return nil
+	return write(w, b)
 }
 
 // WriteLoopCSV exports loop records as CSV, with the same "# " degraded
 // comment convention as WriteInstCSV.
 func WriteLoopCSV(w io.Writer, p *core.Profile) error {
-	if err := preamble(w, p, "# "); err != nil {
+	b, err := begin(p, "# ", headerBytes+loopCSVBytes*len(p.Loops))
+	if err != nil {
 		return err
 	}
-	if _, err := fmt.Fprintln(w,
-		"id,func,header,parent,depth,invocations,iterations,insts_per_iter,cpi,time_frac"); err != nil {
-		return err
-	}
+	b = append(b, "id,func,header,parent,depth,invocations,iterations,insts_per_iter,cpi,time_frac\n"...)
 	for _, l := range p.Loops {
-		if _, err := fmt.Fprintf(w, "%d,%s,0x%x,%d,%d,%d,%d,%.2f,%.4f,%.4f\n",
-			l.ID, l.Func, l.HeaderOffset, l.Parent, l.Depth,
-			l.Invocations, l.Iterations, l.InstsPerIter, l.CPI, l.TimeFrac); err != nil {
-			return err
-		}
+		b = append(strconv.AppendInt(b, int64(l.ID), 10), ',')
+		b = append(append(b, l.Func...), ',')
+		b = append(isa.AppendHex(b, l.HeaderOffset), ',')
+		b = append(strconv.AppendInt(b, int64(l.Parent), 10), ',')
+		b = append(strconv.AppendInt(b, int64(l.Depth), 10), ',')
+		b = append(strconv.AppendUint(b, l.Invocations, 10), ',')
+		b = append(strconv.AppendUint(b, l.Iterations, 10), ',')
+		b = append(appendFloat(b, l.InstsPerIter, 2, 0), ',')
+		b = append(appendFloat(b, l.CPI, 4, 0), ',')
+		b = appendFloat(b, l.TimeFrac, 4, 0)
+		b = append(b, '\n')
 	}
-	return nil
+	return write(w, b)
 }

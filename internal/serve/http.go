@@ -209,7 +209,7 @@ type Route func(w http.ResponseWriter, r *http.Request, body []byte, key string)
 // here. Handler mounts it with a nil route.
 func (s *Server) SubmitHandler(route Route) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+		body, err := ReadBody(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), r.ContentLength, s.cfg.MaxBodyBytes)
 		if err != nil {
 			var tooLarge *http.MaxBytesError
 			if errors.As(err, &tooLarge) {
@@ -424,8 +424,44 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		contentType = rw.contentType
 	}
 	w.Header().Set("Content-Type", contentType)
+	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
 	w.WriteHeader(http.StatusOK)
 	w.Write(buf.Bytes()) //nolint:errcheck // client went away
+}
+
+// maxBodyPresize caps the buffer a claimed Content-Length can reserve
+// before any body byte arrives: far above the few-KB programs and
+// results the service exchanges, far below the body limits.
+const maxBodyPresize = 1 << 20
+
+// ReadBody reads r to EOF, as io.ReadAll does, into a buffer presized
+// from length, the body's Content-Length (-1 when unknown), so a body of
+// known size up to maxBodyPresize is read into one allocation. A claimed
+// length reserves at most maxBodyPresize; past that the buffer grows only
+// as bytes arrive. A length past limit reads as io.ReadAll does: the
+// body is rejected or truncated. r must itself stop at limit
+// (http.MaxBytesReader or io.LimitReader), which keeps each caller's own
+// over-limit behaviour.
+func ReadBody(r io.Reader, length, limit int64) ([]byte, error) {
+	if length < 0 || length > limit {
+		return io.ReadAll(r)
+	}
+	// One byte past the body lets the read that returns EOF land
+	// without growing the buffer.
+	b := make([]byte, 0, min(length, maxBodyPresize-1)+1)
+	for {
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return b, err
+		}
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+	}
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
