@@ -4,7 +4,24 @@ package optiwise
 // run the full pipeline and the case studies on the Neoverse-style machine
 // as well, verifying that every conclusion is machine-portable.
 
-import "testing"
+import (
+	"testing"
+
+	"optiwise/internal/interp"
+	"optiwise/internal/program"
+)
+
+// switchRun runs p to exit on the switch interpreter (Machine.Run),
+// the reference that shares no dispatch code with the threaded cells
+// Interpret and the simulator's front end execute.
+func switchRun(t *testing.T, p *Program) *interp.Machine {
+	t.Helper()
+	m := interp.New(program.Load(p.prog, program.LoadOptions{}), 7)
+	if err := m.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
 
 func TestProfileOnNeoverseN1(t *testing.T) {
 	prog, err := Fig1Program()
@@ -88,26 +105,23 @@ func TestBwavesOptimizationPortableToN1(t *testing.T) {
 }
 
 func TestArchitecturalResultsAgreeAcrossMachines(t *testing.T) {
-	// Same program, same inputs: both machine models and the interpreter
-	// must agree on everything architectural.
+	// Same program, same inputs: both machine models and the switch
+	// interpreter must agree on everything architectural.
 	cfg := DefaultDeepsjengConfig()
 	cfg.Nodes = 200
 	prog, err := DeepsjengProgram(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	iref, err := prog.Interpret()
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := switchRun(t, prog)
 	for _, m := range []Machine{XeonW2195(), NeoverseN1()} {
 		res, err := prog.Run(m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.ExitCode != iref.ExitCode || res.Instructions != iref.Instructions {
+		if res.ExitCode != ref.ExitCode || res.Instructions != ref.Steps {
 			t.Errorf("%s diverged: exit %d/%d, insts %d/%d",
-				m.Name, res.ExitCode, iref.ExitCode, res.Instructions, iref.Instructions)
+				m.Name, res.ExitCode, ref.ExitCode, res.Instructions, ref.Steps)
 		}
 	}
 }

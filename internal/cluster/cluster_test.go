@@ -151,13 +151,23 @@ type jobReply struct {
 
 func postJob(t *testing.T, url string, body map[string]any, hdr map[string]string) jobReply {
 	t.Helper()
-	b, err := json.Marshal(body)
+	jr, err := tryPostJob(url, body, hdr)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return jr
+}
+
+// tryPostJob is postJob for a client goroutine, which must not stop
+// the test itself: it returns the failure instead.
+func tryPostJob(url string, body map[string]any, hdr map[string]string) (jobReply, error) {
+	b, err := json.Marshal(body)
+	if err != nil {
+		return jobReply{}, err
+	}
 	req, err := http.NewRequest(http.MethodPost, url+"/v1/jobs", bytes.NewReader(b))
 	if err != nil {
-		t.Fatal(err)
+		return jobReply{}, err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	for k, v := range hdr {
@@ -166,16 +176,16 @@ func postJob(t *testing.T, url string, body map[string]any, hdr map[string]strin
 	client := &http.Client{Timeout: 60 * time.Second}
 	resp, err := client.Do(req)
 	if err != nil {
-		t.Fatalf("POST %s: %v", url, err)
+		return jobReply{}, fmt.Errorf("POST %s: %w", url, err)
 	}
 	defer resp.Body.Close()
 	var jr jobReply
 	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&jr); err != nil {
-		t.Fatalf("decode submission response: %v", err)
+		return jobReply{}, fmt.Errorf("decode submission response: %w", err)
 	}
 	jr.node = resp.Header.Get("X-Optiwise-Node")
 	jr.status = resp.StatusCode
-	return jr
+	return jr, nil
 }
 
 func mustDone(t *testing.T, jr jobReply, what string) {
@@ -237,46 +247,72 @@ func TestClusterRoutingDistributes(t *testing.T) {
 	}
 }
 
-// TestClusterDuplicatesComputeOnce submits the same job key through
-// every frontend, concurrently, and requires exactly one computation:
-// every other response must be served from the cache, a coalesced
-// in-flight job, or a peer fetch.
+// TestClusterDuplicatesComputeOnce drives concurrent clients on every
+// frontend of a 3-node cluster with a ~50% duplicate ratio: every other
+// submission reuses one of a few shared keys, the rest are fresh. The
+// first round sends every shared key through every frontend at once, and
+// jobs run long enough that duplicates meet the first run in flight.
+// Every job must succeed, and each key must compute exactly once
+// cluster-wide, on the one node that owns it: all its other responses
+// come from the cache, a coalesced in-flight job, or a peer fetch.
 func TestClusterDuplicatesComputeOnce(t *testing.T) {
 	nodes := startCluster(t, 3)
-	body := submission(4, 99)
 
-	const perFront = 2
+	const (
+		perFront  = 3 // concurrent clients on each frontend
+		perClient = 4 // submissions per client, alternating shared and fresh
+		shared    = 3 // keys in the shared pool
+	)
 	var mu sync.Mutex
 	var replies []jobReply
 	var wg sync.WaitGroup
-	for _, tn := range nodes {
-		for k := 0; k < perFront; k++ {
+	start := make(chan struct{}) // release every client at once
+	for f, tn := range nodes {
+		for c := 0; c < perFront; c++ {
+			client := f*perFront + c
 			wg.Add(1)
 			go func(url string) {
 				defer wg.Done()
-				jr := postJob(t, url, body, nil)
-				mu.Lock()
-				replies = append(replies, jr)
-				mu.Unlock()
+				<-start
+				for k := 0; k < perClient; k++ {
+					seed := uint64(1000 + client*perClient + k) // fresh
+					if k%2 == 0 {
+						seed = uint64(1 + (client+k/2)%shared)
+					}
+					jr, err := tryPostJob(url, submission(2000, seed), nil)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					mu.Lock()
+					replies = append(replies, jr)
+					mu.Unlock()
+				}
 			}(tn.url())
 		}
 	}
+	close(start)
 	wg.Wait()
 
-	computed := 0
-	nodesSeen := make(map[string]bool)
+	computed := make(map[string]int)  // digest -> computations
+	owners := make(map[string]string) // digest -> serving node
 	for i, jr := range replies {
-		mustDone(t, jr, fmt.Sprintf("duplicate %d", i))
-		nodesSeen[jr.node] = true
+		mustDone(t, jr, fmt.Sprintf("submission %d", i))
+		if o, ok := owners[jr.Digest]; ok && o != jr.node {
+			t.Errorf("key %.12s served by %s and %s, want one owner", jr.Digest, o, jr.node)
+		}
+		owners[jr.Digest] = jr.node
 		if !jr.Cached && !jr.Coalesced && !jr.PeerFetched {
-			computed++
+			computed[jr.Digest]++
 		}
 	}
-	if computed != 1 {
-		t.Fatalf("duplicate key computed %d times, want exactly 1 (%+v)", computed, replies)
+	if want := len(nodes)*perFront*perClient/2 + shared; len(owners) != want {
+		t.Fatalf("%d distinct keys, want %d", len(owners), want)
 	}
-	if len(nodesSeen) != 1 {
-		t.Errorf("one key executed on %d nodes %v, want 1", len(nodesSeen), nodesSeen)
+	for d := range owners {
+		if computed[d] != 1 {
+			t.Errorf("key %.12s computed %d times, want exactly 1", d, computed[d])
+		}
 	}
 }
 

@@ -248,10 +248,9 @@ function gaugeOf(snap, name) {
 }
 
 async function renderCluster() {
-  let stats = null, fed = null, owload = null;
+  let stats = null, fed = null;
   try { stats = await getJSON("/api/v1/stats"); } catch (e) { /* keep nulls */ }
   try { fed = await getJSON("/cluster/v1/metrics?format=json"); } catch (e) { /* single node */ }
-  try { owload = await getJSON("/api/v1/owload"); } catch (e) { /* none pushed */ }
 
   let ringHTML = "";
   if (stats && stats.cluster) {
@@ -292,24 +291,7 @@ async function renderCluster() {
       <p class="muted">federated metrics unavailable (single-node server, or the cluster layer is not running)</p></div>`;
   }
 
-  let owloadHTML = "";
-  if (owload && owload.run) {
-    const r = owload.run;
-    const lat = r.latency_ms || {};
-    const nodeRows = (r.nodes || []).map(n => `<tr class="row">
-      <td>${esc(n.addr)}</td><td class="num">${fmtInt(n.jobs)}</td>
-      <td class="num">${fmtInt(n.forwarded)}</td>
-      <td class="num">${fmtInt(n.peer_fetch_hits)}</td></tr>`).join("");
-    owloadHTML = `<div class="panel"><h2>Last owload run (${esc(owload.received_at)})</h2>
-      <p>${esc(r.label || "run")} · ${fmtInt(r.jobs_done)} done / ${fmtInt(r.jobs_failed)} failed / ${fmtInt(r.rejected)} rejected
-      · ${(r.throughput_jobs_per_sec || 0).toFixed(1)} jobs/s</p>
-      <p class="muted">latency p50 ${(lat.p50 || 0).toFixed(1)}ms · p90 ${(lat.p90 || 0).toFixed(1)}ms
-      · p99 ${(lat.p99 || 0).toFixed(1)}ms · max ${(lat.max || 0).toFixed(1)}ms</p>
-      ${nodeRows ? `<table><tr><th>node</th><th class="num">jobs</th><th class="num">forwarded</th><th class="num">peer fetches</th></tr>${nodeRows}</table>` : ""}
-      </div>`;
-  }
-
-  view.innerHTML = (ringHTML + nodesHTML + owloadHTML) ||
+  view.innerHTML = (ringHTML + nodesHTML) ||
     `<p class="err">stats unavailable</p>`;
 
   // Live refresh: the stats SSE channel repaints the ring panel.

@@ -449,7 +449,7 @@ func WriteAll(w io.Writer, p *core.Profile) error {
 	if len(p.Intervals) > 0 {
 		phases = mergePhases(p.Intervals)
 	}
-	hottest := hottestFunc(p)
+	hottest := HottestFunc(p)
 	fn, found := p.Prog.FuncByName(hottest)
 	size := summaryBytes + len(p.Module) + phaseBytes(phases) + 4*headerBytes +
 		funcRowBytes*len(p.Funcs) + loopRowBytes*len(p.Loops) +
@@ -480,9 +480,10 @@ func WriteAll(w io.Writer, p *core.Profile) error {
 	return write(w, b)
 }
 
-// hottestFunc names the function WriteAll annotates: the first with
-// sampled self cycles, else the first listed; "" when there is none.
-func hottestFunc(p *core.Profile) string {
+// HottestFunc names the function WriteAll annotates, and the one the
+// service's annotated report defaults to: the first with sampled self
+// cycles, else the first listed; "" when there is none.
+func HottestFunc(p *core.Profile) string {
 	for _, f := range p.Funcs {
 		if f.SelfCycles > 0 {
 			return f.Name

@@ -3,7 +3,6 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -180,39 +179,6 @@ func (s *Server) handleStatsEvents(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-}
-
-// maxOwloadBytes caps an ingested owload run summary.
-const maxOwloadBytes = 1 << 20
-
-// handleOwloadPut ingests an owload -json run summary (any JSON
-// object) for the dashboard's cluster view.
-func (s *Server) handleOwloadPut(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxOwloadBytes))
-	if err != nil {
-		writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("run summary exceeds %d bytes", maxOwloadBytes))
-		return
-	}
-	if !json.Valid(body) {
-		writeError(w, http.StatusBadRequest, "run summary must be valid JSON")
-		return
-	}
-	s.SetOwloadRun(body)
-	writeJSON(w, http.StatusOK, map[string]string{"status": "stored"})
-}
-
-// handleOwloadGet serves the last ingested owload run summary.
-func (s *Server) handleOwloadGet(w http.ResponseWriter, _ *http.Request) {
-	raw, seen, ok := s.OwloadRun()
-	if !ok {
-		writeError(w, http.StatusNotFound, "no owload run ingested yet")
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"received_at": seen,
-		"run":         json.RawMessage(raw),
-	})
 }
 
 // handleFlightList lists the retained flight-recorder dumps so the

@@ -2,8 +2,7 @@ package serve_test
 
 // Dashboard-surface tests (DESIGN.md §14): the embedded /ui/ assets,
 // the job-list and drill-down JSON APIs, build info and uptime in
-// /v1/stats, the flight-recorder listing, the owload ingestion
-// endpoint, and the SSE push channels.
+// /v1/stats, the flight-recorder listing, and the SSE push channels.
 
 import (
 	"bufio"
@@ -231,34 +230,6 @@ func TestFlightRecorderEndpoint(t *testing.T) {
 	}
 	if status, _, _ := getBody(t, ts.URL+"/debug/flightrecorder/99"); status != http.StatusNotFound {
 		t.Errorf("missing dump: status %d", status)
-	}
-}
-
-// TestOwloadIngestion: a pushed owload run round-trips through the
-// ingestion endpoint; malformed and oversized payloads are rejected.
-func TestOwloadIngestion(t *testing.T) {
-	_, ts := dashServer(t)
-	if status, _, _ := getBody(t, ts.URL+"/api/v1/owload"); status != http.StatusNotFound {
-		t.Errorf("empty owload store: status %d", status)
-	}
-	resp := postJSON(t, ts.URL+"/api/v1/owload", map[string]any{
-		"label": "smoke", "jobs_done": 42,
-	})
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("owload push: status %d", resp.StatusCode)
-	}
-	status, body, _ := getBody(t, ts.URL+"/api/v1/owload")
-	if status != http.StatusOK || !strings.Contains(body, `"smoke"`) || !strings.Contains(body, "received_at") {
-		t.Errorf("owload get: status %d body %.300s", status, body)
-	}
-	bad, err := http.Post(ts.URL+"/api/v1/owload", "application/json", strings.NewReader("{nope"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad.Body.Close()
-	if bad.StatusCode != http.StatusBadRequest {
-		t.Errorf("malformed owload accepted: %d", bad.StatusCode)
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"optiwise/internal/dash"
 	"optiwise/internal/diff"
 	"optiwise/internal/obs"
+	"optiwise/internal/report"
 )
 
 // Handler returns the service's HTTP API. Every /v1 route is also
@@ -42,8 +43,6 @@ import (
 //	                            instruction CPI projection (dashboard)
 //	GET    /v1/jobs/{id}/events server-sent events: live status and
 //	                            streamed-window pushes until terminal
-//	GET    /v1/owload           last ingested owload run summary
-//	POST   /v1/owload           ingest an owload -json run summary
 //	GET    /metrics             Prometheus exposition of the obs
 //	                            registry (OpenMetrics with exemplars
 //	                            when Accept asks for it)
@@ -73,8 +72,6 @@ func (s *Server) Handler() http.Handler {
 	api("GET", "/lineages/{key}/diff", s.handleLineageDiff)
 	api("GET", "/stats", s.handleStats)
 	api("GET", "/stats/events", s.handleStatsEvents)
-	api("GET", "/owload", s.handleOwloadGet)
-	api("POST", "/owload", s.handleOwloadPut)
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	mux.HandleFunc("GET /readyz", s.handleReady)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -399,11 +396,10 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	if kind == "annotated" {
 		fn := r.URL.Query().Get("func")
 		if fn == "" {
-			if len(res.Funcs) == 0 {
+			if fn = report.HottestFunc(res); fn == "" {
 				writeError(w, http.StatusConflict, "profile has no functions to annotate")
 				return
 			}
-			fn = res.Funcs[0].Name // hottest function by total cycles
 		}
 		if err := optiwise.WriteAnnotated(&buf, res, fn); err != nil {
 			writeError(w, http.StatusBadRequest, err.Error())

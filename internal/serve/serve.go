@@ -274,12 +274,6 @@ type Server struct {
 	// header; build is the process build identity.
 	start time.Time
 	build obs.BuildInfo
-
-	// owloadMu guards the most recent owload run summary pushed via
-	// POST /v1/owload (rendered by the dashboard's cluster view).
-	owloadMu     sync.Mutex
-	owloadRun    []byte
-	owloadSeenAt time.Time
 }
 
 // retainedDump is one in-memory flight dump plus its listing ID.
@@ -916,26 +910,6 @@ func (s *Server) JobList(limit int) []JobStatus {
 		out = append(out, j.Status())
 	}
 	return out
-}
-
-// SetOwloadRun stores the most recent owload run summary (raw JSON)
-// for the dashboard's cluster view.
-func (s *Server) SetOwloadRun(raw []byte) {
-	s.owloadMu.Lock()
-	s.owloadRun = append([]byte(nil), raw...)
-	s.owloadSeenAt = time.Now()
-	s.owloadMu.Unlock()
-}
-
-// OwloadRun returns the most recent ingested owload summary and when
-// it arrived; ok=false when none was pushed yet.
-func (s *Server) OwloadRun() (raw []byte, seen time.Time, ok bool) {
-	s.owloadMu.Lock()
-	defer s.owloadMu.Unlock()
-	if s.owloadRun == nil {
-		return nil, time.Time{}, false
-	}
-	return s.owloadRun, s.owloadSeenAt, true
 }
 
 // writeDumpFile persists one dump into Config.FlightDumpDir, through

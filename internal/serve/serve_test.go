@@ -15,6 +15,7 @@ import (
 
 	"optiwise"
 	"optiwise/internal/obs"
+	"optiwise/internal/report"
 	"optiwise/internal/serve"
 )
 
@@ -520,4 +521,68 @@ func TestHammer(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+}
+
+// wrapperSource's main only calls work: the two tie on total cycles,
+// so main leads the function table by name while every sampled self
+// cycle is work's.
+const wrapperSource = `
+.module wrapper
+.text
+.func main
+main:
+    call work
+    li a0, 0
+    li a7, 93
+    syscall
+.endfunc
+.func work
+work:
+    li t0, 3000
+kl:
+    div t1, t0, t0
+    addi t0, t0, -1
+    bnez t0, kl
+    ret
+.endfunc
+`
+
+// TestAnnotatedDefaultsToHottestFunc: kind=annotated without func
+// annotates the function the full report annotates (the first with
+// self cycles), not merely the first listed.
+func TestAnnotatedDefaultsToHottestFunc(t *testing.T) {
+	srv := serve.New(serve.Config{Workers: 1})
+	srv.Start()
+	defer srv.Shutdown(context.Background())
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	st := decodeStatus(t, postJSON(t, ts.URL+"/v1/jobs", map[string]any{
+		"source": wrapperSource, "wait": true,
+		"options": map[string]any{"sample_period": 300},
+	}))
+	if st.State != serve.StateDone {
+		t.Fatalf("job ended %s: %s", st.State, st.Error)
+	}
+	job, ok := srv.Job(st.ID)
+	if !ok {
+		t.Fatal("job not retained")
+	}
+	res, _, _ := job.Result()
+	if len(res.Funcs) < 2 || res.Funcs[0].SelfCycles != 0 {
+		t.Fatalf("fixture: want a first function without self cycles, got %+v", res.Funcs)
+	}
+	hottest := report.HottestFunc(res)
+	if hottest == res.Funcs[0].Name {
+		t.Fatalf("fixture: hottest function %q is also the first listed", hottest)
+	}
+	var want bytes.Buffer
+	if err := report.WriteAnnotatedFunc(&want, res, hottest); err != nil {
+		t.Fatal(err)
+	}
+	status, body, _ := getBody(t, ts.URL+"/v1/jobs/"+st.ID+"/report?kind=annotated")
+	if status != http.StatusOK || body != want.String() {
+		t.Errorf("annotated default: status %d, want %s's view:\n%s\ngot:\n%s",
+			status, hottest, want.String(), body)
+	}
 }

@@ -174,9 +174,12 @@ func (p *Program) Run(m Machine) (RunResult, error) {
 
 // Interpret executes the program on the functional interpreter (no
 // timing) — the native baseline of the instrumentation overhead model.
+// It runs the direct-threaded engine; the switch Machine.Run stays the
+// tests' independent reference.
 func (p *Program) Interpret() (RunResult, error) {
-	m := interp.New(program.Load(p.prog, program.LoadOptions{}), 7)
-	if err := m.Run(0); err != nil {
+	img := program.Load(p.prog, program.LoadOptions{})
+	m := interp.New(img, 7)
+	if err := interp.Translate(img).Run(m, 0); err != nil {
 		return RunResult{}, err
 	}
 	return RunResult{

@@ -52,12 +52,16 @@ func TestAssembleAndRun(t *testing.T) {
 	if res.ExitCode != 0 || res.Cycles == 0 || res.Instructions == 0 {
 		t.Errorf("run result = %+v", res)
 	}
+	ref := switchRun(t, p)
+	if ref.Steps != res.Instructions {
+		t.Errorf("switch interpreter retired %d, pipeline %d", ref.Steps, res.Instructions)
+	}
 	ires, err := p.Interpret()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ires.Instructions != res.Instructions {
-		t.Errorf("interpreter retired %d, pipeline %d", ires.Instructions, res.Instructions)
+	if ires.Instructions != ref.Steps || ires.ExitCode != ref.ExitCode || !bytes.Equal(ires.Output, ref.Output) {
+		t.Errorf("Interpret = %+v, switch interpreter retired %d, exit %d", ires, ref.Steps, ref.ExitCode)
 	}
 }
 
