@@ -540,8 +540,10 @@ func TestClusterForwardedHeaderNeverLoops(t *testing.T) {
 		go func(f int) {
 			defer wg.Done()
 			for seed := uint64(0); seed < 8; seed++ {
-				jr := postJob(t, nodes[f].url(), submission(3, 200+seed), nil)
-				if jr.status != http.StatusOK || jr.State != "done" {
+				jr, err := tryPostJob(nodes[f].url(), submission(3, 200+seed), nil)
+				if err != nil {
+					errs <- fmt.Sprintf("front %d seed %d: %v", f, seed, err)
+				} else if jr.status != http.StatusOK || jr.State != "done" {
 					errs <- fmt.Sprintf("front %d seed %d: status=%d state=%q", f, seed, jr.status, jr.State)
 				}
 			}

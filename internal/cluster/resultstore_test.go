@@ -115,10 +115,17 @@ func TestClusterConcurrentDuplicatesFetchOnce(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			replies[i] = postJob(t, other.url(), body, map[string]string{"X-Optiwise-Forwarded": "test"})
+			jr, err := tryPostJob(other.url(), body, map[string]string{"X-Optiwise-Forwarded": "test"})
+			if err != nil {
+				t.Errorf("duplicate %d: %v", i, err)
+			}
+			replies[i] = jr
 		}(i)
 	}
 	wg.Wait()
+	if t.Failed() {
+		return
+	}
 	for i, jr := range replies {
 		mustDone(t, jr, fmt.Sprintf("duplicate %d", i))
 	}

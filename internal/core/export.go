@@ -4,9 +4,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
 
 	"optiwise/internal/cfg"
 	"optiwise/internal/dbi"
+	"optiwise/internal/jsonenc"
 	"optiwise/internal/ooo"
 	"optiwise/internal/program"
 )
@@ -84,10 +86,243 @@ func (p *Profile) Export() *Export {
 	}
 }
 
-// WriteJSON serializes the profile's analysis results.
+// WriteJSON serializes the profile's analysis results: its Export,
+// byte for byte as json.NewEncoder(w).Encode(p.Export()) writes it, in
+// one Write of a buffer sized by a first pass. A profile holding a NaN
+// or infinite float is refused with encoding/json's error, and nothing
+// is written.
 func (p *Profile) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	return enc.Encode(p.Export())
+	var d jsonenc.Doc
+	var scratch [1024]byte
+	size, err := d.Sized(p.appendJSON(scratch[:0], &d))
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(p.appendJSON(make([]byte, 0, size), &d))
+	return err
+}
+
+// appendJSON appends the Export's members in its declaration order,
+// omitting what its omitempty tags omit, and the Encoder's newline.
+func (p *Profile) appendJSON(b []byte, d *jsonenc.Doc) []byte {
+	b = append(b, `{"module":`...)
+	b = jsonenc.AppendString(b, p.Module)
+	b = strconv.AppendUint(append(b, `,"total_cycles":`...), p.TotalCycles, 10)
+	b = strconv.AppendUint(append(b, `,"total_instructions":`...), p.TotalInsts, 10)
+	b = strconv.AppendUint(append(b, `,"total_samples":`...), p.TotalSamples, 10)
+	b = strconv.AppendUint(append(b, `,"sample_period":`...), p.SamplePeriod, 10)
+	if p.UnmatchedSamples != 0 {
+		b = strconv.AppendUint(append(b, `,"unmatched_samples":`...), p.UnmatchedSamples, 10)
+	}
+	b = d.Float(append(b, `,"ipc":`...), p.IPC)
+	if p.Degraded {
+		b = append(b, `,"degraded":true`...)
+	}
+	if p.FailedPass != "" {
+		b = jsonenc.AppendString(append(b, `,"failed_pass":`...), p.FailedPass)
+	}
+	if p.DegradedReason != "" {
+		b = jsonenc.AppendString(append(b, `,"degraded_reason":`...), p.DegradedReason)
+	}
+	if p.Tiered {
+		b = append(b, `,"tiered":true`...)
+	}
+	if len(p.HotRanges) > 0 {
+		b = append(b, `,"hot_ranges":[`...)
+		for i, r := range p.HotRanges {
+			b = strconv.AppendUint(append(jsonenc.Elem(b, 0, i), `{"lo":`...), r.Lo, 10)
+			b = strconv.AppendUint(append(b, `,"hi":`...), r.Hi, 10)
+			b = append(b, '}')
+		}
+		b = append(b, ']')
+	}
+	if p.ColdInsts != 0 {
+		b = strconv.AppendUint(append(b, `,"cold_instructions":`...), p.ColdInsts, 10)
+	}
+	if p.Machine != "" {
+		b = jsonenc.AppendString(append(b, `,"machine":`...), p.Machine)
+	}
+	if p.Precise {
+		b = append(b, `,"precise":true`...)
+	}
+	if p.Unweighted {
+		b = append(b, `,"unweighted":true`...)
+	}
+	if p.Attribution != "" {
+		b = jsonenc.AppendString(append(b, `,"attribution":`...), p.Attribution)
+	}
+	if p.LoopThreshold != 0 {
+		b = strconv.AppendUint(append(b, `,"loop_threshold":`...), p.LoopThreshold, 10)
+	}
+	if p.StackProfiling {
+		b = append(b, `,"stack_profiling":true`...)
+	}
+	if len(p.Intervals) > 0 {
+		b = append(b, `,"intervals":[`...)
+		for i := range p.Intervals {
+			b = d.Flush(p.Intervals[i].AppendJSON(jsonenc.Elem(b, 0, i), 0, d))
+		}
+		b = append(b, ']')
+	}
+	if p.IntervalWindow != 0 {
+		b = strconv.AppendUint(append(b, `,"interval_window":`...), p.IntervalWindow, 10)
+	}
+	// The tables, each null when nil. Every row ends a stretch (Doc.Flush).
+	b = append(b, `,"instructions":`...)
+	if p.Insts == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i := range p.Insts {
+			b = d.Flush(p.Insts[i].appendJSON(jsonenc.Elem(b, 0, i), d))
+		}
+		b = append(b, ']')
+	}
+	b = append(b, `,"blocks":`...)
+	if p.Blocks == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i := range p.Blocks {
+			b = d.Flush(p.Blocks[i].appendJSON(jsonenc.Elem(b, 0, i), d))
+		}
+		b = append(b, ']')
+	}
+	b = append(b, `,"functions":`...)
+	if p.Funcs == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i := range p.Funcs {
+			b = d.Flush(p.Funcs[i].appendJSON(jsonenc.Elem(b, 0, i), d))
+		}
+		b = append(b, ']')
+	}
+	b = append(b, `,"loops":`...)
+	if p.Loops == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i := range p.Loops {
+			b = d.Flush(p.Loops[i].appendJSON(jsonenc.Elem(b, 0, i), d))
+		}
+		b = append(b, ']')
+	}
+	b = append(b, `,"lines":`...)
+	if p.Lines == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i := range p.Lines {
+			b = d.Flush(p.Lines[i].appendJSON(jsonenc.Elem(b, 0, i), d))
+		}
+		b = append(b, ']')
+	}
+	return append(b, "}\n"...)
+}
+
+// The records carry no json tags: each member is named after its field.
+
+func (r *InstRecord) appendJSON(b []byte, d *jsonenc.Doc) []byte {
+	b = strconv.AppendUint(append(b, `{"Offset":`...), r.Offset, 10)
+	b = strconv.AppendUint(append(b, `,"Inst":{"Op":`...), uint64(r.Inst.Op), 10)
+	b = strconv.AppendUint(append(b, `,"Rd":`...), uint64(r.Inst.Rd), 10)
+	b = strconv.AppendUint(append(b, `,"Rs":`...), uint64(r.Inst.Rs), 10)
+	b = strconv.AppendUint(append(b, `,"Rt":`...), uint64(r.Inst.Rt), 10)
+	b = strconv.AppendInt(append(b, `,"Imm":`...), r.Inst.Imm, 10)
+	b = strconv.AppendUint(append(b, `,"Target":`...), r.Inst.Target, 10)
+	b = jsonenc.AppendString(append(b, `},"Disasm":`...), r.Disasm)
+	b = jsonenc.AppendString(append(b, `,"Func":`...), r.Func)
+	b = jsonenc.AppendString(append(b, `,"File":`...), r.File)
+	b = strconv.AppendInt(append(b, `,"Line":`...), int64(r.Line), 10)
+	b = strconv.AppendUint(append(b, `,"ExecCount":`...), r.ExecCount, 10)
+	b = strconv.AppendUint(append(b, `,"Samples":`...), r.Samples, 10)
+	b = strconv.AppendUint(append(b, `,"Cycles":`...), r.Cycles, 10)
+	b = strconv.AppendUint(append(b, `,"CacheMisses":`...), r.CacheMisses, 10)
+	b = strconv.AppendUint(append(b, `,"Mispredicts":`...), r.Mispredicts, 10)
+	b = d.Float(append(b, `,"CPI":`...), r.CPI)
+	if r.Estimated {
+		b = append(b, `,"Estimated":true`...)
+	}
+	return append(b, '}')
+}
+
+func (r *FuncRecord) appendJSON(b []byte, d *jsonenc.Doc) []byte {
+	b = jsonenc.AppendString(append(b, `{"Name":`...), r.Name)
+	b = strconv.AppendUint(append(b, `,"Lo":`...), r.Lo, 10)
+	b = strconv.AppendUint(append(b, `,"SelfCycles":`...), r.SelfCycles, 10)
+	b = strconv.AppendUint(append(b, `,"TotalCycles":`...), r.TotalCycles, 10)
+	b = strconv.AppendUint(append(b, `,"SelfSamples":`...), r.SelfSamples, 10)
+	b = strconv.AppendUint(append(b, `,"SelfInsts":`...), r.SelfInsts, 10)
+	b = strconv.AppendUint(append(b, `,"TotalInsts":`...), r.TotalInsts, 10)
+	b = strconv.AppendUint(append(b, `,"CacheMisses":`...), r.CacheMisses, 10)
+	b = strconv.AppendUint(append(b, `,"Mispredicts":`...), r.Mispredicts, 10)
+	b = d.Float(append(b, `,"CPI":`...), r.CPI)
+	b = d.Float(append(b, `,"IPC":`...), r.IPC)
+	b = d.Float(append(b, `,"TimeFrac":`...), r.TimeFrac)
+	if r.Estimated {
+		b = append(b, `,"Estimated":true`...)
+	}
+	return append(b, '}')
+}
+
+func (r *LoopRecord) appendJSON(b []byte, d *jsonenc.Doc) []byte {
+	b = strconv.AppendInt(append(b, `{"ID":`...), int64(r.ID), 10)
+	b = jsonenc.AppendString(append(b, `,"Func":`...), r.Func)
+	b = strconv.AppendUint(append(b, `,"HeaderOffset":`...), r.HeaderOffset, 10)
+	b = strconv.AppendInt(append(b, `,"Parent":`...), int64(r.Parent), 10)
+	b = strconv.AppendInt(append(b, `,"Depth":`...), int64(r.Depth), 10)
+	b = append(b, `,"BlockStarts":`...)
+	if r.BlockStarts == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i, s := range r.BlockStarts {
+			b = strconv.AppendUint(jsonenc.Elem(b, 0, i), s, 10)
+		}
+		b = append(b, ']')
+	}
+	b = jsonenc.AppendString(append(b, `,"File":`...), r.File)
+	b = strconv.AppendInt(append(b, `,"StartLine":`...), int64(r.StartLine), 10)
+	b = strconv.AppendInt(append(b, `,"EndLine":`...), int64(r.EndLine), 10)
+	b = strconv.AppendUint(append(b, `,"Invocations":`...), r.Invocations, 10)
+	b = strconv.AppendUint(append(b, `,"Iterations":`...), r.Iterations, 10)
+	b = strconv.AppendUint(append(b, `,"BackEdgeFreq":`...), r.BackEdgeFreq, 10)
+	b = strconv.AppendUint(append(b, `,"SelfCycles":`...), r.SelfCycles, 10)
+	b = strconv.AppendUint(append(b, `,"TotalCycles":`...), r.TotalCycles, 10)
+	b = strconv.AppendUint(append(b, `,"SelfInsts":`...), r.SelfInsts, 10)
+	b = strconv.AppendUint(append(b, `,"TotalInsts":`...), r.TotalInsts, 10)
+	b = d.Float(append(b, `,"CPI":`...), r.CPI)
+	b = d.Float(append(b, `,"InstsPerIter":`...), r.InstsPerIter)
+	b = d.Float(append(b, `,"TimeFrac":`...), r.TimeFrac)
+	return append(b, '}')
+}
+
+func (r *BlockRecord) appendJSON(b []byte, d *jsonenc.Doc) []byte {
+	b = strconv.AppendUint(append(b, `{"Start":`...), r.Start, 10)
+	b = strconv.AppendUint(append(b, `,"End":`...), r.End, 10)
+	b = jsonenc.AppendString(append(b, `,"Func":`...), r.Func)
+	b = strconv.AppendUint(append(b, `,"ExecCount":`...), r.ExecCount, 10)
+	b = strconv.AppendInt(append(b, `,"Insts":`...), int64(r.Insts), 10)
+	b = strconv.AppendUint(append(b, `,"Samples":`...), r.Samples, 10)
+	b = strconv.AppendUint(append(b, `,"Cycles":`...), r.Cycles, 10)
+	b = d.Float(append(b, `,"CPI":`...), r.CPI)
+	b = d.Float(append(b, `,"TimeFrac":`...), r.TimeFrac)
+	return append(b, '}')
+}
+
+func (r *LineRecord) appendJSON(b []byte, d *jsonenc.Doc) []byte {
+	b = jsonenc.AppendString(append(b, `{"File":`...), r.File)
+	b = strconv.AppendInt(append(b, `,"Line":`...), int64(r.Line), 10)
+	b = strconv.AppendUint(append(b, `,"ExecCount":`...), r.ExecCount, 10)
+	b = strconv.AppendUint(append(b, `,"Samples":`...), r.Samples, 10)
+	b = strconv.AppendUint(append(b, `,"Cycles":`...), r.Cycles, 10)
+	b = d.Float(append(b, `,"CPI":`...), r.CPI)
+	b = d.Float(append(b, `,"TimeFrac":`...), r.TimeFrac)
+	if r.Estimated {
+		b = append(b, `,"Estimated":true`...)
+	}
+	return append(b, '}')
 }
 
 // ReadExport deserializes a profile written by WriteJSON. The result

@@ -20,7 +20,12 @@ package ooo
 // added in one multiply-add (account), and a skip always stops short of
 // the next flush.
 
-import "optiwise/internal/isa"
+import (
+	"strconv"
+
+	"optiwise/internal/isa"
+	"optiwise/internal/jsonenc"
+)
 
 // LevelRate is one cache level's activity within an interval.
 type LevelRate struct {
@@ -95,6 +100,46 @@ type Interval struct {
 	Cache []LevelRate `json:"cache,omitempty"`
 	// Stalls attributes each cycle of the window to a cause.
 	Stalls StallBreakdown `json:"stalls"`
+}
+
+// AppendJSON appends iv as encoding/json encodes it, its members at
+// depth (0 for compact JSON; see jsonenc.Key).
+func (iv *Interval) AppendJSON(b []byte, depth int, d *jsonenc.Doc) []byte {
+	b = jsonenc.Key(append(b, '{'), depth, true, "start")
+	b = strconv.AppendUint(b, iv.Start, 10)
+	b = strconv.AppendUint(jsonenc.Key(b, depth, false, "cycles"), iv.Cycles, 10)
+	b = strconv.AppendUint(jsonenc.Key(b, depth, false, "user_cycles"), iv.UserCycles, 10)
+	b = strconv.AppendUint(jsonenc.Key(b, depth, false, "instructions"), iv.Instructions, 10)
+	b = d.Float(jsonenc.Key(b, depth, false, "ipc"), iv.IPC)
+	b = d.Float(jsonenc.Key(b, depth, false, "rob_occupancy"), iv.ROBOccupancy)
+	b = strconv.AppendUint(jsonenc.Key(b, depth, false, "branches"), iv.Branches, 10)
+	b = strconv.AppendUint(jsonenc.Key(b, depth, false, "mispredicts"), iv.Mispredicts, 10)
+	b = d.Float(jsonenc.Key(b, depth, false, "mispredict_rate"), iv.MispredictRate)
+	in := jsonenc.Inner(depth)
+	if len(iv.Cache) > 0 {
+		b = append(jsonenc.Key(b, depth, false, "cache"), '[')
+		m := jsonenc.Inner(in)
+		for i := range iv.Cache {
+			c := &iv.Cache[i]
+			b = jsonenc.Key(append(jsonenc.Elem(b, in, i), '{'), m, true, "level")
+			b = jsonenc.AppendString(b, c.Level)
+			b = strconv.AppendUint(jsonenc.Key(b, m, false, "hits"), c.Hits, 10)
+			b = strconv.AppendUint(jsonenc.Key(b, m, false, "misses"), c.Misses, 10)
+			b = d.Float(jsonenc.Key(b, m, false, "miss_rate"), c.Rate)
+			b = jsonenc.End(b, m, false, '}')
+		}
+		b = jsonenc.End(b, in, false, ']')
+	}
+	st := &iv.Stalls
+	b = jsonenc.Key(append(jsonenc.Key(b, depth, false, "stalls"), '{'), in, true, "commit")
+	b = strconv.AppendUint(b, st.Commit, 10)
+	b = strconv.AppendUint(jsonenc.Key(b, in, false, "frontend"), st.Frontend, 10)
+	b = strconv.AppendUint(jsonenc.Key(b, in, false, "memory"), st.Memory, 10)
+	b = strconv.AppendUint(jsonenc.Key(b, in, false, "store_buffer"), st.StoreBuffer, 10)
+	b = strconv.AppendUint(jsonenc.Key(b, in, false, "execute"), st.Execute, 10)
+	b = strconv.AppendUint(jsonenc.Key(b, in, false, "other"), st.Other, 10)
+	b = jsonenc.End(b, in, false, '}')
+	return jsonenc.End(b, depth, false, '}')
 }
 
 // intervalTracker accumulates one open window.

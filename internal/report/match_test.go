@@ -1,14 +1,17 @@
 package report
 
-// The append renderers against their fmt reference (reference_test.go)
-// over a corpus of real profiles: suite programs on both production
-// machines, in every shape a report takes — full, tiered, the two
-// degraded views, a degraded tiered run and windowed.
+// The append renderers against their fmt or encoding/json reference
+// (reference_test.go) over a corpus of real profiles: suite programs on
+// both production machines, in every shape a report takes — full,
+// tiered, the two degraded views, a degraded tiered run and windowed.
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
+	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -132,6 +135,9 @@ func renderPairs(p *core.Profile) map[string][2]renderer {
 		"missing func": annotatedPair("no such function"),
 		"missing loop": loopPair(-7),
 	}
+	for name, pair := range jsonPairs {
+		pairs[name] = pair
+	}
 	for _, max := range []int{0, 3, 15, 20} {
 		max := max
 		pairs["blocks max="+strconv.Itoa(max)] = [2]renderer{
@@ -151,6 +157,22 @@ func renderPairs(p *core.Profile) map[string][2]renderer {
 	}
 	return pairs
 }
+
+// jsonPairs are the two JSON renderers with their encoding/json
+// reference: the export as Encode writes Export(), and the drill-down
+// as an indenting Encoder writes refBuildDrilldown's model.
+var jsonPairs = map[string][2]renderer{
+	"json": {writeExport, func(w io.Writer, p *core.Profile) error {
+		return json.NewEncoder(w).Encode(p.Export())
+	}},
+	"drilldown": {WriteDrilldown, func(w io.Writer, p *core.Profile) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(refBuildDrilldown(p))
+	}},
+}
+
+func writeExport(w io.Writer, p *core.Profile) error { return p.WriteJSON(w) }
 
 func annotatedPair(name string) [2]renderer {
 	return [2]renderer{
@@ -208,15 +230,191 @@ func TestRenderersMatchReference(t *testing.T) {
 // corpus profile, whose record counts run from a handful to thousands,
 // so no per-row fmt call can return to the row path unnoticed. The
 // bound covers the buffer (and a growth past its estimate), the report
-// span, the banner, and a windowed report's IPC series and phases.
+// span, the banner, and a windowed report's IPC series and phases. The
+// JSON export and the drill-down are sized before they are written, so
+// each allocates at most what the allocator takes for a buffer 1.1x the
+// output (room for the floats' sizing bounds and the drill-down's index
+// lists, at 4 bytes a record), plus jsonSlack bytes for the banner notes
+// and the allocator's rounding of the index lists: the export allocates
+// its buffer alone, the drill-down also its index lists and notes.
 func TestRendererAllocationsAreConstant(t *testing.T) {
 	const maxAll, maxCSV = 8, 2
+	maxJSON := map[string]float64{"json": 1, "drilldown": 3}
+	const jsonSlack = 2048
 	for _, cp := range referenceCorpus(t) {
 		all := testing.AllocsPerRun(5, func() { WriteAll(io.Discard, cp.p) })     //nolint:errcheck // the reference test checks errors
 		csv := testing.AllocsPerRun(5, func() { WriteInstCSV(io.Discard, cp.p) }) //nolint:errcheck // the reference test checks errors
 		if all > maxAll || csv > maxCSV {
 			t.Errorf("%s (%d insts, %d intervals): WriteAll made %.0f allocations (max %d), WriteInstCSV %.0f (max %d)",
 				cp.name, len(cp.p.Insts), len(cp.p.Intervals), all, maxAll, csv, maxCSV)
+		}
+		for name, pair := range jsonPairs {
+			var out bytes.Buffer
+			if err := pair[0](&out, cp.p); err != nil {
+				t.Fatalf("%s: %s: %v", cp.name, name, err)
+			}
+			render := func() { pair[0](io.Discard, cp.p) } //nolint:errcheck // rendered above
+			allocs := testing.AllocsPerRun(5, render)
+			size := out.Len()
+			buffer := allocatedBytes(func() { sink = make([]byte, 0, size+size/10) })
+			perRender := allocatedBytes(render)
+			if max := buffer + jsonSlack; allocs > maxJSON[name] || perRender > max {
+				t.Errorf("%s: %s of %d bytes made %.0f allocations (max %.0f) of %.0f bytes (max %.0f)",
+					cp.name, name, size, allocs, maxJSON[name], perRender, max)
+			}
+		}
+	}
+}
+
+var sink []byte
+
+// allocatedBytes returns the bytes one call of f allocates, on average.
+func allocatedBytes(f func()) float64 {
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / runs
+}
+
+// hostile is a string encoding/json must escape in every way it can:
+// quotes and backslashes, HTML-significant bytes, control characters,
+// U+2028/U+2029 and invalid UTF-8.
+const hostile = "q\"b\\<a href=\"x\">&amp;</a>\t\n\x01\x7f\u2028\u2029\xff\xc3(é"
+
+// TestJSONEscapesLikeEncodingJSON: the JSON renderers match their
+// reference on a profile whose module, function, file and degraded
+// reason strings need escaping. A sampling-only profile is degraded, so
+// both renderers carry its reason.
+func TestJSONEscapesLikeEncodingJSON(t *testing.T) {
+	for _, cp := range referenceCorpus(t) {
+		if !strings.HasSuffix(cp.name, "/sampling-only") {
+			continue
+		}
+		exp := *cp.p.Export()
+		exp.Module += hostile
+		exp.DegradedReason += hostile
+		rename := func(name string) string { return name + hostile }
+		exp.Funcs = append([]core.FuncRecord(nil), exp.Funcs...)
+		for i := range exp.Funcs {
+			exp.Funcs[i].Name = rename(exp.Funcs[i].Name)
+		}
+		exp.Blocks = append([]core.BlockRecord(nil), exp.Blocks...)
+		for i := range exp.Blocks {
+			exp.Blocks[i].Func = rename(exp.Blocks[i].Func)
+		}
+		exp.Loops = append([]core.LoopRecord(nil), exp.Loops...)
+		for i := range exp.Loops {
+			exp.Loops[i].Func = rename(exp.Loops[i].Func)
+			exp.Loops[i].File = hostile
+		}
+		exp.Insts = append([]core.InstRecord(nil), exp.Insts...)
+		for i := range exp.Insts {
+			exp.Insts[i].Func = rename(exp.Insts[i].Func)
+			exp.Insts[i].File = hostile
+		}
+		exp.Lines = append([]core.LineRecord(nil), exp.Lines...)
+		for i := range exp.Lines {
+			exp.Lines[i].File = hostile
+		}
+		matchJSONReference(t, cp.name+" with hostile strings", core.FromExport(&exp, cp.p.Prog, cp.p.Graph))
+		return
+	}
+	t.Fatal("corpus has no sampling-only profile")
+}
+
+// TestJSONWritesEveryField: the JSON renderers match their reference on
+// a profile whose every exported field, and every field of one record
+// in each table, is set non-zero by reflection, so a field added to a
+// record without writer support fails here. The records are linked so
+// that the drill-down nests every level.
+func TestJSONWritesEveryField(t *testing.T) {
+	var p core.Profile
+	n := 0
+	var fill func(v reflect.Value)
+	fill = func(v reflect.Value) {
+		n++
+		switch v.Kind() {
+		case reflect.String:
+			v.SetString("s" + strconv.Itoa(n) + hostile)
+		case reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uint:
+			v.SetUint(uint64(n))
+		case reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64, reflect.Int:
+			v.SetInt(int64(n))
+		case reflect.Float64:
+			v.SetFloat(float64(n) / 3)
+		case reflect.Bool:
+			v.SetBool(true)
+		case reflect.Slice:
+			s := reflect.MakeSlice(v.Type(), 1, 1)
+			fill(s.Index(0))
+			v.Set(s)
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				if v.Type().Field(i).IsExported() {
+					fill(v.Field(i))
+				}
+			}
+		case reflect.Pointer: // the program image and CFG, which neither renderer reads
+		default:
+			t.Fatalf("cannot fill a %s", v.Type())
+		}
+	}
+	fill(reflect.ValueOf(&p).Elem())
+	fn := p.Funcs[0].Name
+	b := &p.Blocks[0]
+	b.Func, b.End = fn, b.Start+16
+	p.Loops[0].Func, p.Loops[0].BlockStarts = fn, []uint64{b.Start}
+	p.Insts[0].Offset = b.Start
+	matchJSONReference(t, "filled profile", &p)
+
+	var dd bytes.Buffer
+	if err := WriteDrilldown(&dd, &p); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(dd.String(), `"disasm"`) {
+		t.Errorf("the drill-down did not nest down to the instruction:\n%s", dd.String())
+	}
+}
+
+func matchJSONReference(t *testing.T, name string, p *core.Profile) {
+	t.Helper()
+	for kind, pair := range jsonPairs {
+		var got, want bytes.Buffer
+		if err := pair[1](&want, p); err != nil {
+			t.Fatalf("%s: %s reference: %v", name, kind, err)
+		}
+		if err := pair[0](&got, p); err != nil {
+			t.Errorf("%s: %s: %v", name, kind, err)
+		} else if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("%s: %s differs from the reference:\n got: %q\nwant: %q", name, kind, got.String(), want.String())
+		}
+	}
+}
+
+// BenchmarkJSONRenders renders the JSON export and the drill-down of
+// every corpus profile into a reused buffer, with the append renderers
+// and with their encoding/json reference, the code they replaced.
+func BenchmarkJSONRenders(b *testing.B) {
+	profs := referenceCorpus(b)
+	for _, kind := range []string{"json", "drilldown"} {
+		for i, impl := range []string{"append", "reference"} {
+			render := jsonPairs[kind][i]
+			b.Run(kind+"/"+impl, func(b *testing.B) {
+				b.ReportAllocs()
+				var buf bytes.Buffer
+				for n := 0; n < b.N; n++ {
+					for _, cp := range profs {
+						buf.Reset()
+						if err := render(&buf, cp.p); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+			})
 		}
 	}
 }

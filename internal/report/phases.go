@@ -82,38 +82,32 @@ type phase struct {
 // mergePhases folds the interval stream into phases by dominant stall.
 func mergePhases(ivs []ooo.Interval) []phase {
 	var out []phase
-	for _, iv := range ivs {
-		dom := iv.Stalls.Dominant()
-		if n := len(out); n > 0 && out[n-1].dominant == dom {
-			p := &out[n-1]
-			p.end = iv.Start + iv.Cycles
-			p.cycles += iv.Cycles
-			p.insts += iv.Instructions
-			p.branches += iv.Branches
-			p.mispredicts += iv.Mispredicts
-			if len(iv.Cache) > 0 {
-				p.l1Hits += iv.Cache[0].Hits
-				p.l1Misses += iv.Cache[0].Misses
-			}
-			continue
-		}
-		p := phase{
-			dominant: dom,
-			start:    iv.Start,
-			end:      iv.Start + iv.Cycles,
-			cycles:   iv.Cycles,
-			insts:    iv.Instructions,
-
-			branches:    iv.Branches,
-			mispredicts: iv.Mispredicts,
-		}
-		if len(iv.Cache) > 0 {
-			p.l1Hits = iv.Cache[0].Hits
-			p.l1Misses = iv.Cache[0].Misses
-		}
+	for len(ivs) > 0 {
+		var p phase
+		p, ivs = nextPhase(ivs)
 		out = append(out, p)
 	}
 	return out
+}
+
+// nextPhase folds the leading run of ivs (at least one interval) that
+// shares a dominant stall into one phase, and returns the rest.
+func nextPhase(ivs []ooo.Interval) (phase, []ooo.Interval) {
+	p := phase{dominant: ivs[0].Stalls.Dominant(), start: ivs[0].Start}
+	i := 0
+	for ; i < len(ivs) && (i == 0 || ivs[i].Stalls.Dominant() == p.dominant); i++ {
+		iv := &ivs[i]
+		p.end = iv.Start + iv.Cycles
+		p.cycles += iv.Cycles
+		p.insts += iv.Instructions
+		p.branches += iv.Branches
+		p.mispredicts += iv.Mispredicts
+		if len(iv.Cache) > 0 {
+			p.l1Hits += iv.Cache[0].Hits
+			p.l1Misses += iv.Cache[0].Misses
+		}
+	}
+	return p, ivs[i:]
 }
 
 // WritePhaseSummary prints the interval-telemetry phase summary: an IPC

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -53,7 +54,12 @@ func (s *Server) handleDrilldown(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, fmt.Sprintf("job is %s; retry once done", state))
 		return
 	}
-	writeJSON(w, http.StatusOK, report.BuildDrilldown(res))
+	var buf bytes.Buffer
+	if err := report.WriteDrilldown(&buf, res); err != nil {
+		writeError(w, http.StatusInternalServerError, err.Error())
+		return
+	}
+	writeBody(w, "application/json", buf.Bytes())
 }
 
 // sseWriter wraps one server-sent-events stream: headers are sent on

@@ -419,10 +419,16 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		}
 		contentType = rw.contentType
 	}
+	writeBody(w, contentType, buf.Bytes())
+}
+
+// writeBody answers 200 with a rendered body, its length known up
+// front, so a client or the cluster proxy hop can presize its read.
+func writeBody(w http.ResponseWriter, contentType string, body []byte) {
 	w.Header().Set("Content-Type", contentType)
-	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(http.StatusOK)
-	w.Write(buf.Bytes()) //nolint:errcheck // client went away
+	w.Write(body) //nolint:errcheck // client went away
 }
 
 // maxBodyPresize caps the buffer a claimed Content-Length can reserve

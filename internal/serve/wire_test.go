@@ -8,7 +8,6 @@ package serve
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"math"
 	"os"
@@ -114,8 +113,8 @@ func renderAll(res *optiwise.Result) map[string]string {
 		var b bytes.Buffer
 		put("annotated?func="+f.Name, &b, optiwise.WriteAnnotated(&b, res, f.Name))
 	}
-	d, err := json.Marshal(report.BuildDrilldown(res))
-	put("drilldown", bytes.NewBuffer(d), err)
+	var d bytes.Buffer
+	put("drilldown", &d, report.WriteDrilldown(&d, res))
 	return out
 }
 
