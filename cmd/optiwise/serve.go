@@ -80,8 +80,9 @@ func cmdServe(args []string) error {
 	if err != nil {
 		return err
 	}
-	// The service exports live metrics at /metrics; give it a registry
-	// even when no -metrics file was requested.
+	// The server counts into a registry of its own; /metrics adds the
+	// pipeline's library families from the process registry, so install
+	// one even when no -metrics file was requested.
 	if obs.ActiveRegistry() == nil {
 		obs.SetRegistry(obs.NewRegistry())
 	}
@@ -108,6 +109,7 @@ func cmdServe(args []string) error {
 	if err != nil {
 		return err
 	}
+	obsCfg.MetricsFrom(srv.MetricsSnapshot)
 	if *dataDir != "" {
 		st := srv.Stats()
 		fmt.Fprintf(os.Stderr, "optiwise: durable state in %s (replayed %d journal records, %d truncated, %d cached results)\n",

@@ -47,12 +47,12 @@ type federator struct {
 	failures *obs.CounterMetric
 }
 
-func newFederator(n *Node) *federator {
+func newFederator(n *Node, reg *obs.Registry) *federator {
 	return &federator{
 		n:         n,
 		lastKnown: make(map[string]obs.RegistrySnapshot),
-		scrapes:   obs.Counter(obs.MClusterFederationScrapes),
-		failures:  obs.Counter(obs.MClusterFederationFailures),
+		scrapes:   reg.Counter(obs.MClusterFederationScrapes),
+		failures:  reg.Counter(obs.MClusterFederationFailures),
 	}
 }
 
@@ -104,7 +104,7 @@ func (f *federator) scrape(ctx context.Context) []obs.NodeSnapshot {
 	out[0] = obs.NodeSnapshot{
 		Node:            f.n.cfg.Self,
 		FetchedUnixNano: time.Now().UnixNano(),
-		Snapshot:        obs.ActiveRegistry().FullSnapshot(),
+		Snapshot:        f.n.srv.MetricsSnapshot(),
 	}
 	var wg sync.WaitGroup
 	for i, addr := range snap.addrs {
@@ -198,7 +198,8 @@ func (n *Node) handleFederated(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleLocalMetrics serves GET /cluster/v1/metrics/local: this node's
-// own registry snapshot in the federation wire format. The scrape unit.
+// own metrics snapshot (serve.Server.MetricsSnapshot) in the federation
+// wire format. The scrape unit.
 func (n *Node) handleLocalMetrics(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, obs.ActiveRegistry().FullSnapshot())
+	writeJSON(w, http.StatusOK, n.srv.MetricsSnapshot())
 }

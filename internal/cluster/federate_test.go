@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"optiwise/internal/obs"
 	"optiwise/internal/serve"
 )
 
@@ -15,9 +14,6 @@ import (
 // counts two scrapes, one per peer fetched, and the peer that fails
 // counts one failure, so failures/scrapes is the per-peer failure rate.
 func TestFederationCountsPeerFetches(t *testing.T) {
-	old := obs.SetRegistry(obs.NewRegistry())
-	t.Cleanup(func() { obs.SetRegistry(old) })
-
 	ok := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Write([]byte(`{}`)) //nolint:errcheck
 	}))

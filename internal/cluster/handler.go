@@ -98,7 +98,6 @@ func (n *Node) route(w http.ResponseWriter, r *http.Request, body []byte, key st
 		if relayed := n.forward(w, r, owner, body, traceID); relayed {
 			return true
 		}
-		n.forwardFailovers.Add(1)
 		n.metrics.forwardFailovers.Inc()
 	}
 	obs.Warn("cluster: all ring owners unreachable, executing locally",
@@ -141,7 +140,6 @@ func (n *Node) forward(w http.ResponseWriter, r *http.Request, owner string, bod
 	if err != nil {
 		return false
 	}
-	n.forwarded.Add(1)
 	n.metrics.forwards.Inc()
 	// Remember where the job lives so status polls skip the fan-out.
 	var status struct {
@@ -236,7 +234,6 @@ func (n *Node) proxy(w http.ResponseWriter, r *http.Request, addr string) bool {
 	if err != nil {
 		return false
 	}
-	n.proxiedLookups.Add(1)
 	n.metrics.proxiedLookups.Inc()
 	for _, h := range []string{"Content-Type", "Retry-After"} {
 		if v := resp.Header.Get(h); v != "" {

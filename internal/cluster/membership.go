@@ -62,18 +62,20 @@ type membership struct {
 	ring atomic.Pointer[Ring]
 	prev atomic.Pointer[Ring]
 
-	probeFailures atomic.Uint64
+	// reg is the node's server registry (serve.Server.Registry).
+	reg *obs.Registry
 
 	stop     chan struct{}
 	stopOnce sync.Once
 	wg       sync.WaitGroup
 }
 
-func newMembership(cfg Config, client *http.Client) *membership {
+func newMembership(cfg Config, client *http.Client, reg *obs.Registry) *membership {
 	m := &membership{
 		self:   cfg.Self,
 		cfg:    cfg,
 		client: client,
+		reg:    reg,
 		peers:  make(map[string]*peerInfo),
 		stop:   make(chan struct{}),
 	}
@@ -154,8 +156,7 @@ func (m *membership) proberound() {
 		st := results[i]
 		if st == nil {
 			p.fails++
-			m.probeFailures.Add(1)
-			obs.Counter(obs.MClusterProbeFailures).Inc()
+			m.reg.Counter(obs.MClusterProbeFailures).Inc()
 			switch {
 			case p.fails >= m.cfg.DeadAfter:
 				p.state = PeerDead
@@ -253,7 +254,7 @@ func (m *membership) rebuild() {
 		m.prev.Store(cur)
 	}
 	m.ring.Store(next)
-	obs.Gauge(obs.MClusterRingSize).Set(int64(next.Size()))
+	m.reg.Gauge(obs.MClusterRingSize).Set(int64(next.Size()))
 }
 
 func sameMembers(a, b []string) bool {
@@ -314,8 +315,8 @@ func (m *membership) snapshot() memberSnapshot {
 	}
 	sort.Strings(s.addrs)
 	sort.Strings(s.livePeers)
-	obs.Gauge(obs.MClusterPeersLive).Set(int64(s.live))
-	obs.Gauge(obs.MClusterPeersSuspect).Set(int64(s.suspect))
-	obs.Gauge(obs.MClusterPeersDead).Set(int64(s.dead))
+	m.reg.Gauge(obs.MClusterPeersLive).Set(int64(s.live))
+	m.reg.Gauge(obs.MClusterPeersSuspect).Set(int64(s.suspect))
+	m.reg.Gauge(obs.MClusterPeersDead).Set(int64(s.dead))
 	return s
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net/http"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"optiwise/internal/obs"
@@ -105,19 +104,11 @@ type Node struct {
 	aeOnce sync.Once
 	wg     sync.WaitGroup
 
-	forwarded        atomic.Uint64
-	forwardFailovers atomic.Uint64
-	peerFetchHits    atomic.Uint64
-	peerFetchMisses  atomic.Uint64
-	peerServed       atomic.Uint64
-	proxiedLookups   atomic.Uint64
-	replications     atomic.Uint64
-	aeRepairs        atomic.Uint64
-
 	metrics nodeMetrics
 }
 
-// nodeMetrics holds the node's obs counter handles (nil-safe).
+// nodeMetrics holds the node's counter handles, in its server's
+// registry (serve.Server.Registry); clusterStats reads them.
 type nodeMetrics struct {
 	forwards         *obs.CounterMetric
 	forwardFailovers *obs.CounterMetric
@@ -146,6 +137,7 @@ func New(cfg Config, srv *serve.Server) (*Node, error) {
 			},
 		}
 	}
+	reg := srv.Registry()
 	n := &Node{
 		cfg:    cfg,
 		srv:    srv,
@@ -153,18 +145,18 @@ func New(cfg Config, srv *serve.Server) (*Node, error) {
 		routes: newRouteTable(4096),
 		stopAE: make(chan struct{}),
 		metrics: nodeMetrics{
-			forwards:         obs.Counter(obs.MClusterForwards),
-			forwardFailovers: obs.Counter(obs.MClusterForwardFailovers),
-			peerFetchHits:    obs.Counter(obs.MClusterPeerFetchHits),
-			peerFetchMisses:  obs.Counter(obs.MClusterPeerFetchMisses),
-			peerServed:       obs.Counter(obs.MClusterPeerServed),
-			proxiedLookups:   obs.Counter(obs.MClusterProxiedLookups),
-			replications:     obs.Counter(obs.MClusterReplications),
-			aeRepairs:        obs.Counter(obs.MClusterAntiEntropyRepairs),
+			forwards:         reg.Counter(obs.MClusterForwards),
+			forwardFailovers: reg.Counter(obs.MClusterForwardFailovers),
+			peerFetchHits:    reg.Counter(obs.MClusterPeerFetchHits),
+			peerFetchMisses:  reg.Counter(obs.MClusterPeerFetchMisses),
+			peerServed:       reg.Counter(obs.MClusterPeerServed),
+			proxiedLookups:   reg.Counter(obs.MClusterProxiedLookups),
+			replications:     reg.Counter(obs.MClusterReplications),
+			aeRepairs:        reg.Counter(obs.MClusterAntiEntropyRepairs),
 		},
 	}
-	n.mem = newMembership(cfg, n.probeClient())
-	n.fed = newFederator(n)
+	n.mem = newMembership(cfg, n.probeClient(), reg)
+	n.fed = newFederator(n, reg)
 	// Stitched traces: local segments plus whatever the live peers
 	// recorded for the same trace ID.
 	srv.SetClusterHooks(n, n.clusterStats, n.traceSegments)
@@ -213,14 +205,14 @@ func (n *Node) clusterStats() *serve.ClusterStats {
 		PeersLive:          snap.live,
 		PeersSuspect:       snap.suspect,
 		PeersDead:          snap.dead,
-		Forwarded:          n.forwarded.Load(),
-		ForwardFailovers:   n.forwardFailovers.Load(),
-		PeerFetchHits:      n.peerFetchHits.Load(),
-		PeerFetchMisses:    n.peerFetchMisses.Load(),
-		PeerServed:         n.peerServed.Load(),
-		ProxiedLookups:     n.proxiedLookups.Load(),
-		Replications:       n.replications.Load(),
-		AntiEntropyRepairs: n.aeRepairs.Load(),
+		Forwarded:          n.metrics.forwards.Value(),
+		ForwardFailovers:   n.metrics.forwardFailovers.Value(),
+		PeerFetchHits:      n.metrics.peerFetchHits.Value(),
+		PeerFetchMisses:    n.metrics.peerFetchMisses.Value(),
+		PeerServed:         n.metrics.peerServed.Value(),
+		ProxiedLookups:     n.metrics.proxiedLookups.Value(),
+		Replications:       n.metrics.replications.Value(),
+		AntiEntropyRepairs: n.metrics.aeRepairs.Value(),
 	}
 }
 

@@ -9,9 +9,13 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"optiwise/internal/obs"
+	"optiwise/internal/serve"
 )
 
 // getText fetches url and returns status and body as a string.
@@ -133,6 +137,72 @@ func TestClusterFederatedMetrics(t *testing.T) {
 			t.Errorf("killed node not marked stale in JSON view: %+v", n)
 		}
 	}
+}
+
+// TestClusterFederatedPerNodeCounters: two nodes in one process each
+// count into their own server's registry, so the federated view carries
+// a different forwards and submissions count under each node label,
+// each equal to what that node's /v1/stats and /metrics report.
+func TestClusterFederatedPerNodeCounters(t *testing.T) {
+	nodes := startCluster(t, 2)
+	forwardedJob(t, nodes)
+	// Two submissions node 0 must run itself: its submission count now
+	// exceeds node 1's single forwarded job.
+	for seed := uint64(100); seed < 102; seed++ {
+		mustDone(t, postJob(t, nodes[0].url(), submission(3, seed),
+			map[string]string{"X-Optiwise-Forwarded": "test"}), "forced-local submission")
+	}
+
+	type counts struct{ forwards, submitted uint64 }
+	want := make(map[string]counts)
+	for _, tn := range nodes {
+		var st serve.Stats
+		getJSON(t, tn.url()+"/v1/stats", &st)
+		_, text := getText(t, tn.url()+"/metrics")
+		want[tn.addr] = counts{st.Cluster.Forwarded, sampleValue(t, text, obs.MServeJobsSubmitted)}
+	}
+	a, b := want[nodes[0].addr], want[nodes[1].addr]
+	if a.forwards == b.forwards || a.submitted == b.submitted {
+		t.Fatalf("the load did not separate the nodes: %+v vs %+v", a, b)
+	}
+
+	// The merged scrape is cached for its staleness budget: poll until
+	// it postdates the load.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		var fed fedJSON
+		getJSON(t, nodes[0].url()+"/cluster/v1/metrics?format=json", &fed)
+		got := make(map[string]counts)
+		for _, n := range fed.Nodes {
+			if !n.Stale {
+				got[n.Node] = counts{n.Snapshot.Counters[obs.MClusterForwards], n.Snapshot.Counters[obs.MServeJobsSubmitted]}
+			}
+		}
+		if got[nodes[0].addr] == a && got[nodes[1].addr] == b {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("federated counters %+v, want %+v", got, want)
+		}
+		time.Sleep(200 * time.Millisecond)
+	}
+}
+
+// sampleValue returns the value of the unlabeled sample name in a
+// Prometheus text exposition.
+func sampleValue(t *testing.T, text, name string) uint64 {
+	t.Helper()
+	for _, line := range strings.Split(text, "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			n, err := strconv.ParseUint(v, 10, 64)
+			if err != nil {
+				t.Fatalf("sample %q: %v", line, err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("exposition has no %s sample", name)
+	return 0
 }
 
 // forwardedJob submits variants through nodes[0] until one is routed to

@@ -61,7 +61,6 @@ func (n *Node) Fetch(ctx context.Context, key string) ([]byte, string, bool) {
 	for _, addr := range cands {
 		payload, sum, err := n.fetchFrom(ctx, addr, key)
 		if err == nil {
-			n.peerFetchHits.Add(1)
 			n.metrics.peerFetchHits.Inc()
 			return payload, sum, true
 		}
@@ -70,7 +69,6 @@ func (n *Node) Fetch(ctx context.Context, key string) ([]byte, string, bool) {
 				obs.F("peer", addr), obs.F("digest", shortKey(key)), obs.F("err", err.Error()))
 		}
 	}
-	n.peerFetchMisses.Add(1)
 	n.metrics.peerFetchMisses.Inc()
 	return nil, "", false
 }
@@ -139,7 +137,6 @@ func (n *Node) handlePeerResult(w http.ResponseWriter, r *http.Request) {
 		writeJSONError(w, http.StatusNotFound, "result not held on this node")
 		return
 	}
-	n.peerServed.Add(1)
 	n.metrics.peerServed.Inc()
 	if tid, err := obs.ParseTraceparent(r.Header.Get("traceparent")); err == nil {
 		n.recordSegment(tid, "cluster.peer_serve", start, map[string]string{

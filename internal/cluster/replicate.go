@@ -39,7 +39,6 @@ func (n *Node) Push(key string, payload []byte, checksum, traceID string) {
 			obs.F("peer", target), obs.F("digest", shortKey(key)), obs.F("err", err.Error()))
 		return
 	}
-	n.replications.Add(1)
 	n.metrics.replications.Inc()
 }
 
@@ -201,7 +200,6 @@ func (n *Node) reconcile(addr string, local map[string]string) {
 			continue
 		}
 		if err := n.sendReplica(addr, key, payload, psum, ""); err == nil {
-			n.replications.Add(1)
 			n.metrics.replications.Inc()
 		}
 	}
@@ -227,7 +225,6 @@ func (n *Node) reconcile(addr string, local map[string]string) {
 				obs.F("peer", addr), obs.F("digest", shortKey(key)), obs.F("err", err.Error()))
 			continue
 		}
-		n.aeRepairs.Add(1)
 		n.metrics.aeRepairs.Inc()
 		obs.Info("cluster: replica repaired",
 			obs.F("peer", addr), obs.F("digest", shortKey(key)))

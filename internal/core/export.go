@@ -88,18 +88,27 @@ func (p *Profile) Export() *Export {
 
 // WriteJSON serializes the profile's analysis results: its Export,
 // byte for byte as json.NewEncoder(w).Encode(p.Export()) writes it, in
-// one Write of a buffer sized by a first pass. A profile holding a NaN
-// or infinite float is refused with encoding/json's error, and nothing
-// is written.
+// one Write of AppendJSON's buffer. A profile holding a NaN or infinite
+// float is refused with encoding/json's error, and nothing is written.
 func (p *Profile) WriteJSON(w io.Writer) error {
+	b, err := p.AppendJSON(nil)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(b)
+	return err
+}
+
+// AppendJSON appends WriteJSON's bytes to dst, growing it once, by the
+// size a first pass measures. On error dst is returned unchanged.
+func (p *Profile) AppendJSON(dst []byte) ([]byte, error) {
 	var d jsonenc.Doc
 	var scratch [1024]byte
 	size, err := d.Sized(p.appendJSON(scratch[:0], &d))
 	if err != nil {
-		return err
+		return dst, err
 	}
-	_, err = w.Write(p.appendJSON(make([]byte, 0, size), &d))
-	return err
+	return p.appendJSON(jsonenc.Grow(dst, size), &d), nil
 }
 
 // appendJSON appends the Export's members in its declaration order,

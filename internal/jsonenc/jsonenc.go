@@ -44,6 +44,16 @@ func (d *Doc) Sized(b []byte) (int, error) {
 	return d.n + len(b), d.err
 }
 
+// Grow returns b with room for n more bytes, in at most one
+// allocation. (slices.Grow takes two under the race detector, which
+// turns off the compiler's append-of-make rewrite.)
+func Grow(b []byte, n int) []byte {
+	if cap(b)-len(b) >= n {
+		return b
+	}
+	return append(make([]byte, 0, len(b)+n), b...)
+}
+
 // Float appends f as AppendFloat does, remembering its error. The
 // sizing pass appends floatMaxLen(f) placeholder bytes instead, which
 // spares it a shortest-digits search per float and leaves the buffer at

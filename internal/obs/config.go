@@ -32,6 +32,11 @@ type Config struct {
 	// SIGQUIT in the CLIs).
 	FlightPath string
 
+	// metrics, when set by MetricsFrom, is what the -metrics file and
+	// the -flight exit dump's counter deltas read instead of the
+	// installed registry.
+	metrics func() RegistrySnapshot
+
 	progressMu sync.Mutex
 	progressW  io.Writer
 }
@@ -61,6 +66,12 @@ func (c *Config) Enabled() bool {
 	return c != nil && (c.TracePath != "" || c.MetricsPath != "" ||
 		c.LogPath != "" || c.PprofAddr != "" || c.Progress || c.FlightPath != "")
 }
+
+// MetricsFrom makes flush read src for the -metrics file and the
+// -flight exit dump's counter deltas, in place of the registry Activate
+// installed: a process whose metrics live in a registry of its own (a
+// serve.Server) exports that view. Call it before flush.
+func (c *Config) MetricsFrom(src func() RegistrySnapshot) { c.metrics = src }
 
 // setProgressWriter directs this config's Progressf lines to w (nil
 // disables). Activate calls it with os.Stderr when -progress was set.
@@ -189,6 +200,10 @@ func (c *Config) Activate() (flush func() error, err error) {
 	}
 	flush = func() error {
 		defer restore()
+		snapshot := c.metrics
+		if snapshot == nil {
+			snapshot = registry.FullSnapshot
+		}
 		if tracer != nil {
 			if err := tracer.WriteChromeTrace(traceFile, "", nil); err != nil {
 				return err
@@ -199,7 +214,7 @@ func (c *Config) Activate() (flush func() error, err error) {
 			traceFile = nil
 		}
 		if flight != nil {
-			flight.RecordMetricDeltas(registry)
+			flight.RecordMetricDeltas(nil, snapshot().Counters)
 			if err := flight.Dump("exit", tracer.TraceID()).WriteJSON(flightFile); err != nil {
 				return err
 			}
@@ -213,7 +228,7 @@ func (c *Config) Activate() (flush func() error, err error) {
 			if err != nil {
 				return err
 			}
-			if err := WriteExposition(f, []NodeSnapshot{{Snapshot: registry.FullSnapshot()}}, false); err != nil {
+			if err := WriteExposition(f, []NodeSnapshot{{Snapshot: snapshot()}}, false); err != nil {
 				f.Close()
 				return err
 			}

@@ -109,6 +109,30 @@ func (r *Registry) FullSnapshot() RegistrySnapshot {
 	return snap
 }
 
+// Merge adds to s every family of o that s does not already hold, and
+// o's runtime info when s has none. A server's snapshot takes the
+// process registry's library families this way.
+func (s *RegistrySnapshot) Merge(o RegistrySnapshot) {
+	s.Counters = mergeMissing(s.Counters, o.Counters)
+	s.Gauges = mergeMissing(s.Gauges, o.Gauges)
+	s.Histograms = mergeMissing(s.Histograms, o.Histograms)
+	if s.Build == nil {
+		s.Build, s.UptimeSeconds = o.Build, o.UptimeSeconds
+	}
+}
+
+func mergeMissing[V any](dst, src map[string]V) map[string]V {
+	for name, v := range src {
+		if dst == nil {
+			dst = make(map[string]V, len(src))
+		}
+		if _, ok := dst[name]; !ok {
+			dst[name] = v
+		}
+	}
+	return dst
+}
+
 // WriteExposition renders snapshots in Prometheus text format (version
 // 0.0.4), or in OpenMetrics when openMetrics is set, which adds bucket
 // exemplars ("# {trace_id=...}") and the closing "# EOF".

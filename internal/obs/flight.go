@@ -6,7 +6,6 @@ import (
 	"io"
 	"math/bits"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -93,13 +92,6 @@ type FlightRecorder struct {
 	mask  uint64
 	seq   atomic.Uint64
 	now   func() time.Time // test seam
-
-	// lastMetrics holds the counter values seen by the previous
-	// RecordMetricDeltas call, so each call records deltas, not levels.
-	// Cold path only (dump time and periodic flushes), so a mutex is
-	// fine here.
-	metricMu    sync.Mutex
-	lastMetrics map[string]uint64
 }
 
 // DefaultFlightRecorderSize is the ring capacity when none is given.
@@ -184,19 +176,15 @@ func (fr *FlightRecorder) Snapshot() []FlightRecord {
 	return out
 }
 
-// RecordMetricDeltas diffs the registry's counters against the values
-// seen by the previous call and records one "metric" event per counter
-// that moved. Intended for dump time and periodic cold-path flushes,
-// not per-event hot paths.
-func (fr *FlightRecorder) RecordMetricDeltas(r *Registry) {
-	if fr == nil || r == nil {
+// RecordMetricDeltas records one "metric" event per counter of cur (a
+// snapshot's Counters) that moved since prev, the source's counters at
+// its previous call: each source keeps its own, so two servers sharing
+// the recorder never diff against each other. Intended for dump time
+// and periodic cold-path flushes, not per-event hot paths.
+func (fr *FlightRecorder) RecordMetricDeltas(prev, cur map[string]uint64) {
+	if fr == nil {
 		return
 	}
-	cur := r.FullSnapshot().Counters
-	fr.metricMu.Lock()
-	prev := fr.lastMetrics
-	fr.lastMetrics = cur
-	fr.metricMu.Unlock()
 	names := make([]string, 0, len(cur))
 	for name := range cur {
 		names = append(names, name)

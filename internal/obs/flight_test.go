@@ -124,11 +124,13 @@ func TestFlightRecorderMetricDeltas(t *testing.T) {
 	fr := NewFlightRecorder(64)
 	r := NewRegistry()
 	r.Counter(MSamplesTaken).Add(10)
-	fr.RecordMetricDeltas(r)
+	first := r.FullSnapshot().Counters
+	fr.RecordMetricDeltas(nil, first)
 	r.Counter(MSamplesTaken).Add(5)
 	r.Counter(MDBICleanCalls).Add(1)
-	fr.RecordMetricDeltas(r)
-	fr.RecordMetricDeltas(r) // nothing moved: no new records
+	second := r.FullSnapshot().Counters
+	fr.RecordMetricDeltas(first, second)
+	fr.RecordMetricDeltas(second, r.FullSnapshot().Counters) // nothing moved: no new records
 
 	var deltas []FlightRecord
 	for _, rec := range fr.Snapshot() {

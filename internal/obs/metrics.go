@@ -265,18 +265,19 @@ const (
 	MAnalyzeShards       = "optiwise_analyze_shard_count"
 
 	// Profiling-service (internal/serve) metrics.
-	MServeJobsSubmitted  = "optiwise_serve_jobs_submitted_total"
-	MServeJobsCompleted  = "optiwise_serve_jobs_completed_total"
-	MServeJobsFailed     = "optiwise_serve_jobs_failed_total"
-	MServeJobsRejected   = "optiwise_serve_jobs_rejected_total"
-	MServeJobsCanceled   = "optiwise_serve_jobs_canceled_total"
-	MServeQueueDepth     = "optiwise_serve_queue_depth"
-	MServeInflightJobs   = "optiwise_serve_inflight_jobs"
-	MServeCacheHits      = "optiwise_serve_cache_hits_total"
-	MServeCacheMisses    = "optiwise_serve_cache_misses_total"
-	MServeCacheEvictions = "optiwise_serve_cache_evictions_total"
-	MServeCacheBytes     = "optiwise_serve_cache_bytes"
-	MServeJobLatency     = "optiwise_serve_job_latency_us"
+	MServeJobsSubmitted   = "optiwise_serve_jobs_submitted_total"
+	MServeJobsCompleted   = "optiwise_serve_jobs_completed_total"
+	MServeJobsFailed      = "optiwise_serve_jobs_failed_total"
+	MServeJobsRejected    = "optiwise_serve_jobs_rejected_total"
+	MServeJobsCanceled    = "optiwise_serve_jobs_canceled_total"
+	MServeQueueDepth      = "optiwise_serve_queue_depth"
+	MServeInflightJobs    = "optiwise_serve_inflight_jobs"
+	MServeCacheHits       = "optiwise_serve_cache_hits_total"
+	MServeCacheMisses     = "optiwise_serve_cache_misses_total"
+	MServeCacheEvictions  = "optiwise_serve_cache_evictions_total"
+	MServeCacheBytes      = "optiwise_serve_cache_bytes"
+	MServeJobLatency      = "optiwise_serve_job_latency_us"
+	MServeWindowsAbsorbed = "optiwise_serve_windows_absorbed_total"
 
 	// Robustness metrics: the deterministic fault-injection registry
 	// (internal/fault) and the serve layer's failure handling
@@ -351,130 +352,76 @@ func lower(s string) string {
 	return string(out)
 }
 
-// helpFor maps well-known metric names to HELP strings; unknown names
-// get a generic line so exposition stays valid.
+// help holds the HELP strings of the well-known metric names.
+var help = map[string]string{
+	MSimCycles:                 "Simulated cycles executed across all pipeline-simulator runs.",
+	MSimInstructions:           "Instructions retired by the simulated machine.",
+	MSimMispredicts:            "Branch mispredicts observed by the simulated machine.",
+	MSimBranches:               "Branches committed by the simulated machine.",
+	MSamplesTaken:              "Samples recorded by the perf-like sampler.",
+	MSamplesDropped:            "Samples dropped because the PC fell outside the module.",
+	MSampleWeight:              "Distribution of per-sample weights (user cycles since previous sample).",
+	MDBIBlocksFound:            "Dynamic basic blocks discovered by the DBI engine.",
+	MDBICodeCacheSize:          "Current DBI code-cache size in blocks.",
+	MDBIBlockExecs:             "Dynamic block executions under instrumentation.",
+	MDBICleanCalls:             "Expensive clean calls servicing indirect branches.",
+	MDBIInstrEquiv:             "Modelled instrumentation cost in instruction equivalents.",
+	MUnmatchedSamples:          "Samples at offsets the instrumented run never executed.",
+	MCombineInsts:              "Per-instruction records produced by the combiner.",
+	MCombineLoops:              "Merged-loop records produced by the combiner.",
+	MDomComputations:           "Dominator-tree computations during loop analysis.",
+	MProfileParallelRuns:       "Profiling pipelines that overlapped their sampling and instrumentation passes.",
+	MProfileOverlapPct:         "Distribution of the pass-overlap ratio: percent of the shorter profiling pass hidden under the longer one.",
+	MAnalyzeShards:             "Worker shards used by the most recent combining analysis.",
+	MServeJobsSubmitted:        "Profiling jobs accepted by the service (including cache hits).",
+	MServeJobsCompleted:        "Profiling jobs that finished successfully.",
+	MServeJobsFailed:           "Profiling jobs that failed or exceeded their deadline.",
+	MServeJobsRejected:         "Submissions rejected with 429 because the job queue was full.",
+	MServeJobsCanceled:         "Profiling jobs canceled by the client.",
+	MServeQueueDepth:           "Jobs currently waiting in the service's bounded queue.",
+	MServeInflightJobs:         "Jobs currently executing on the worker pool.",
+	MServeCacheHits:            "Submissions served without a new simulation (result cache or coalesced onto an identical in-flight job).",
+	MServeCacheMisses:          "Submissions that required a new simulation.",
+	MServeCacheEvictions:       "Results evicted from the content-addressed cache by the LRU byte budget.",
+	MServeCacheBytes:           "Bytes currently held by the content-addressed result cache.",
+	MServeJobLatency:           "Distribution of job latency (submit to completion) in microseconds.",
+	MServeWindowsAbsorbed:      "Windows (sampling and instrumentation) absorbed by executions with a window.",
+	MFaultInjections:           "Faults fired by the deterministic injection registry (internal/fault).",
+	MServeWorkerPanics:         "Worker panics recovered into structured job failures (the process keeps serving).",
+	MServeJobRetries:           "Job attempts re-run after a transient failure (capped exponential backoff with jitter).",
+	MServeJobsDegraded:         "Jobs that completed in degraded single-pass mode (cache-ineligible).",
+	MProfileDegraded:           "Profiling runs that fell back to a single-pass degraded result.",
+	MFlightDumps:               "Flight-recorder dumps taken (panic, fault, degraded result, signal, or explicit request).",
+	MProfileRegressions:        "New lineage versions whose CPI regressed significantly past the configured threshold.",
+	MClusterRingSize:           "Members currently on the node's consistent-hash ring.",
+	MClusterPeersLive:          "Peers currently believed alive by the membership prober.",
+	MClusterPeersSuspect:       "Peers with recent failed probes, not yet declared dead.",
+	MClusterPeersDead:          "Peers declared dead and removed from the hash ring.",
+	MClusterForwards:           "Submissions forwarded to their content-address owner on another node.",
+	MClusterForwardFailovers:   "Forwards re-routed to a backup owner after a peer connection failure.",
+	MClusterProbeFailures:      "Failed membership health probes.",
+	MClusterPeerFetchHits:      "Ring fetches a sibling node answered with a result payload (verified by the fetcher before use).",
+	MClusterPeerFetchMisses:    "Ring fetch attempts that found no sibling holding the result and fell back to recomputation.",
+	MClusterPeerServed:         "Cached results served to sibling nodes over the peer-cache endpoint.",
+	MClusterProxiedLookups:     "Job lookups proxied to the node that owns the job.",
+	MServeJobsPeerFetched:      "Jobs satisfied from a sibling node's result cache instead of a local simulation.",
+	MDurableJournalReplays:     "Journal segments replayed at restart to rebuild service state.",
+	MDurableRecordsTruncated:   "Journal records dropped during replay because a torn tail was truncated or mid-file corruption failed closed.",
+	MClusterReplications:       "Completed results replicated to the key's ring successor, by the completion push or an anti-entropy pass.",
+	MClusterAntiEntropyRepairs: "Replica divergences repaired by the anti-entropy pass via the checksum-verified peer-fetch path.",
+	MBuildInfo:                 "Build metadata as constant labels (version, go_version, commit); value is always 1.",
+	MUptimeSeconds:             "Seconds since this node's metrics registry was created.",
+	MNodeUp:                    "1 when the node's registry snapshot in a federated exposition is fresh, 0 when it is a stale last-known copy.",
+	MClusterFederationScrapes:  "Peer registry snapshots fetched by the federated metrics endpoint.",
+	MClusterFederationFailures: "Peer registry scrapes that failed and fell back to a stale snapshot.",
+	MServeSSEClients:           "Server-sent-event streams currently open (job events and cluster view).",
+}
+
+// helpFor returns name's HELP string; unknown names get a generic line
+// so exposition stays valid.
 func helpFor(name string) string {
-	switch name {
-	case MSimCycles:
-		return "Simulated cycles executed across all pipeline-simulator runs."
-	case MSimInstructions:
-		return "Instructions retired by the simulated machine."
-	case MSimMispredicts:
-		return "Branch mispredicts observed by the simulated machine."
-	case MSimBranches:
-		return "Branches committed by the simulated machine."
-	case MSamplesTaken:
-		return "Samples recorded by the perf-like sampler."
-	case MSamplesDropped:
-		return "Samples dropped because the PC fell outside the module."
-	case MSampleWeight:
-		return "Distribution of per-sample weights (user cycles since previous sample)."
-	case MDBIBlocksFound:
-		return "Dynamic basic blocks discovered by the DBI engine."
-	case MDBICodeCacheSize:
-		return "Current DBI code-cache size in blocks."
-	case MDBIBlockExecs:
-		return "Dynamic block executions under instrumentation."
-	case MDBICleanCalls:
-		return "Expensive clean calls servicing indirect branches."
-	case MDBIInstrEquiv:
-		return "Modelled instrumentation cost in instruction equivalents."
-	case MUnmatchedSamples:
-		return "Samples at offsets the instrumented run never executed."
-	case MCombineInsts:
-		return "Per-instruction records produced by the combiner."
-	case MCombineLoops:
-		return "Merged-loop records produced by the combiner."
-	case MDomComputations:
-		return "Dominator-tree computations during loop analysis."
-	case MProfileParallelRuns:
-		return "Profiling pipelines that overlapped their sampling and instrumentation passes."
-	case MProfileOverlapPct:
-		return "Distribution of the pass-overlap ratio: percent of the shorter profiling pass hidden under the longer one."
-	case MAnalyzeShards:
-		return "Worker shards used by the most recent combining analysis."
-	case MServeJobsSubmitted:
-		return "Profiling jobs accepted by the service (including cache hits)."
-	case MServeJobsCompleted:
-		return "Profiling jobs that finished successfully."
-	case MServeJobsFailed:
-		return "Profiling jobs that failed or exceeded their deadline."
-	case MServeJobsRejected:
-		return "Submissions rejected with 429 because the job queue was full."
-	case MServeJobsCanceled:
-		return "Profiling jobs canceled by the client."
-	case MServeQueueDepth:
-		return "Jobs currently waiting in the service's bounded queue."
-	case MServeInflightJobs:
-		return "Jobs currently executing on the worker pool."
-	case MServeCacheHits:
-		return "Submissions served without a new simulation (result cache or coalesced onto an identical in-flight job)."
-	case MServeCacheMisses:
-		return "Submissions that required a new simulation."
-	case MServeCacheEvictions:
-		return "Results evicted from the content-addressed cache by the LRU byte budget."
-	case MServeCacheBytes:
-		return "Bytes currently held by the content-addressed result cache."
-	case MServeJobLatency:
-		return "Distribution of job latency (submit to completion) in microseconds."
-	case MFaultInjections:
-		return "Faults fired by the deterministic injection registry (internal/fault)."
-	case MServeWorkerPanics:
-		return "Worker panics recovered into structured job failures (the process keeps serving)."
-	case MServeJobRetries:
-		return "Job attempts re-run after a transient failure (capped exponential backoff with jitter)."
-	case MServeJobsDegraded:
-		return "Jobs that completed in degraded single-pass mode (cache-ineligible)."
-	case MProfileDegraded:
-		return "Profiling runs that fell back to a single-pass degraded result."
-	case MFlightDumps:
-		return "Flight-recorder dumps taken (panic, fault, degraded result, signal, or explicit request)."
-	case MProfileRegressions:
-		return "New lineage versions whose CPI regressed significantly past the configured threshold."
-	case MClusterRingSize:
-		return "Members currently on the node's consistent-hash ring."
-	case MClusterPeersLive:
-		return "Peers currently believed alive by the membership prober."
-	case MClusterPeersSuspect:
-		return "Peers with recent failed probes, not yet declared dead."
-	case MClusterPeersDead:
-		return "Peers declared dead and removed from the hash ring."
-	case MClusterForwards:
-		return "Submissions forwarded to their content-address owner on another node."
-	case MClusterForwardFailovers:
-		return "Forwards re-routed to a backup owner after a peer connection failure."
-	case MClusterProbeFailures:
-		return "Failed membership health probes."
-	case MClusterPeerFetchHits:
-		return "Ring fetches a sibling node answered with a result payload (verified by the fetcher before use)."
-	case MClusterPeerFetchMisses:
-		return "Ring fetch attempts that found no sibling holding the result and fell back to recomputation."
-	case MClusterPeerServed:
-		return "Cached results served to sibling nodes over the peer-cache endpoint."
-	case MClusterProxiedLookups:
-		return "Job lookups proxied to the node that owns the job."
-	case MServeJobsPeerFetched:
-		return "Jobs satisfied from a sibling node's result cache instead of a local simulation."
-	case MDurableJournalReplays:
-		return "Journal segments replayed at restart to rebuild service state."
-	case MDurableRecordsTruncated:
-		return "Journal records dropped during replay because a torn tail was truncated or mid-file corruption failed closed."
-	case MClusterReplications:
-		return "Completed results replicated to the key's ring successor, by the completion push or an anti-entropy pass."
-	case MClusterAntiEntropyRepairs:
-		return "Replica divergences repaired by the anti-entropy pass via the checksum-verified peer-fetch path."
-	case MBuildInfo:
-		return "Build metadata as constant labels (version, go_version, commit); value is always 1."
-	case MUptimeSeconds:
-		return "Seconds since this node's metrics registry was created."
-	case MNodeUp:
-		return "1 when the node's registry snapshot in a federated exposition is fresh, 0 when it is a stale last-known copy."
-	case MClusterFederationScrapes:
-		return "Peer registry snapshots fetched by the federated metrics endpoint."
-	case MClusterFederationFailures:
-		return "Peer registry scrapes that failed and fell back to a stale snapshot."
-	case MServeSSEClients:
-		return "Server-sent-event streams currently open (job events and cluster view)."
+	if h, ok := help[name]; ok {
+		return h
 	}
 	return "OptiWISE metric " + name + "."
 }

@@ -45,17 +45,28 @@ import (
 
 // WriteDrilldown writes p's drill-down body, indented by two spaces as
 // encoding/json's Encoder indents after SetIndent("", "  "), in one
-// Write of a buffer sized by a first pass. A profile holding a NaN or
+// Write of AppendDrilldown's buffer. A profile holding a NaN or
 // infinite float is refused with encoding/json's error, and nothing is
 // written.
 func WriteDrilldown(w io.Writer, p *core.Profile) error {
+	b, err := AppendDrilldown(nil, p)
+	if err != nil {
+		return err
+	}
+	return write(w, b)
+}
+
+// AppendDrilldown appends WriteDrilldown's bytes to dst, growing it
+// once, by the size a first pass measures. On error dst is returned
+// unchanged.
+func AppendDrilldown(dst []byte, p *core.Profile) ([]byte, error) {
 	d := nestDrilldown(p)
 	var scratch [4096]byte
 	size, err := d.doc.Sized(d.appendJSON(scratch[:0]))
 	if err != nil {
-		return err
+		return dst, err
 	}
-	return write(w, d.appendJSON(make([]byte, 0, size)))
+	return d.appendJSON(jsonenc.Grow(dst, size)), nil
 }
 
 // drilldown links p's tables into the containment hierarchy. Each

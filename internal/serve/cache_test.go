@@ -52,7 +52,7 @@ func TestCacheLRUEviction(t *testing.T) {
 	res := cacheTestResult(t)
 	size := wireSize(t, res)
 	// Budget for exactly two entries.
-	c := newResultCache(2 * size)
+	c := newResultCache(2*size, nil)
 	c.put("a", res, size)
 	c.put("b", res, size)
 	if c.len() != 2 || c.usedBytes() != 2*size {
@@ -86,12 +86,12 @@ func TestCacheLRUEviction(t *testing.T) {
 func TestCacheDisabledAndOversized(t *testing.T) {
 	res := cacheTestResult(t)
 	size := wireSize(t, res)
-	disabled := newResultCache(-1)
+	disabled := newResultCache(-1, nil)
 	disabled.put("k", res, size)
 	if _, ok := disabled.get("k"); ok {
 		t.Error("disabled cache stored an entry")
 	}
-	tiny := newResultCache(1) // smaller than any serialized profile
+	tiny := newResultCache(1, nil) // smaller than any serialized profile
 	tiny.put("k", res, size)
 	if _, ok := tiny.get("k"); ok {
 		t.Error("cache stored an entry larger than its whole budget")

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -36,30 +35,16 @@ func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
 // instruction CPI projection of a completed job's result, the data
 // model behind the dashboard's drill-down view.
 func (s *Server) handleDrilldown(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.Job(r.PathValue("id"))
+	res, ok := s.doneResult(w, r)
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job")
 		return
 	}
-	res, state, errMsg := job.Result()
-	switch state {
-	case StateDone:
-	case StateFailed:
-		writeError(w, http.StatusConflict, "job failed: "+errMsg)
-		return
-	case StateCanceled:
-		writeError(w, http.StatusConflict, "job was canceled")
-		return
-	default:
-		writeError(w, http.StatusConflict, fmt.Sprintf("job is %s; retry once done", state))
-		return
-	}
-	var buf bytes.Buffer
-	if err := report.WriteDrilldown(&buf, res); err != nil {
+	body, err := report.AppendDrilldown(nil, res)
+	if err != nil {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	writeBody(w, "application/json", buf.Bytes())
+	writeBody(w, "application/json", body)
 }
 
 // sseWriter wraps one server-sent-events stream: headers are sent on
@@ -112,7 +97,7 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "streaming unsupported")
 		return
 	}
-	g := obs.Gauge(obs.MServeSSEClients)
+	g := s.reg.Gauge(obs.MServeSSEClients)
 	g.Add(1)
 	defer g.Add(-1)
 
@@ -168,7 +153,7 @@ func (s *Server) handleStatsEvents(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "streaming unsupported")
 		return
 	}
-	g := obs.Gauge(obs.MServeSSEClients)
+	g := s.reg.Gauge(obs.MServeSSEClients)
 	g.Add(1)
 	defer g.Add(-1)
 	ticker := time.NewTicker(time.Second)

@@ -21,7 +21,6 @@ import (
 
 func dashServer(t *testing.T) (*serve.Server, *httptest.Server) {
 	t.Helper()
-	withRegistry(t)
 	srv := serve.New(serve.Config{Workers: 2, UI: true, FlightRecorderSize: 64})
 	srv.Start()
 	t.Cleanup(func() { srv.Shutdown(context.Background()) }) //nolint:errcheck

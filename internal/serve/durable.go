@@ -222,11 +222,9 @@ type pendingReplay struct {
 // unverified byte into live state.
 func (s *Server) replayJournal(sum *durable.ReplaySummary) {
 	if sum.Truncated > 0 {
-		s.recordsTruncated.Add(uint64(sum.Truncated))
 		s.metrics.recordsTruncated.Add(uint64(sum.Truncated))
 		obs.Warn("serve: journal records truncated at replay", obs.F("count", sum.Truncated))
 	}
-	s.journalReplays.Add(uint64(sum.Segments))
 	s.metrics.journalReplays.Add(uint64(sum.Segments))
 
 	type keyState struct {
@@ -302,7 +300,7 @@ func (s *Server) replayJournal(sum *durable.ReplaySummary) {
 				})
 			}
 		case durable.RecRegress:
-			s.regressions.Add(1)
+			s.metrics.regressions.Inc()
 		}
 	}
 

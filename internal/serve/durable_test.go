@@ -70,7 +70,6 @@ func resultJSON(t *testing.T, j *serve.Job) []byte {
 // resubmission after restart is a cache hit rehydrated from its result
 // segment, never a re-execution.
 func TestCrashRecoveryResultsAndLineagesSurvive(t *testing.T) {
-	withRegistry(t)
 	dir := t.TempDir()
 	opts := optiwise.Options{SamplePeriod: 300}
 
@@ -147,7 +146,6 @@ func TestCrashRecoveryResultsAndLineagesSurvive(t *testing.T) {
 // never executed (the server died with it still queued) is re-enqueued
 // and completed by the next startup.
 func TestCrashRecoveryIncompleteJobReenqueued(t *testing.T) {
-	withRegistry(t)
 	dir := t.TempDir()
 	opts := optiwise.Options{SamplePeriod: 300}
 	prog := mustProgram(t, progSource(33))
@@ -194,7 +192,6 @@ func TestCrashRecoveryIncompleteJobReenqueued(t *testing.T) {
 // with a final report byte-identical to an uninterrupted one, and with
 // the windowed totals intact, not doubled by the re-run's increments.
 func TestCrashRecoveryStreamResumeByteIdentical(t *testing.T) {
-	withRegistry(t)
 	opts := optiwise.Options{SamplePeriod: 300, Window: 512}
 	src := progSource(40)
 
@@ -291,7 +288,6 @@ func TestCrashRecoveryStreamResumeByteIdentical(t *testing.T) {
 // for intake) — and completed results still survive a restart, because
 // result segments do not travel through the journal.
 func TestJournalFaultsDoNotFailSubmissions(t *testing.T) {
-	withRegistry(t)
 	installPlan(t, "durable.append:error:msg=journal disk gone")
 	dir := t.TempDir()
 	opts := optiwise.Options{SamplePeriod: 300}
@@ -318,7 +314,6 @@ func TestJournalFaultsDoNotFailSubmissions(t *testing.T) {
 // disk must fail its checksum on rehydration and trigger a clean
 // recomputation — never a panic, never a poisoned cache entry.
 func TestCorruptResultSegmentRecomputes(t *testing.T) {
-	withRegistry(t)
 	dir := t.TempDir()
 	opts := optiwise.Options{SamplePeriod: 300}
 

@@ -40,7 +40,7 @@ func TestCacheEligible(t *testing.T) {
 // TestCachePutRefusesDegradedAndNil checks the defense-in-depth guard
 // inside the cache itself, behind the runGroup predicate.
 func TestCachePutRefusesDegradedAndNil(t *testing.T) {
-	c := newResultCache(1 << 20)
+	c := newResultCache(1<<20, nil)
 	c.put("nil", nil, 1)
 	c.put("degraded", &optiwise.Result{Degraded: true}, 1)
 	if n := c.len(); n != 0 {

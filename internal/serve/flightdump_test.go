@@ -33,7 +33,6 @@ func withFlightRecorder(t *testing.T) *obs.FlightRecorder {
 // automatic dump must carry the job's trace ID, the activating fault
 // site, and at least one span from a pipeline stage that ran.
 func TestPanicProducesFlightDump(t *testing.T) {
-	withRegistry(t)
 	withFlightRecorder(t)
 	installPlan(t, "seed=1;ooo.run:panic:nth=1")
 
@@ -119,7 +118,6 @@ func TestPanicProducesFlightDump(t *testing.T) {
 // TestFlightDumpEndpoint exercises POST /debug/flightrecorder/dump:
 // 409 when no recorder is installed, a full JSON dump when one is.
 func TestFlightDumpEndpoint(t *testing.T) {
-	withRegistry(t)
 
 	// No recorder installed.
 	prev := obs.SetFlightRecorder(nil)
@@ -186,7 +184,6 @@ func TestFlightDumpEndpoint(t *testing.T) {
 // TestDegradedResultDumps: a single-pass (degraded) result is a
 // diagnosable event — the server snapshots the flight recorder for it.
 func TestDegradedResultDumps(t *testing.T) {
-	withRegistry(t)
 	withFlightRecorder(t)
 	installPlan(t, "seed=1;dbi.run:error")
 

@@ -43,8 +43,8 @@ import (
 //	                            instruction CPI projection (dashboard)
 //	GET    /v1/jobs/{id}/events server-sent events: live status and
 //	                            streamed-window pushes until terminal
-//	GET    /metrics             Prometheus exposition of the obs
-//	                            registry (OpenMetrics with exemplars
+//	GET    /metrics             Prometheus exposition of the server's
+//	                            metrics (OpenMetrics with exemplars
 //	                            when Accept asks for it)
 //	POST   /debug/flightrecorder/dump  snapshot the flight recorder
 //	GET    /debug/flightrecorder       list retained dumps (id,
@@ -352,47 +352,63 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, job.Status())
 }
 
-// reportWriters maps ?kind= values to report renderers. "annotated"
-// is handled separately because it takes a function name.
-var reportWriters = map[string]struct {
+// reportRenderers maps ?kind= values to report renderers, each
+// returning the rendered body. "annotated" is handled separately
+// because it takes a function name.
+var reportRenderers = map[string]struct {
 	contentType string
-	write       func(*bytes.Buffer, *optiwise.Result) error
+	render      func(*optiwise.Result) ([]byte, error)
 }{
-	"full":      {"text/plain; charset=utf-8", func(b *bytes.Buffer, r *optiwise.Result) error { return optiwise.WriteReport(b, r) }},
-	"functions": {"text/plain; charset=utf-8", func(b *bytes.Buffer, r *optiwise.Result) error { return optiwise.WriteFunctionTable(b, r) }},
-	"loops":     {"text/plain; charset=utf-8", func(b *bytes.Buffer, r *optiwise.Result) error { return optiwise.WriteLoopTable(b, r) }},
-	"callgraph": {"text/plain; charset=utf-8", func(b *bytes.Buffer, r *optiwise.Result) error { return optiwise.WriteCallGraph(b, r) }},
-	"csv":       {"text/csv; charset=utf-8", func(b *bytes.Buffer, r *optiwise.Result) error { return optiwise.WriteInstCSV(b, r) }},
-	"loops-csv": {"text/csv; charset=utf-8", func(b *bytes.Buffer, r *optiwise.Result) error { return optiwise.WriteLoopCSV(b, r) }},
-	"json":      {"application/json", func(b *bytes.Buffer, r *optiwise.Result) error { return r.WriteJSON(b) }},
-	"yaml":      {"application/yaml; charset=utf-8", func(b *bytes.Buffer, r *optiwise.Result) error { return optiwise.WriteYAML(b, r) }},
+	"full":      {"text/plain; charset=utf-8", buffered(optiwise.WriteReport)},
+	"functions": {"text/plain; charset=utf-8", buffered(optiwise.WriteFunctionTable)},
+	"loops":     {"text/plain; charset=utf-8", buffered(optiwise.WriteLoopTable)},
+	"callgraph": {"text/plain; charset=utf-8", buffered(optiwise.WriteCallGraph)},
+	"csv":       {"text/csv; charset=utf-8", buffered(optiwise.WriteInstCSV)},
+	"loops-csv": {"text/csv; charset=utf-8", buffered(optiwise.WriteLoopCSV)},
+	"json":      {"application/json", func(r *optiwise.Result) ([]byte, error) { return r.AppendJSON(nil) }},
+	"yaml":      {"application/yaml; charset=utf-8", buffered(optiwise.WriteYAML)},
 }
 
-func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
+// buffered turns a writer-style renderer into one returning its body.
+func buffered(write func(io.Writer, *optiwise.Result) error) func(*optiwise.Result) ([]byte, error) {
+	return func(r *optiwise.Result) ([]byte, error) {
+		var buf bytes.Buffer
+		err := write(&buf, r)
+		return buf.Bytes(), err
+	}
+}
+
+// doneResult returns the result of the job the request names, or
+// answers 404 or 409 and returns false when there is none yet.
+func (s *Server) doneResult(w http.ResponseWriter, r *http.Request) (*optiwise.Result, bool) {
 	job, ok := s.Job(r.PathValue("id"))
 	if !ok {
 		writeError(w, http.StatusNotFound, "unknown job")
-		return
+		return nil, false
 	}
 	res, state, errMsg := job.Result()
 	switch state {
 	case StateDone:
+		return res, true
 	case StateFailed:
 		writeError(w, http.StatusConflict, "job failed: "+errMsg)
-		return
 	case StateCanceled:
 		writeError(w, http.StatusConflict, "job was canceled")
-		return
 	default:
 		writeError(w, http.StatusConflict, fmt.Sprintf("job is %s; retry once done", state))
+	}
+	return nil, false
+}
+
+func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
+	res, ok := s.doneResult(w, r)
+	if !ok {
 		return
 	}
 	kind := r.URL.Query().Get("kind")
 	if kind == "" {
 		kind = "full"
 	}
-	var buf bytes.Buffer
-	var contentType string
 	if kind == "annotated" {
 		fn := r.URL.Query().Get("func")
 		if fn == "" {
@@ -401,25 +417,26 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		}
+		var buf bytes.Buffer
 		if err := optiwise.WriteAnnotated(&buf, res, fn); err != nil {
 			writeError(w, http.StatusBadRequest, err.Error())
 			return
 		}
-		contentType = "text/plain; charset=utf-8"
-	} else {
-		rw, ok := reportWriters[kind]
-		if !ok {
-			writeError(w, http.StatusBadRequest,
-				fmt.Sprintf("unknown report kind %q (want full, functions, loops, annotated, callgraph, csv, loops-csv, json, or yaml)", kind))
-			return
-		}
-		if err := rw.write(&buf, res); err != nil {
-			writeError(w, http.StatusInternalServerError, err.Error())
-			return
-		}
-		contentType = rw.contentType
+		writeBody(w, "text/plain; charset=utf-8", buf.Bytes())
+		return
 	}
-	writeBody(w, contentType, buf.Bytes())
+	rr, ok := reportRenderers[kind]
+	if !ok {
+		writeError(w, http.StatusBadRequest,
+			fmt.Sprintf("unknown report kind %q (want full, functions, loops, annotated, callgraph, csv, loops-csv, json, or yaml)", kind))
+		return
+	}
+	body, err := rr.render(res)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err.Error())
+		return
+	}
+	writeBody(w, rr.contentType, body)
 }
 
 // writeBody answers 200 with a rendered body, its length known up
@@ -504,9 +521,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, err.Error())
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(buf.Bytes()) //nolint:errcheck // client went away
+	writeBody(w, "application/json", buf.Bytes())
 }
 
 // handleWindows serves the job's streamed windowed-profile snapshot:
@@ -653,13 +668,7 @@ func (s *Server) handleFlightDump(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	reg := obs.ActiveRegistry()
-	if reg == nil {
-		writeError(w, http.StatusNotFound,
-			"metrics registry inactive (start the server with metrics enabled)")
-		return
-	}
-	obs.ServeExposition(w, r, []obs.NodeSnapshot{{Snapshot: reg.FullSnapshot()}}) //nolint:errcheck // client went away
+	obs.ServeExposition(w, r, []obs.NodeSnapshot{{Snapshot: s.MetricsSnapshot()}}) //nolint:errcheck // client went away
 }
 
 // writeBusy emits a 429/503 with a Retry-After hint. Retry-After has

@@ -3,8 +3,9 @@ package serve
 import "optiwise/internal/obs"
 
 // serverMetrics holds the service's metric handles, fetched once at
-// construction. Every handle is nil-safe, so a server running without
-// an active obs registry pays one pointer compare per update.
+// construction from the server's own registry, so each server counts
+// its own events even when several share a process. Stats reads the
+// same handles.
 type serverMetrics struct {
 	submitted  *obs.CounterMetric
 	completed  *obs.CounterMetric
@@ -17,36 +18,56 @@ type serverMetrics struct {
 	inflight   *obs.GaugeMetric
 	latencyUS  *obs.HistogramMetric
 
-	workerPanics *obs.CounterMetric
-	retriesM     *obs.CounterMetric
-	degraded     *obs.CounterMetric
-	regressions  *obs.CounterMetric
-	peerFetched  *obs.CounterMetric
+	workerPanics    *obs.CounterMetric
+	retries         *obs.CounterMetric
+	degraded        *obs.CounterMetric
+	regressions     *obs.CounterMetric
+	peerFetched     *obs.CounterMetric
+	windowsAbsorbed *obs.CounterMetric
 
 	journalReplays   *obs.CounterMetric
 	recordsTruncated *obs.CounterMetric
 }
 
-func newServerMetrics() serverMetrics {
+func newServerMetrics(reg *obs.Registry) serverMetrics {
 	return serverMetrics{
-		submitted:  obs.Counter(obs.MServeJobsSubmitted),
-		completed:  obs.Counter(obs.MServeJobsCompleted),
-		failed:     obs.Counter(obs.MServeJobsFailed),
-		rejected:   obs.Counter(obs.MServeJobsRejected),
-		canceled:   obs.Counter(obs.MServeJobsCanceled),
-		cacheHits:  obs.Counter(obs.MServeCacheHits),
-		cacheMiss:  obs.Counter(obs.MServeCacheMisses),
-		queueDepth: obs.Gauge(obs.MServeQueueDepth),
-		inflight:   obs.Gauge(obs.MServeInflightJobs),
-		latencyUS:  obs.Histogram(obs.MServeJobLatency),
+		submitted:  reg.Counter(obs.MServeJobsSubmitted),
+		completed:  reg.Counter(obs.MServeJobsCompleted),
+		failed:     reg.Counter(obs.MServeJobsFailed),
+		rejected:   reg.Counter(obs.MServeJobsRejected),
+		canceled:   reg.Counter(obs.MServeJobsCanceled),
+		cacheHits:  reg.Counter(obs.MServeCacheHits),
+		cacheMiss:  reg.Counter(obs.MServeCacheMisses),
+		queueDepth: reg.Gauge(obs.MServeQueueDepth),
+		inflight:   reg.Gauge(obs.MServeInflightJobs),
+		latencyUS:  reg.Histogram(obs.MServeJobLatency),
 
-		workerPanics: obs.Counter(obs.MServeWorkerPanics),
-		retriesM:     obs.Counter(obs.MServeJobRetries),
-		degraded:     obs.Counter(obs.MServeJobsDegraded),
-		regressions:  obs.Counter(obs.MProfileRegressions),
-		peerFetched:  obs.Counter(obs.MServeJobsPeerFetched),
+		workerPanics:    reg.Counter(obs.MServeWorkerPanics),
+		retries:         reg.Counter(obs.MServeJobRetries),
+		degraded:        reg.Counter(obs.MServeJobsDegraded),
+		regressions:     reg.Counter(obs.MProfileRegressions),
+		peerFetched:     reg.Counter(obs.MServeJobsPeerFetched),
+		windowsAbsorbed: reg.Counter(obs.MServeWindowsAbsorbed),
 
-		journalReplays:   obs.Counter(obs.MDurableJournalReplays),
-		recordsTruncated: obs.Counter(obs.MDurableRecordsTruncated),
+		journalReplays:   reg.Counter(obs.MDurableJournalReplays),
+		recordsTruncated: reg.Counter(obs.MDurableRecordsTruncated),
 	}
+}
+
+// Registry returns the server's own metrics registry. A cluster node
+// built around the server counts into it too, so /metrics, the
+// federation scrape and Stats read one count per event.
+func (s *Server) Registry() *obs.Registry { return s.reg }
+
+// MetricsSnapshot is the one read view of the server's metrics: its
+// registry's families plus, when a process registry is installed, the
+// library families (sim, sampler, dbi, combine) the profiling pipeline
+// counts there. /metrics, the federation scrape, flight dumps and the
+// serve command's -metrics file all read it.
+func (s *Server) MetricsSnapshot() obs.RegistrySnapshot {
+	snap := s.reg.FullSnapshot()
+	if lib := obs.ActiveRegistry(); lib != nil {
+		snap.Merge(lib.FullSnapshot())
+	}
+	return snap
 }

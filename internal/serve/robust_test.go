@@ -26,7 +26,6 @@ import (
 // serving, and the panic is visible in Stats, /v1/stats, and the
 // metrics registry.
 func TestWorkerPanicIsolation(t *testing.T) {
-	reg := withRegistry(t) // before New: the server captures handles at construction
 	installPlan(t, "serve.worker:panic:nth=1,msg=injected worker panic")
 
 	srv := serve.New(serve.Config{Workers: 1, RetryBudget: -1}) // retries off
@@ -59,7 +58,7 @@ func TestWorkerPanicIsolation(t *testing.T) {
 	if st := srv.Stats(); st.WorkerPanics != 1 {
 		t.Errorf("Stats().WorkerPanics = %d, want 1", st.WorkerPanics)
 	}
-	if got := reg.Counter(obs.MServeWorkerPanics).Value(); got != 1 {
+	if got := srv.Registry().Counter(obs.MServeWorkerPanics).Value(); got != 1 {
 		t.Errorf("%s = %d, want 1", obs.MServeWorkerPanics, got)
 	}
 
@@ -86,7 +85,6 @@ func TestWorkerPanicIsolation(t *testing.T) {
 // attempt is retried within the budget and the job still succeeds,
 // with the retry visible on the job status and the server counters.
 func TestTransientRetrySuccess(t *testing.T) {
-	reg := withRegistry(t)
 	installPlan(t, "serve.worker:error:nth=1")
 
 	srv := serve.New(serve.Config{
@@ -120,7 +118,7 @@ func TestTransientRetrySuccess(t *testing.T) {
 	if st.CacheEntries != 1 {
 		t.Errorf("CacheEntries = %d, want 1", st.CacheEntries)
 	}
-	if got := reg.Counter(obs.MServeJobRetries).Value(); got != 1 {
+	if got := srv.Registry().Counter(obs.MServeJobRetries).Value(); got != 1 {
 		t.Errorf("%s = %d, want 1", obs.MServeJobRetries, got)
 	}
 }

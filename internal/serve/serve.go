@@ -19,7 +19,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"optiwise"
@@ -222,6 +221,7 @@ type Server struct {
 	cfg      Config
 	queue    chan *group
 	lineages *lineageStore
+	reg      *obs.Registry // the server's own; metrics holds its handles
 	metrics  serverMetrics
 	// programs memoizes the programs HTTP submissions decode to.
 	programs programMemo
@@ -245,30 +245,18 @@ type Server struct {
 	groups   map[string]*group
 	draining bool
 
-	inflight atomic.Int64
-	// Operational failure counters mirrored into obs metrics; kept
-	// server-local too so /v1/stats works without an active registry.
-	panics      atomic.Uint64
-	retries     atomic.Uint64
-	degradeds   atomic.Uint64
-	regressions atomic.Uint64
-	peerFetches atomic.Uint64
-	// Journal counters (see Stats): segments replayed at startup and
-	// corrupt/torn records discarded at replay. windowsAbsorbed counts
-	// stream windows folded into a combiner.
-	journalReplays   atomic.Uint64
-	recordsTruncated atomic.Uint64
-	windowsAbsorbed  atomic.Uint64
-	stop             chan struct{}
-	stopOnce         sync.Once
-	wg               sync.WaitGroup
+	stop     chan struct{}
+	stopOnce sync.Once
+	wg       sync.WaitGroup
 
 	// dumpMu guards the retained flight-dump history (newest last).
 	// Each retained dump gets a process-unique ID so the listing
 	// endpoint (GET /debug/flightrecorder) can address it.
-	dumpMu     sync.Mutex
-	dumps      []retainedDump
-	nextDumpID int
+	// dumpedCounters are the counters the last dump's deltas reached.
+	dumpMu         sync.Mutex
+	dumps          []retainedDump
+	nextDumpID     int
+	dumpedCounters map[string]uint64
 
 	// start anchors the uptime surfaced in Stats and the dashboard
 	// header; build is the process build identity.
@@ -313,22 +301,24 @@ func NewDurable(cfg Config) (*Server, error) {
 	if cfg.FlightRecorderSize > 0 || (cfg.FlightRecorderSize == 0 && cfg.FlightDumpDir != "") {
 		obs.EnsureFlightRecorder(cfg.FlightRecorderSize)
 	}
+	// The server's registry carries its build identity and uptime.
+	reg := obs.NewRegistry()
+	build := obs.ReadBuildInfo()
+	reg.EnableRuntimeInfo(build)
 	s := &Server{
 		cfg:      cfg,
 		queue:    make(chan *group, cfg.QueueDepth),
-		cache:    newResultCache(cfg.CacheBytes),
+		cache:    newResultCache(cfg.CacheBytes, reg),
 		programs: newProgramMemo(),
 		lineages: newLineageStore(cfg.LineageDepth, cfg.MaxLineages),
-		metrics:  newServerMetrics(),
+		reg:      reg,
+		metrics:  newServerMetrics(reg),
 		jobs:     make(map[string]*Job),
 		groups:   make(map[string]*group),
 		stop:     make(chan struct{}),
 		start:    time.Now(),
-		build:    obs.ReadBuildInfo(),
+		build:    build,
 	}
-	// Runtime-info families: every server surfaces its build identity
-	// and uptime on the installed registry (idempotent, nil-safe).
-	obs.ActiveRegistry().EnableRuntimeInfo(s.build)
 	if cfg.DataDir != "" {
 		store, sum, err := durable.Open(cfg.DataDir)
 		if err != nil {
@@ -691,8 +681,7 @@ func (s *Server) runGroup(g *group) {
 	span.SetAttr("module", g.prog.Module())
 	span.SetAttr("digest", shortDigest(g.key))
 	runCtx := obs.ContextWithTraceID(obs.ContextWithSpan(ctx, span), g.traceID)
-	s.inflight.Add(1)
-	s.metrics.inflight.Set(s.inflight.Load())
+	s.metrics.inflight.Add(1)
 
 	var res *optiwise.Result
 	var err error
@@ -707,7 +696,6 @@ func (s *Server) runGroup(g *group) {
 	if s.ring != nil && ctx.Err() == nil {
 		if fetched, fw, ok := s.fetchResult(runCtx, g.key, g.prog); ok {
 			res, w, peerFetched = fetched, fw, true
-			s.peerFetches.Add(1)
 			s.metrics.peerFetched.Inc()
 			span.SetAttr("peer_fetched", true)
 		}
@@ -719,8 +707,7 @@ func (s *Server) runGroup(g *group) {
 			break
 		}
 		attempts++
-		s.retries.Add(1)
-		s.metrics.retriesM.Inc()
+		s.metrics.retries.Inc()
 		s.appendJournal(durable.RecRetry, "", g.key, nil)
 		select {
 		case <-time.After(backoffDelay(s.cfg.RetryBaseDelay, s.cfg.RetryMaxDelay, attempts)):
@@ -731,8 +718,7 @@ func (s *Server) runGroup(g *group) {
 		}
 	}
 
-	s.inflight.Add(-1)
-	s.metrics.inflight.Set(s.inflight.Load())
+	s.metrics.inflight.Add(-1)
 	span.SetAttr("failed", err != nil)
 	if attempts > 0 {
 		span.SetAttr("retries", attempts)
@@ -747,7 +733,6 @@ func (s *Server) runGroup(g *group) {
 		w, persisted = s.putResult(g.key, res, w)
 	}
 	if err == nil && res != nil && res.Degraded {
-		s.degradeds.Add(1)
 		s.metrics.degraded.Inc()
 	}
 	// A failed or degraded execution snapshots the flight recorder: the
@@ -820,10 +805,12 @@ func (s *Server) dumpFlight(reason, trace string) (obs.FlightDump, bool) {
 	if fr == nil {
 		return obs.FlightDump{}, false
 	}
-	fr.RecordMetricDeltas(obs.ActiveRegistry())
-	d := fr.Dump(reason, trace)
-	obs.Counter(obs.MFlightDumps).Inc()
 	s.dumpMu.Lock()
+	cur := s.MetricsSnapshot().Counters
+	fr.RecordMetricDeltas(s.dumpedCounters, cur)
+	s.dumpedCounters = cur
+	d := fr.Dump(reason, trace)
+	s.reg.Counter(obs.MFlightDumps).Inc()
 	s.nextDumpID++
 	s.dumps = append(s.dumps, retainedDump{id: s.nextDumpID, dump: d})
 	if len(s.dumps) > maxRetainedDumps {
@@ -956,7 +943,6 @@ func sanitizeReason(reason string) string {
 func (s *Server) executeOnce(ctx context.Context, g *group) (res *optiwise.Result, err error) {
 	defer func() {
 		if v := recover(); v != nil {
-			s.panics.Add(1)
 			s.metrics.workerPanics.Inc()
 			stack := debug.Stack()
 			trace := obs.TraceIDFromContext(ctx)
@@ -990,7 +976,7 @@ func (s *Server) executeOnce(ctx context.Context, g *group) (res *optiwise.Resul
 					obs.F("digest", shortDigest(g.key)), obs.F("err", err.Error()))
 				return
 			}
-			s.windowsAbsorbed.Add(1)
+			s.metrics.windowsAbsorbed.Inc()
 		}
 	}
 	return optiwise.ProfileContext(ctx, g.prog, opts)
@@ -1082,7 +1068,6 @@ func (s *Server) recordLineage(j *Job, res *optiwise.Result) {
 	if !rep.Regressed {
 		return
 	}
-	s.regressions.Add(1)
 	s.metrics.regressions.Inc()
 	// The regress record restores this counter at replay, keeping
 	// /v1/stats continuous across restarts.
@@ -1184,21 +1169,21 @@ func (s *Server) Stats() Stats {
 	st := Stats{
 		Workers:             s.cfg.Workers,
 		QueueDepth:          len(s.queue),
-		Inflight:            s.inflight.Load(),
+		Inflight:            s.metrics.inflight.Value(),
 		Jobs:                jobs,
 		CacheEntries:        s.cache.len(),
 		CacheBytes:          s.cache.usedBytes(),
 		Draining:            draining,
-		WorkerPanics:        s.panics.Load(),
-		Retries:             s.retries.Load(),
-		DegradedResults:     s.degradeds.Load(),
+		WorkerPanics:        s.metrics.workerPanics.Value(),
+		Retries:             s.metrics.retries.Value(),
+		DegradedResults:     s.metrics.degraded.Value(),
 		LineageKeys:         s.lineages.keys(),
-		ProfileRegressions:  s.regressions.Load(),
-		JobsPeerFetched:     s.peerFetches.Load(),
+		ProfileRegressions:  s.metrics.regressions.Value(),
+		JobsPeerFetched:     s.metrics.peerFetched.Value(),
 		Durable:             s.store != nil,
-		JournalReplays:      s.journalReplays.Load(),
-		RecordsTruncated:    s.recordsTruncated.Load(),
-		WindowsCheckpointed: s.windowsAbsorbed.Load(),
+		JournalReplays:      s.metrics.journalReplays.Value(),
+		RecordsTruncated:    s.metrics.recordsTruncated.Value(),
+		WindowsCheckpointed: s.metrics.windowsAbsorbed.Value(),
 		Build:               s.build,
 		UptimeSeconds:       time.Since(s.start).Seconds(),
 	}

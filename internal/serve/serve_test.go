@@ -72,9 +72,10 @@ func mustProgram(t *testing.T, src string) *optiwise.Program {
 	return prog
 }
 
-// withRegistry installs a fresh metrics registry for the test (the
-// server captures its handles at construction) and restores the old
-// one afterwards. Tests using it must not run in parallel.
+// withRegistry installs a fresh process registry, as the serve command
+// does, for a test that asserts the library families (sim, sampler,
+// dbi) a server's /metrics takes from it, and restores the old one
+// afterwards. Tests using it must not run in parallel.
 func withRegistry(t *testing.T) *obs.Registry {
 	t.Helper()
 	reg := obs.NewRegistry()
@@ -285,7 +286,6 @@ func TestSubmitWaitAndCacheHit(t *testing.T) {
 // each program only once — at least 24 submissions served by the
 // cache or by coalescing onto an in-flight run.
 func TestConcurrentSubmissionsShareExecutions(t *testing.T) {
-	reg := withRegistry(t)
 	srv := serve.New(serve.Config{Workers: 4})
 	srv.Start()
 	defer srv.Shutdown(context.Background())
@@ -322,15 +322,15 @@ func TestConcurrentSubmissionsShareExecutions(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	hits := reg.Counter(obs.MServeCacheHits).Value()
-	misses := reg.Counter(obs.MServeCacheMisses).Value()
+	hits := srv.Registry().Counter(obs.MServeCacheHits).Value()
+	misses := srv.Registry().Counter(obs.MServeCacheMisses).Value()
 	if hits < total-distinct {
 		t.Errorf("cache hits = %d, want >= %d (misses = %d)", hits, total-distinct, misses)
 	}
 	if misses != distinct {
 		t.Errorf("cache misses = %d, want exactly %d distinct executions", misses, distinct)
 	}
-	if got := reg.Counter(obs.MServeJobsCompleted).Value(); got != total {
+	if got := srv.Registry().Counter(obs.MServeJobsCompleted).Value(); got != total {
 		t.Errorf("completed jobs = %d, want %d", got, total)
 	}
 }

@@ -242,9 +242,9 @@ type resultCache struct {
 // negative budget disables caching entirely (Get always misses, Put is
 // a no-op), which keeps the service correct for memory-constrained
 // deployments.
-func newResultCache(budget int64) resultCache {
+func newResultCache(budget int64, reg *obs.Registry) resultCache {
 	return resultCache{newLRU[*optiwise.Result](budget,
-		obs.Counter(obs.MServeCacheEvictions), obs.Gauge(obs.MServeCacheBytes))}
+		reg.Counter(obs.MServeCacheEvictions), reg.Gauge(obs.MServeCacheBytes))}
 }
 
 // put stores res under key at the given size (see lru.put). Nil and

@@ -296,7 +296,6 @@ func waitPushes(t *testing.T, ring *fakeRing, want int) map[string][][]byte {
 // replica ingest, is a miss and a recomputation as a disk segment or a
 // ring fetch, and skips its lineage version at replay — never a crash.
 func TestBadPayloadsAreMisses(t *testing.T) {
-	withRegistry(t)
 	src, opts := progSource(5), optiwise.Options{SamplePeriod: 300}
 	want, good := referenceRun(t, src, opts)
 	res, err := serve.DecodeWireResult(good, mustProgram(t, src))

@@ -170,7 +170,6 @@ func TestWindowsEndpoint(t *testing.T) {
 // optiwise_profile_regressions_total, and marked in the flight
 // recorder.
 func TestLineageRegressionFlow(t *testing.T) {
-	reg := withRegistry(t) // before New: the server captures handles at construction
 	fr := withFlightRecorder(t)
 	srv := serve.New(serve.Config{Workers: 2})
 	srv.Start()
@@ -256,7 +255,7 @@ func TestLineageRegressionFlow(t *testing.T) {
 		t.Errorf("stats: regressions=%d lineages=%d, want 1 and 1",
 			stats.ProfileRegressions, stats.LineageKeys)
 	}
-	if got := reg.Counter(obs.MProfileRegressions).Value(); got != 1 {
+	if got := srv.Registry().Counter(obs.MProfileRegressions).Value(); got != 1 {
 		t.Errorf("%s = %d, want 1", obs.MProfileRegressions, got)
 	}
 	marked := false
@@ -281,7 +280,7 @@ func TestLineageRegressionFlow(t *testing.T) {
 	if len(listing.Versions) != 2 {
 		t.Errorf("duplicate submission grew the history to %d", len(listing.Versions))
 	}
-	if got := reg.Counter(obs.MProfileRegressions).Value(); got != 1 {
+	if got := srv.Registry().Counter(obs.MProfileRegressions).Value(); got != 1 {
 		t.Errorf("duplicate submission moved the regression counter to %d", got)
 	}
 

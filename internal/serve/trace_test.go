@@ -22,7 +22,6 @@ const testTraceID = "4bf92f3577b34da6a3ce929d0e0e4736"
 // traceparent echoed back, and the span tree retrievable as Chrome
 // trace JSON stamped with the same ID.
 func TestTraceIDRoundTrip(t *testing.T) {
-	withRegistry(t)
 	srv := serve.New(serve.Config{Workers: 2})
 	srv.Start()
 	defer shutdownServer(t, srv)
@@ -125,7 +124,6 @@ func TestTraceIDRoundTrip(t *testing.T) {
 }
 
 func TestSubmitTraceIDValidation(t *testing.T) {
-	withRegistry(t)
 	srv := serve.New(serve.Config{Workers: 1})
 	srv.Start()
 	defer shutdownServer(t, srv)
@@ -170,7 +168,6 @@ func TestSubmitTraceIDValidation(t *testing.T) {
 // TestTraceCacheHit: a job served from the result cache never executed,
 // so its trace endpoint answers 409 with a descriptive error.
 func TestTraceCacheHit(t *testing.T) {
-	withRegistry(t)
 	srv := serve.New(serve.Config{Workers: 1})
 	srv.Start()
 	defer shutdownServer(t, srv)
@@ -269,7 +266,6 @@ func TestReadyz(t *testing.T) {
 // an OpenMetrics Accept header upgrades to the exemplar-carrying
 // format.
 func TestMetricsContentNegotiation(t *testing.T) {
-	withRegistry(t)
 	srv := serve.New(serve.Config{Workers: 1})
 	srv.Start()
 	defer shutdownServer(t, srv)

@@ -105,9 +105,9 @@ func renderAll(res *optiwise.Result) map[string]string {
 		}
 		out[kind] = b.String()
 	}
-	for kind, rw := range reportWriters {
-		var b bytes.Buffer
-		put(kind, &b, rw.write(&b, res))
+	for kind, rr := range reportRenderers {
+		body, err := rr.render(res)
+		put(kind, bytes.NewBuffer(body), err)
 	}
 	for _, f := range res.Funcs {
 		var b bytes.Buffer
@@ -143,7 +143,7 @@ func TestWireRendersIdentically(t *testing.T) {
 				t.Fatal(err)
 			}
 			want, got := renderAll(res), renderAll(back)
-			if len(want) < len(reportWriters)+1 {
+			if len(want) < len(reportRenderers)+1 {
 				t.Fatalf("rendered only %d kinds", len(want))
 			}
 			for kind := range want {
