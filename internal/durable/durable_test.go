@@ -32,7 +32,7 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 	want := []Record{
 		rec(RecSubmit, "job-1", "aaaa", `{"module":"m"}`),
-		rec(RecStart, "job-1", "aaaa", ""),
+		rec(RecRetry, "job-1", "aaaa", ""),
 		rec(RecComplete, "job-1", "aaaa", `{"cycles":42}`),
 	}
 	for _, r := range want {
@@ -271,6 +271,118 @@ func TestAtomicWrite(t *testing.T) {
 	}
 }
 
+// TestReserveCommitAbort: a reservation is invisible under its path
+// until Commit, a second Commit fails, and Abort leaves nothing behind
+// — also when deferred after a Commit.
+func TestReserveCommitAbort(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "out.txt")
+	r, err := Reserve(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("reserved path visible before Commit: %v", err)
+	}
+	if err := r.Commit([]byte("v1"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r.Abort() // deferred-style Abort after Commit is a no-op
+	if err := r.Commit([]byte("v2"), 0o644); err == nil {
+		t.Error("second Commit of one reservation succeeded")
+	}
+	if data, err := os.ReadFile(path); err != nil || string(data) != "v1" {
+		t.Fatalf("read %q (%v), want v1", data, err)
+	}
+
+	aborted, err := Reserve(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	aborted.Abort()
+	var nilRes *Reservation
+	nilRes.Abort()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "out.txt" {
+		t.Fatalf("directory after abort = %v, want only out.txt", entries)
+	}
+}
+
+// TestOpenRemovesTempFiles: the temporary files a killed process left
+// in results/ and journal/ (one per reservation it held) are gone once
+// the store reopens, and committed segments are untouched.
+func TestOpenRemovesTempFiles(t *testing.T) {
+	root := t.TempDir()
+	s, _, err := Open(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := strings.Repeat("cd", 32)
+	if err := s.WriteResult(key, []byte("payload")); err != nil {
+		t.Fatal(err)
+	}
+	// A dead process: reservations never committed nor aborted.
+	if _, err := s.ReserveResult(strings.Repeat("ef", 32)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Reserve(filepath.Join(root, "journal", segmentName(99))); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+
+	s2, _, err := Open(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	for _, sub := range []string{"results", "journal"} {
+		entries, err := os.ReadDir(filepath.Join(root, sub))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if strings.Contains(e.Name(), ".tmp") {
+				t.Errorf("%s/%s survived Open", sub, e.Name())
+			}
+		}
+	}
+	if got, err := s2.ReadResult(key); err != nil || string(got) != "payload" {
+		t.Errorf("committed segment after Open = %q (%v)", got, err)
+	}
+}
+
+// TestResultDigestsSkipsTempFiles: an in-flight reservation in
+// results/ is never listed as a stored result.
+func TestResultDigestsSkipsTempFiles(t *testing.T) {
+	s, _, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	key := strings.Repeat("ab", 32)
+	r, err := s.ReserveResult(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Abort()
+	digests, err := s.ResultDigests()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(digests) != 0 {
+		t.Fatalf("digests with only a reservation on disk = %v, want none", digests)
+	}
+	if err := CommitResult(r, []byte("done")); err != nil {
+		t.Fatal(err)
+	}
+	if digests, err = s.ResultDigests(); err != nil || len(digests) != 1 || digests[key] == "" {
+		t.Fatalf("digests after commit = %v (%v), want the one key", digests, err)
+	}
+}
+
 func TestStoreSegments(t *testing.T) {
 	root := t.TempDir()
 	s, sum, err := Open(root)
@@ -283,20 +395,6 @@ func TestStoreSegments(t *testing.T) {
 	}
 
 	key := strings.Repeat("ab", 32)
-	if err := s.WriteProgram(key, []byte("program-bytes")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.WriteProgram(key, []byte("different")); err != nil {
-		t.Fatal(err) // idempotent: first write wins
-	}
-	prog, err := s.ReadProgram(key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(prog) != "program-bytes" {
-		t.Fatalf("program = %q", prog)
-	}
-
 	payload := []byte(`{"export":{}}`)
 	if err := s.WriteResult(key, payload); err != nil {
 		t.Fatal(err)

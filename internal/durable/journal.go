@@ -14,13 +14,12 @@ import (
 )
 
 // Journal record types. The journal is the single source of truth for
-// job state across restarts: a job whose last record is submit, start,
-// or retry is incomplete and re-enqueued at replay; complete, fail, and
-// cancel are terminal. Regress records restore the lineage-regression
-// counter so /v1/stats stays continuous across restarts.
+// job state across restarts: a job whose last record is submit or retry
+// is incomplete and re-enqueued at replay; complete, fail, and cancel
+// are terminal. Regress records restore the lineage-regression counter
+// so /v1/stats stays continuous across restarts.
 const (
 	RecSubmit   = "submit"
-	RecStart    = "start"
 	RecRetry    = "retry"
 	RecComplete = "complete"
 	RecFail     = "fail"
@@ -239,19 +238,22 @@ func frameRecord(rec Record) ([]byte, error) {
 // before returning, rotating to a fresh segment when the active one is
 // full. The write and the fsync are independent fault seams
 // (durable.append, durable.fsync) so the chaos suite can kill the
-// process between "bytes in the page cache" and "bytes on disk".
+// process between "bytes in the page cache" and "bytes on disk". The
+// append seam's error and latency rules fire before the lock, so a
+// latency rule holds back only its own caller: the way a test stages
+// one record reaching the journal late while others proceed.
 func (j *Journal) Append(rec Record) error {
 	framed, err := frameRecord(rec)
 	if err != nil {
+		return err
+	}
+	if err := fault.Err(fault.SiteDurableAppend); err != nil {
 		return err
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.f == nil {
 		return fmt.Errorf("durable: append to closed journal")
-	}
-	if err := fault.Err(fault.SiteDurableAppend); err != nil {
-		return err
 	}
 	// A corrupt rule here models a disk writing garbage; replay's CRC
 	// must refuse the record rather than resurrect a mangled job.

@@ -14,29 +14,34 @@ import (
 // Store is the on-disk layout under one -data-dir:
 //
 //	<root>/journal/NNNNNNNN.wal append-only job journal segments
-//	<root>/programs/<key>.owx   content-addressed program images
 //	<root>/results/<key>.owpr   trailer-framed completed results
 //
 // Keys are the serve layer's content-addressed job digests (SHA-256
 // hex; serve rejects any other key that arrives over the network), so
 // every filename is filesystem-safe and a segment's identity doubles as
-// its lookup key. Program images are written once at submit so the
-// journal stays small and replay can reconstruct a runnable job without
-// the client; result segments carry the exact wire-encoded payload the
-// cluster's ring transfers move, so replication and anti-entropy move
-// bytes, never re-encode.
+// its lookup key. A job's program image rides in its journal submit
+// record, so replay can reconstruct a runnable job without the client;
+// result segments carry the exact wire-encoded payload the cluster's
+// ring transfers move, so replication and anti-entropy move bytes,
+// never re-encode.
 type Store struct {
 	root    string
 	journal *Journal
 }
 
 // Open brings up the store under root, creating the layout and
-// replaying the journal. The returned summary carries every intact
-// journal record for the caller to interpret.
+// replaying the journal. Temporary files a killed process left behind
+// (one per write it had reserved) are removed first. The returned
+// summary carries every intact journal record for the caller to
+// interpret.
 func Open(root string) (*Store, *ReplaySummary, error) {
-	for _, sub := range []string{"programs", "results"} {
-		if err := os.MkdirAll(filepath.Join(root, sub), 0o755); err != nil {
+	for _, sub := range []string{"results", "journal"} {
+		dir := filepath.Join(root, sub)
+		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return nil, nil, fmt.Errorf("durable: store dir: %w", err)
+		}
+		if err := removeTemps(dir); err != nil {
+			return nil, nil, err
 		}
 	}
 	j, sum, err := OpenJournal(filepath.Join(root, "journal"))
@@ -52,36 +57,32 @@ func (s *Store) Journal() *Journal { return s.journal }
 // Close closes the journal.
 func (s *Store) Close() error { return s.journal.Close() }
 
-func (s *Store) programPath(key string) string {
-	return filepath.Join(s.root, "programs", key+".owx")
-}
-
 func (s *Store) resultPath(key string) string {
 	return filepath.Join(s.root, "results", key+".owpr")
 }
 
-// WriteProgram persists a program image under its job key. Content
-// addressing makes the write idempotent: an existing image is already
-// the right bytes, so resubmits skip the I/O.
-func (s *Store) WriteProgram(key string, data []byte) error {
-	path := s.programPath(key)
-	if _, err := os.Stat(path); err == nil {
-		return nil
-	}
-	return AtomicWrite(path, trailer.Append(append([]byte(nil), data...)), 0o644)
+// ReserveResult creates the temporary file key's result segment will be
+// committed from, ahead of the payload. The caller commits it with
+// CommitResult or aborts it.
+func (s *Store) ReserveResult(key string) (*Reservation, error) {
+	return Reserve(s.resultPath(key))
 }
 
-// ReadProgram returns the program image stored under key, verifying
-// its frame.
-func (s *Store) ReadProgram(key string) ([]byte, error) {
-	return s.readFramed(s.programPath(key))
+// CommitResult frames a completed result's wire payload and commits it
+// through r, a ReserveResult reservation. The frame lets anti-entropy
+// and replay prove a segment intact without decoding it.
+func CommitResult(r *Reservation, payload []byte) error {
+	return r.Commit(trailer.Append(append([]byte(nil), payload...)), 0o644)
 }
 
 // WriteResult persists a completed result's wire payload under its
-// key. The payload is framed so anti-entropy and replay can prove a
-// segment intact without decoding it.
+// key: ReserveResult and CommitResult at once.
 func (s *Store) WriteResult(key string, payload []byte) error {
-	return AtomicWrite(s.resultPath(key), trailer.Append(append([]byte(nil), payload...)), 0o644)
+	r, err := s.ReserveResult(key)
+	if err != nil {
+		return err
+	}
+	return CommitResult(r, payload)
 }
 
 // ReadResult returns the stored wire payload for key, verifying its

@@ -172,12 +172,9 @@ func TestConfigActivateBadPprofAddr(t *testing.T) {
 }
 
 // TestStartPprofServerBindsEphemeral: ":0" binds an ephemeral port and
-// the returned address serves expvar with the installed registry's
-// RegistrySnapshot wired in.
+// the returned address serves pprof and the stock expvar variables.
+// Metrics are /metrics' business: /debug/vars carries no registry.
 func TestStartPprofServerBindsEphemeral(t *testing.T) {
-	r := NewRegistry()
-	r.Counter(MSamplesTaken).Add(3)
-	defer SetRegistry(SetRegistry(r))
 	addr, err := startPprofServer("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -185,20 +182,28 @@ func TestStartPprofServerBindsEphemeral(t *testing.T) {
 	if addr == "" || strings.HasSuffix(addr, ":0") {
 		t.Fatalf("bound address %q should carry the resolved port", addr)
 	}
-	resp, err := http.Get("http://" + addr + "/debug/vars")
-	if err != nil {
-		t.Fatal(err)
+	get := func(path string) []byte {
+		t.Helper()
+		resp, err := http.Get("http://" + addr + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d", path, resp.StatusCode)
+		}
+		return body
 	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/debug/vars: status %d", resp.StatusCode)
+	if body := get("/debug/pprof/"); !strings.Contains(string(body), "goroutine") {
+		t.Errorf("/debug/pprof/ does not list the goroutine profile:\n%.400s", body)
 	}
-	var vars struct {
-		Metrics *RegistrySnapshot `json:"optiwise_metrics"`
+	var vars map[string]json.RawMessage
+	if body := get("/debug/vars"); json.Unmarshal(body, &vars) != nil ||
+		vars["cmdline"] == nil || vars["memstats"] == nil {
+		t.Errorf("/debug/vars lacks the stock cmdline and memstats variables:\n%.400s", body)
 	}
-	if err := json.Unmarshal(body, &vars); err != nil || vars.Metrics == nil ||
-		vars.Metrics.Counters[MSamplesTaken] != 3 {
-		t.Errorf("/debug/vars optiwise_metrics is not the registry snapshot (err %v):\n%.400s", err, body)
+	if _, ok := vars["optiwise_metrics"]; ok {
+		t.Error("/debug/vars still publishes optiwise_metrics; metrics belong on /metrics")
 	}
 }

@@ -13,12 +13,11 @@ import (
 
 // Registry snapshots and their text exposition. A RegistrySnapshot is
 // the one read view of a registry: the federation wire unit between
-// cluster nodes, the expvar "optiwise_metrics" value, the flight
-// recorder's counter source, and the input of the one exposition
-// writer behind /metrics, the -metrics exit file and the federated
-// /cluster/v1/metrics view. A snapshot carries raw sparse log₂ bucket
-// counts rather than rendered text, so any node can re-render a merged
-// view in whichever format the client asked for.
+// cluster nodes, the flight recorder's counter source, and the input
+// of the one exposition writer behind /metrics, the -metrics exit file
+// and the federated /cluster/v1/metrics view. A snapshot carries raw
+// sparse log₂ bucket counts rather than rendered text, so any node can
+// re-render a merged view in whichever format the client asked for.
 
 // nowSince is a test seam for uptime computation.
 var nowSince = func(t0 time.Time) float64 { return time.Since(t0).Seconds() }

@@ -1,15 +1,11 @@
 package obs
 
 import (
-	"expvar"
+	_ "expvar" // registers /debug/vars on the default mux
 	"net"
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof/* on the default mux
-	"sync"
 )
-
-// publishOnce guards the expvar publication of the metrics registry.
-var publishOnce sync.Once
 
 // startPprofServer serves net/http/pprof and expvar on addr (e.g.
 // "localhost:6060") in a background goroutine, for self-profiling the
@@ -17,14 +13,9 @@ var publishOnce sync.Once
 // It returns the bound address (useful with ":0").
 //
 // /debug/pprof/ — CPU, heap, goroutine, mutex profiles.
-// /debug/vars   — expvar JSON, including the installed registry's
-// RegistrySnapshot as "optiwise_metrics".
+// /debug/vars   — the stock expvar JSON (cmdline, memstats). Metrics
+// are read from /metrics, not here.
 func startPprofServer(addr string) (string, error) {
-	publishOnce.Do(func() {
-		expvar.Publish("optiwise_metrics", expvar.Func(func() any {
-			return ActiveRegistry().FullSnapshot()
-		}))
-	})
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", err

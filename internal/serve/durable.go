@@ -19,11 +19,12 @@ import (
 // whatever was in flight, streamed or not, to re-run from the start.
 
 // journalSubmit is the submit record's payload: everything needed to
-// reconstruct and re-enqueue the execution after a restart. The
-// program image itself lives in the store's content-addressed program
-// segment, not the journal.
+// reconstruct and re-enqueue the execution after a restart, the
+// program image included, so making a submission durable is one
+// journal append.
 type journalSubmit struct {
 	Module    string           `json:"module"`
+	Image     []byte           `json:"image,omitempty"` // the program's OWX encoding
 	Machine   optiwise.Machine `json:"machine"`
 	TraceID   string           `json:"trace_id,omitempty"`
 	Lineage   string           `json:"lineage,omitempty"`
@@ -47,11 +48,13 @@ type journalSubmit struct {
 	AllowDegraded         bool    `json:"allow_degraded,omitempty"`
 }
 
-// newJournalSubmit captures canonicalized options (plus the submission
-// attributes outside the content address) into a journal payload.
-func newJournalSubmit(module string, opts optiwise.Options, sub Submission, timeout time.Duration) journalSubmit {
+// newJournalSubmit captures a program image and its canonicalized
+// options (plus the submission attributes outside the content address)
+// into a journal payload.
+func newJournalSubmit(module string, image []byte, opts optiwise.Options, sub Submission, timeout time.Duration) journalSubmit {
 	return journalSubmit{
 		Module:    module,
+		Image:     image,
 		Machine:   opts.Machine,
 		TraceID:   sub.TraceID,
 		Lineage:   sub.Lineage,
@@ -142,11 +145,12 @@ func (s *Server) appendJournal(typ, jobID, key string, data any) {
 	}
 }
 
-// persistSubmission makes an accepted leader submission durable: the
-// program image goes into the content-addressed store (idempotent),
-// then the submit record into the journal. Called after the queue
-// accepted the execution, so a crash in between loses only a job the
-// client never saw accepted.
+// persistSubmission makes an accepted leader submission durable with
+// one journal append: the submit record, program image included. Called
+// after the queue accepted the execution, so a crash in between loses
+// only a job the client never saw accepted. The worker may already be
+// running the passes; it waits on g.ready before it journals or admits
+// anything (see group.ready).
 func (s *Server) persistSubmission(g *group, leader *Job, sub Submission, timeout time.Duration) {
 	if g.ready != nil {
 		defer close(g.ready) // release the worker even if persisting fails
@@ -159,11 +163,7 @@ func (s *Server) persistSubmission(g *group, leader *Job, sub Submission, timeou
 		obs.Warn("serve: persist program failed", obs.F("digest", shortDigest(g.key)), obs.F("err", err.Error()))
 		return
 	}
-	if err := s.store.WriteProgram(g.key, image); err != nil {
-		obs.Warn("serve: persist program failed", obs.F("digest", shortDigest(g.key)), obs.F("err", err.Error()))
-		return
-	}
-	js := newJournalSubmit(g.prog.Module(), g.opts, sub, timeout)
+	js := newJournalSubmit(g.prog.Module(), image, g.opts, sub, timeout)
 	s.appendJournal(durable.RecSubmit, leader.ID, g.key, js)
 }
 
@@ -215,8 +215,9 @@ type pendingReplay struct {
 }
 
 // replayJournal interprets the replay summary: the last record per key
-// decides whether its execution is terminal or must be re-enqueued;
-// complete records rebuild lineage histories from result segments;
+// decides whether its execution is terminal or must be re-enqueued from
+// its submit record; complete records rebuild lineage histories from
+// result segments;
 // regress records restore the regression counter. Corrupt or missing
 // segments are skipped with a warning — replay never lets an
 // unverified byte into live state.
@@ -261,6 +262,13 @@ func (s *Server) replayJournal(sum *durable.ReplaySummary) {
 		st.lastType = rec.Type
 		switch rec.Type {
 		case durable.RecSubmit:
+			// A key that ever completed is terminal forever: its result is
+			// content-addressed and durable, so re-enqueueing could only
+			// duplicate side effects (lineage versions). A submit after a
+			// complete is a record-ordering straggler, not lost work.
+			if st.completed {
+				continue
+			}
 			var js journalSubmit
 			if err := json.Unmarshal(rec.Data, &js); err != nil {
 				obs.Warn("serve: replay: bad submit record", obs.F("digest", shortDigest(rec.Key)), obs.F("err", err.Error()))
@@ -269,7 +277,9 @@ func (s *Server) replayJournal(sum *durable.ReplaySummary) {
 			}
 			st.submit = &js
 		case durable.RecComplete:
-			st.completed = true
+			// A completed key never re-runs (below), so its image is dead
+			// weight for the rest of the replay.
+			st.completed, st.submit = true, nil
 			var jc journalComplete
 			if len(rec.Data) > 0 {
 				if err := json.Unmarshal(rec.Data, &jc); err != nil {
@@ -305,19 +315,14 @@ func (s *Server) replayJournal(sum *durable.ReplaySummary) {
 	}
 
 	for key, st := range states {
+		// Any last record but a terminal one (submit, retry, or the start
+		// record earlier versions wrote) leaves the execution in flight.
+		// A completed key has no submit left to re-enqueue.
 		switch st.lastType {
-		case durable.RecSubmit, durable.RecStart, durable.RecRetry:
-			if st.submit == nil {
-				continue
-			}
-			// A key that ever completed is terminal forever: its result is
-			// content-addressed and durable, so re-enqueueing could only
-			// duplicate side effects (lineage versions). A trailing submit
-			// after a complete is a record-ordering straggler, not evidence
-			// of lost work.
-			if st.completed {
-				continue
-			}
+		case durable.RecComplete, durable.RecFail, durable.RecCancel, durable.RecRegress:
+			continue
+		}
+		if st.submit != nil {
 			s.pending = append(s.pending, pendingReplay{key: key, submit: *st.submit})
 		}
 	}
@@ -332,13 +337,14 @@ func (s *Server) resubmitPending() {
 	pending := s.pending
 	s.pending = nil
 	for _, p := range pending {
-		data, err := s.store.ReadProgram(p.key)
-		if err != nil {
+		if len(p.submit.Image) == 0 {
+			// A submit record written before images rode in the journal:
+			// its program lived in a programs/ segment no longer read.
 			obs.Warn("serve: replay: program segment unreadable, job dropped",
-				obs.F("digest", shortDigest(p.key)), obs.F("err", err.Error()))
+				obs.F("digest", shortDigest(p.key)), obs.F("err", "submit record carries no program image"))
 			continue
 		}
-		prog, err := optiwise.ReadBinary(bytes.NewReader(data))
+		prog, err := optiwise.ReadBinary(bytes.NewReader(p.submit.Image))
 		if err != nil {
 			obs.Warn("serve: replay: program segment invalid, job dropped",
 				obs.F("digest", shortDigest(p.key)), obs.F("err", err.Error()))

@@ -14,13 +14,16 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io/fs"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"optiwise"
+	"optiwise/internal/durable"
 	"optiwise/internal/fault"
 	"optiwise/internal/serve"
 )
@@ -144,7 +147,7 @@ func TestCrashRecoveryResultsAndLineagesSurvive(t *testing.T) {
 
 // TestCrashRecoveryIncompleteJobReenqueued: a submission journaled but
 // never executed (the server died with it still queued) is re-enqueued
-// and completed by the next startup.
+// and completed by the next startup, from its submit record alone.
 func TestCrashRecoveryIncompleteJobReenqueued(t *testing.T) {
 	dir := t.TempDir()
 	opts := optiwise.Options{SamplePeriod: 300}
@@ -155,6 +158,10 @@ func TestCrashRecoveryIncompleteJobReenqueued(t *testing.T) {
 	srv1 := newDurable(t, dir, serve.Config{Workers: 1})
 	if _, err := srv1.SubmitWith(prog, opts, serve.Submission{}); err != nil {
 		t.Fatal(err)
+	}
+	// The journal is the only place the program image was written.
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 2 {
+		t.Fatalf("data dir holds %v (err %v), want only journal/ and results/", entries, err)
 	}
 
 	srv2 := newDurable(t, dir, serve.Config{Workers: 1})
@@ -351,5 +358,100 @@ func TestCorruptResultSegmentRecomputes(t *testing.T) {
 	}
 	if got := resultJSON(t, j); !bytes.Equal(got, refBytes) {
 		t.Error("recomputed profile differs from the original")
+	}
+}
+
+// TestDurableMissWritePath: a fresh submission adds one result segment
+// to the data dir, and journal records, nothing else. No programs/
+// directory (the image rides in the submit record) and no temporary
+// file outlives the job that reserved it, failed jobs included.
+func TestDurableMissWritePath(t *testing.T) {
+	dir := t.TempDir()
+	opts := optiwise.Options{SamplePeriod: 300}
+	srv := newDurable(t, dir, serve.Config{Workers: 2})
+	srv.Start()
+	const n = 4
+	for i := 0; i < n; i++ {
+		submitWait(t, srv, progSource(20+i), opts, serve.Submission{})
+	}
+	installPlan(t, "serve.worker:error:perm,msg=injected")
+	failed, err := srv.SubmitWith(mustProgram(t, progSource(20+n)), opts, serve.Submission{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitJob(t, failed, 30*time.Second)
+	fault.Set(nil)
+	if _, state, _ := failed.Result(); state != serve.StateFailed {
+		t.Fatalf("faulted job ended %s, want failed", state)
+	}
+	if err := srv.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := os.Stat(filepath.Join(dir, "programs")); !os.IsNotExist(err) {
+		t.Errorf("programs/ exists (stat err %v): images belong in the submit record", err)
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, "results", "*.owpr"))
+	if err != nil || len(segs) != n {
+		t.Errorf("result segments: %v (err %v), want %d", segs, err, n)
+	}
+	err = filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err == nil && strings.Contains(d.Name(), ".tmp") {
+			t.Errorf("temporary file left behind: %s", path)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSubmitAppendOverlapsPasses: with the submit record's append held
+// up by a latency rule, the worker runs the passes meanwhile (windows
+// are absorbed before Submit returns), yet the journal still orders the
+// submit record before every later record for the key.
+func TestSubmitAppendOverlapsPasses(t *testing.T) {
+	installPlan(t, "durable.append:latency:d=1s,count=1")
+	dir := t.TempDir()
+	srv := newDurable(t, dir, serve.Config{Workers: 1})
+	srv.Start()
+	j, err := srv.SubmitWith(mustProgram(t, progSource(40)),
+		optiwise.Options{SamplePeriod: 300, Window: 512}, serve.Submission{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	returned := time.Now()
+	if got := srv.Stats().WindowsCheckpointed; got == 0 {
+		t.Error("no window absorbed while the submit append was delayed: the passes waited on the disk")
+	}
+	waitJob(t, j, 30*time.Second)
+	st := j.Status()
+	if st.State != serve.StateDone {
+		t.Fatalf("job ended %s: %s", st.State, st.Error)
+	}
+	if st.Started == nil || !st.Started.Before(returned) {
+		t.Errorf("job started at %v, not before Submit returned at %v", st.Started, returned)
+	}
+	if st.Finished == nil || st.Finished.Before(returned) {
+		t.Errorf("job read done at %v, before its submit record was durable at %v", st.Finished, returned)
+	}
+	if err := srv.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	fault.Set(nil)
+
+	store, sum, err := durable.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	var types []string
+	for _, rec := range sum.Records {
+		if rec.Key == j.Digest {
+			types = append(types, rec.Type)
+		}
+	}
+	if len(types) < 2 || types[0] != durable.RecSubmit || types[len(types)-1] != durable.RecComplete {
+		t.Errorf("journal records for the key = %v, want submit first and complete last", types)
 	}
 }

@@ -339,13 +339,14 @@ type group struct {
 	// members keep their own submitted IDs in their status, but the spans
 	// of the single shared execution are stamped with the leader's.
 	traceID string
-	// ready, when non-nil, gates execution on the submission's journal
-	// record being durable: the submitter closes it after
-	// persistSubmission, and the worker waits before journaling start.
-	// Without the gate a fast worker can land the start (or even the
-	// complete) record before the submit record, and replay would
-	// misread the trailing submit as an incomplete execution. Nil on
-	// non-durable servers.
+	// ready, when non-nil, closes once the submission's journal record
+	// is durable: the submitter closes it after persistSubmission. The
+	// worker runs the passes without waiting, and waits (awaitSubmit)
+	// before its first journal append or result admission. Without the
+	// gate a fast worker could land the complete record before the
+	// submit record, and replay would misread the trailing submit as an
+	// incomplete execution; or a client could see the job done before
+	// its submission was durable. Nil on non-durable servers.
 	ready chan struct{}
 
 	mu       sync.Mutex
@@ -365,6 +366,14 @@ func newGroup(key string, prog *optiwise.Program, opts optiwise.Options, leader 
 		traceID: leader.TraceID, members: []*Job{leader}}
 	leader.setGroup(g)
 	return g
+}
+
+// awaitSubmit blocks until the group's submit record is durable (see
+// ready).
+func (g *group) awaitSubmit() {
+	if g.ready != nil {
+		<-g.ready
+	}
 }
 
 // setCombiner installs the current execution attempt's stream combiner.

@@ -1,17 +1,20 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"optiwise"
+	"optiwise/internal/durable"
 )
 
 // TestJournalSubmitRoundTrip pins that a journaled submission replays
-// under the options it was accepted with. Every exported Options field
+// the program image and the options it was accepted with. Every exported Options field
 // that Canonical keeps is set to a non-zero value by reflection, so a
 // field added to Options but left out of journalSubmit fails here: its
 // replayed job would get a different key, and the original key's submit
@@ -68,7 +71,11 @@ main:
 		t.Fatal(err)
 	}
 
-	data, err := json.Marshal(newJournalSubmit(prog.Module(), canon, Submission{}, time.Second))
+	image, err := prog.Binary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(newJournalSubmit(prog.Module(), image, canon, Submission{}, time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,6 +87,9 @@ main:
 	var js journalSubmit
 	if err := json.Unmarshal(data, &js); err != nil {
 		t.Fatal(err)
+	}
+	if !bytes.Equal(js.Image, image) {
+		t.Error("journal round trip changed the program image")
 	}
 	replayed := s.canonicalize(js.toOptions())
 	if !reflect.DeepEqual(replayed, canon) {
@@ -104,5 +114,62 @@ func TestJournalSubmitOldStreamWindow(t *testing.T) {
 	}
 	if opts := js.toOptions(); opts.Window != 0 || opts.SamplePeriod != 300 {
 		t.Errorf("replayed options %+v, want period 300 and no window", opts)
+	}
+}
+
+// TestReplayPending pins which keys replay re-enqueues, and from what.
+// A key whose last record is submit or retry, or the start record
+// earlier versions wrote, is in flight; a key that failed, or that ever
+// completed (a submit trailing its complete is a straggler), is not. An
+// in-flight key whose submit record carries no image, as records did
+// when images lived in a programs/ directory, is dropped at re-enqueue.
+func TestReplayPending(t *testing.T) {
+	prog, err := optiwise.Assemble("rt", `
+.func main
+main:
+    li a0, 0
+    li a7, 93
+    syscall
+.endfunc
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	image, err := prog.Binary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	withImage, err := json.Marshal(journalSubmit{Module: "rt", Image: image, TimeoutMS: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	noImage := []byte(`{"module":"rt","timeout_ms":1000}`)
+	rec := func(typ, key string, data []byte) durable.Record {
+		return durable.Record{Type: typ, Key: key, Data: data}
+	}
+	sum := &durable.ReplaySummary{Records: []durable.Record{
+		rec(durable.RecSubmit, "done", withImage),
+		rec(durable.RecComplete, "done", nil),
+		rec(durable.RecSubmit, "done", withImage),
+		rec(durable.RecSubmit, "failed", withImage),
+		rec(durable.RecFail, "failed", nil),
+		rec(durable.RecSubmit, "retried", withImage),
+		rec(durable.RecRetry, "retried", nil),
+		rec(durable.RecSubmit, "old", noImage),
+		rec("start", "old", nil),
+	}}
+	s := New(Config{})
+	s.replayJournal(sum)
+	var keys []string
+	for _, p := range s.pending {
+		keys = append(keys, p.key)
+	}
+	sort.Strings(keys)
+	if !reflect.DeepEqual(keys, []string{"old", "retried"}) {
+		t.Fatalf("replay left %v in flight, want [old retried]", keys)
+	}
+	s.resubmitPending()
+	if jobs := s.Stats().Jobs; jobs != 1 {
+		t.Errorf("re-enqueued %d jobs, want 1: the imageless submit is dropped", jobs)
 	}
 }

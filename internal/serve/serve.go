@@ -656,20 +656,28 @@ func (s *Server) worker() {
 // retry count. Permanent failures and cancellations break out
 // immediately.
 func (s *Server) runGroup(g *group) {
-	// Durable ordering: the submit record must be on disk before any
-	// later record for this key (see group.ready).
-	if g.ready != nil {
-		<-g.ready
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	if !g.begin(cancel) {
 		// Every member expired while queued: terminal without executing.
+		g.awaitSubmit()
 		s.appendJournal(durable.RecCancel, "", g.key, nil)
 		s.dropGroup(g)
 		return
 	}
-	s.appendJournal(durable.RecStart, "", g.key, nil)
+	// The result segment's file is created while the passes run; the
+	// admission below commits it, and every other outcome aborts it.
+	var reserved chan *durable.Reservation
+	if s.store != nil {
+		reserved = make(chan *durable.Reservation, 1)
+		go func() {
+			r, err := s.store.ReserveResult(g.key)
+			if err != nil {
+				obs.Warn("serve: persist result failed", obs.F("digest", shortDigest(g.key)), obs.F("err", err.Error()))
+			}
+			reserved <- r
+		}()
+	}
 	// Every execution gets its own tracer, stamped with the group's
 	// trace identity and parented through the context, so concurrent
 	// jobs never interleave on the global ambient span stack and
@@ -708,6 +716,7 @@ func (s *Server) runGroup(g *group) {
 		}
 		attempts++
 		s.metrics.retries.Inc()
+		g.awaitSubmit()
 		s.appendJournal(durable.RecRetry, "", g.key, nil)
 		select {
 		case <-time.After(backoffDelay(s.cfg.RetryBaseDelay, s.cfg.RetryMaxDelay, attempts)):
@@ -725,12 +734,20 @@ func (s *Server) runGroup(g *group) {
 	}
 	span.End()
 
+	var seg *durable.Reservation
+	if reserved != nil {
+		seg = <-reserved
+	}
+	defer seg.Abort() // a no-op once putResult committed it
+	// Nothing below may make the outcome visible or journal it before the
+	// submit record is on disk.
+	g.awaitSubmit()
 	// Admission (memory, then the disk segment) precedes dropGroup, so a
 	// submission arriving after the group is gone finds the result.
 	eligible := cacheEligible(res, err, ctx.Err())
 	persisted := false
 	if eligible {
-		w, persisted = s.putResult(g.key, res, w)
+		w, persisted = s.putResult(g.key, res, w, seg)
 	}
 	if err == nil && res != nil && res.Degraded {
 		s.metrics.degraded.Inc()

@@ -10,6 +10,7 @@ import (
 	"sync"
 
 	"optiwise"
+	"optiwise/internal/durable"
 	"optiwise/internal/fault"
 	"optiwise/internal/obs"
 )
@@ -140,10 +141,12 @@ func (s *Server) fetchResult(ctx context.Context, key string, prog *optiwise.Pro
 // when the result arrived encoded (a ring fetch); otherwise putResult
 // encodes it, the only encode the result gets. Memory admission goes
 // through the serve.cache.put fault site, where an injected failure
-// drops only the memory entry; on a durable server the payload then
-// becomes the key's disk segment. The encoding is returned when the
-// segment landed, for the caller to journal and push.
-func (s *Server) putResult(key string, res *optiwise.Result, w wire) (wire, bool) {
+// drops only the memory entry; on a durable server the payload is then
+// committed as the key's disk segment through seg, the file runGroup
+// reserved (nil without a store or when the reservation failed). The
+// encoding is returned when the segment landed, for the caller to
+// journal and push.
+func (s *Server) putResult(key string, res *optiwise.Result, w wire, seg *durable.Reservation) (wire, bool) {
 	if w.payload == nil {
 		var err error
 		if w.payload, w.sum, err = EncodeWireResult(res); err != nil {
@@ -152,10 +155,10 @@ func (s *Server) putResult(key string, res *optiwise.Result, w wire) (wire, bool
 		}
 	}
 	s.admit(key, res, int64(len(w.payload)))
-	if s.store == nil {
+	if seg == nil {
 		return wire{}, false
 	}
-	if err := s.store.WriteResult(key, w.payload); err != nil {
+	if err := durable.CommitResult(seg, w.payload); err != nil {
 		obs.Warn("serve: persist result failed", obs.F("digest", shortDigest(key)), obs.F("err", err.Error()))
 		return wire{}, false
 	}
