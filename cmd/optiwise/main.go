@@ -38,6 +38,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sync"
 
@@ -51,10 +52,7 @@ func main() {
 		usage()
 		os.Exit(2)
 	}
-	// OPTIWISE_FAULT installs a process-wide fault-injection plan before
-	// any subcommand runs; the per-command -fault flag layers on top via
-	// Options.FaultSpec.
-	if err := fault.ActivateFromEnv(); err != nil {
+	if err := activateFault(os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "optiwise:", err)
 		os.Exit(2)
 	}
@@ -104,6 +102,19 @@ func main() {
 	}
 }
 
+// activateFault installs the process-wide fault-injection plan that
+// OPTIWISE_FAULT names, before any subcommand runs, and announces an
+// installed plan on w so that no injected run goes unnoticed.
+func activateFault(w io.Writer) error {
+	if err := fault.ActivateFromEnv(); err != nil {
+		return err
+	}
+	if p := fault.Active(); p != nil {
+		fmt.Fprintf(w, "optiwise: fault injection active: %s\n", p.Spec)
+	}
+	return nil
+}
+
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   optiwise check
@@ -136,7 +147,6 @@ type commonFlags struct {
 	noStack       *bool
 	thresh        *uint64
 	attr          *string
-	faultSpec     *string
 	allowDegraded *bool
 	window        *uint64
 	tiered        *bool
@@ -154,7 +164,6 @@ func newFlags(name string) *commonFlags {
 		noStack:       fs.Bool("no-stack", false, "disable stack profiling"),
 		thresh:        fs.Uint64("T", 3, "loop-merging threshold"),
 		attr:          fs.String("attr", "auto", "sample attribution: auto, none, pred"),
-		faultSpec:     fs.String("fault", "", "fault-injection spec, e.g. 'seed=1;dbi.run:error:nth=1' (also OPTIWISE_FAULT)"),
 		allowDegraded: fs.Bool("allow-degraded", false, "produce a flagged single-pass report when exactly one profiling pass fails"),
 		window:        fs.Uint64("window", 0, "window in cycles (0 = off): IPC, ROB occupancy, mispredict and cache-miss rates, and stall causes per window into the report's phase summary and the -trace counter tracks; run also prints a line per window on stderr, submit serves them at /v1/jobs/{id}/windows"),
 		tiered:        fs.Bool("tiered", false, "tiered adaptive instrumentation: sample first, instrument only hot code; cold counts are extrapolated and marked '~' in reports"),
@@ -185,7 +194,6 @@ func (c *commonFlags) options() (optiwise.Options, error) {
 		Precise:               *c.precise,
 		DisableStackProfiling: *c.noStack,
 		LoopThreshold:         *c.thresh,
-		FaultSpec:             *c.faultSpec,
 		AllowDegraded:         *c.allowDegraded,
 		Window:                *c.window,
 		Tiered:                *c.tiered,

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -172,6 +173,11 @@ func TestCmdCompare(t *testing.T) {
 // confidently wrong deltas.
 func TestCmdCompareRefusesDegradedTiered(t *testing.T) {
 	silenceStdout(t)
+	// nth=1 kills only the first (old-side) DBI pass: old degrades to a
+	// sampling-only tiered profile, new profiles cleanly.
+	if err := fault.Activate("dbi.run:error:nth=1,msg=dbi pass killed"); err != nil {
+		t.Fatal(err)
+	}
 	t.Cleanup(func() { fault.Set(nil) })
 	oldPath := writeProg(t)
 	opt := strings.ReplaceAll(testProg, "li t0, 200", "li t0, 100")
@@ -179,18 +185,46 @@ func TestCmdCompareRefusesDegradedTiered(t *testing.T) {
 	if err := os.WriteFile(newPath, []byte(opt), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// nth=1 kills only the first (old-side) DBI pass: old degrades to a
-	// sampling-only tiered profile, new profiles cleanly.
-	err := cmdCompare([]string{
-		"-tiered", "-allow-degraded",
-		"-fault", "dbi.run:error:nth=1,msg=dbi pass killed",
-		oldPath, newPath,
-	})
+	err := cmdCompare([]string{"-tiered", "-allow-degraded", oldPath, newPath})
 	if err == nil {
 		t.Fatal("compare accepted a degraded tiered profile")
 	}
 	if !strings.Contains(err.Error(), "degraded") || !strings.Contains(err.Error(), "old") {
 		t.Errorf("refusal does not name the degraded side: %v", err)
+	}
+}
+
+// TestFaultFromEnvAnnounced: a plan installed from OPTIWISE_FAULT is
+// announced on stderr, and run -allow-degraded then prints the
+// degraded banner.
+func TestFaultFromEnvAnnounced(t *testing.T) {
+	t.Setenv(fault.EnvVar, "dbi.run:error:nth=1")
+	t.Cleanup(func() { fault.Set(nil) })
+	var stderr bytes.Buffer
+	if err := activateFault(&stderr); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := stderr.String(), "optiwise: fault injection active: dbi.run:error:nth=1\n"; got != want {
+		t.Errorf("announcement = %q, want %q", got, want)
+	}
+	out, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := os.Stdout
+	os.Stdout = out
+	runErr := cmdRun([]string{"-allow-degraded", writeProg(t)})
+	os.Stdout = old
+	out.Close()
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	report, err := os.ReadFile(out.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(report), "DEGRADED RESULT (sampling-only)") {
+		t.Errorf("report lacks the degraded banner:\n%s", report)
 	}
 }
 

@@ -17,7 +17,6 @@ import (
 
 	"optiwise/internal/cluster"
 	"optiwise/internal/durable"
-	"optiwise/internal/fault"
 	"optiwise/internal/obs"
 	"optiwise/internal/serve"
 )
@@ -55,7 +54,6 @@ func cmdServe(args []string) error {
 	drainWait := fs.Duration("drain", 2*time.Minute, "max time to drain jobs on shutdown; exceeding it forces exit code 3")
 	dataDir := fs.String("data-dir", "", "durable state directory (WAL job journal, program and result segments); empty keeps all state in memory")
 	retries := fs.Int("retries", 0, "transient-failure retry budget per job (0 = default 2, negative disables)")
-	faultSpec := fs.String("fault", "", "server-wide fault-injection spec (chaos testing; also OPTIWISE_FAULT)")
 	flightDir := fs.String("flight-dir", "", "directory for flight-recorder dumps (panics, failed jobs, degraded results, SIGQUIT); empty keeps dumps in memory only")
 	flightSize := fs.Int("flight-size", 0, "flight-recorder ring capacity in records (0 = default 4096, negative disables)")
 	peers := fs.String("peers", "", "comma-separated sibling addresses (host:port) forming a profiling cluster")
@@ -69,12 +67,6 @@ func cmdServe(args []string) error {
 	}
 	if fs.NArg() != 0 {
 		return fmt.Errorf("serve takes no positional arguments")
-	}
-	if *faultSpec != "" {
-		if err := fault.Activate(*faultSpec); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "optiwise: fault injection active: %s\n", *faultSpec)
 	}
 	flush, err := obsCfg.Activate()
 	if err != nil {

@@ -66,7 +66,6 @@ var obsCfg *obs.Config
 func main() {
 	fs := flag.NewFlagSet("owbench", flag.ExitOnError)
 	fs.Usage = usage
-	faultSpec := fs.String("fault", "", "fault-injection spec (also OPTIWISE_FAULT); benchmarks must normally run fault-free")
 	obsCfg = obs.BindFlags(fs)
 	if err := fs.Parse(os.Args[1:]); err != nil {
 		os.Exit(2)
@@ -75,11 +74,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "owbench:", err)
 		os.Exit(2)
 	}
-	if *faultSpec != "" {
-		if err := fault.Activate(*faultSpec); err != nil {
-			fmt.Fprintln(os.Stderr, "owbench:", err)
-			os.Exit(2)
-		}
+	if p := fault.Active(); p != nil {
+		fmt.Fprintf(os.Stderr, "owbench: fault injection active: %s\n", p.Spec)
 	}
 	if fs.NArg() != 1 {
 		usage()

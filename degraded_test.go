@@ -224,35 +224,3 @@ func TestDegradedRespectsCancellation(t *testing.T) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 }
-
-// TestFaultSpecOption: Options.FaultSpec validates and installs the
-// plan for the run; a bogus spec is a validation error.
-func TestFaultSpecOption(t *testing.T) {
-	p, err := Assemble("quick", quickSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := (Options{FaultSpec: "nope"}).Validate(); err == nil {
-		t.Error("bogus FaultSpec should fail Validate")
-	}
-	t.Cleanup(func() { fault.Set(nil) })
-	prof, err := Profile(p, Options{
-		SamplePeriod:  500,
-		AllowDegraded: true,
-		FaultSpec:     "dbi.run:error:nth=1",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !prof.Degraded {
-		t.Error("FaultSpec plan did not take effect")
-	}
-	// Canonical clears FaultSpec but keeps AllowDegraded.
-	c := Options{FaultSpec: "dbi.run:error:nth=1", AllowDegraded: true}.Canonical()
-	if c.FaultSpec != "" {
-		t.Errorf("Canonical kept FaultSpec=%q", c.FaultSpec)
-	}
-	if !c.AllowDegraded {
-		t.Error("Canonical dropped AllowDegraded")
-	}
-}

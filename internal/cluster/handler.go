@@ -39,15 +39,13 @@ func (n *Node) Handler() http.Handler {
 	mux := http.NewServeMux()
 	submit := n.submitHandler()
 	lookup := n.lookupHandler(base)
-	for _, prefix := range []string{"/v1", "/api/v1"} {
-		mux.Handle("POST "+prefix+"/jobs", submit)
-		mux.Handle("GET "+prefix+"/jobs/{id}", lookup)
-		mux.Handle("GET "+prefix+"/jobs/{id}/report", lookup)
-		mux.Handle("GET "+prefix+"/jobs/{id}/trace", lookup)
-		mux.Handle("GET "+prefix+"/jobs/{id}/windows", lookup)
-		mux.Handle("GET "+prefix+"/jobs/{id}/drilldown", lookup)
-		mux.Handle("DELETE "+prefix+"/jobs/{id}", lookup)
-	}
+	mux.Handle("POST /v1/jobs", submit)
+	mux.Handle("GET /v1/jobs/{id}", lookup)
+	mux.Handle("GET /v1/jobs/{id}/report", lookup)
+	mux.Handle("GET /v1/jobs/{id}/trace", lookup)
+	mux.Handle("GET /v1/jobs/{id}/windows", lookup)
+	mux.Handle("GET /v1/jobs/{id}/drilldown", lookup)
+	mux.Handle("DELETE /v1/jobs/{id}", lookup)
 	mux.HandleFunc("GET /cluster/v1/state", n.handleState)
 	mux.HandleFunc("GET /cluster/v1/results/{digest}", n.handlePeerResult)
 	mux.HandleFunc("GET /cluster/v1/ring", n.handleRing)
@@ -90,7 +88,7 @@ func (n *Node) route(w http.ResponseWriter, r *http.Request, body []byte, key st
 	if err != nil {
 		traceID = obs.NewTraceID()
 	}
-	owners := ring.Owners(key, n.cfg.ForwardAttempts)
+	owners := ring.Owners(key, forwardAttempts)
 	for _, owner := range owners {
 		if owner == n.cfg.Self {
 			return false

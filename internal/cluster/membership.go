@@ -19,10 +19,9 @@ import (
 type PeerState string
 
 // Peer states. A peer is alive while its probes answer, suspect after
-// Config.SuspectAfter consecutive failures (still on the ring — a
-// brief GC pause must not reshuffle key ownership), and dead after
-// Config.DeadAfter failures (off the ring until a probe succeeds
-// again).
+// suspectAfter (2) consecutive failures (still on the ring — a brief GC
+// pause must not reshuffle key ownership), and dead after deadAfter (4)
+// failures (off the ring until a probe succeeds again).
 const (
 	PeerAlive   PeerState = "alive"
 	PeerSuspect PeerState = "suspect"
@@ -158,9 +157,9 @@ func (m *membership) proberound() {
 			p.fails++
 			m.reg.Counter(obs.MClusterProbeFailures).Inc()
 			switch {
-			case p.fails >= m.cfg.DeadAfter:
+			case p.fails >= deadAfter:
 				p.state = PeerDead
-			case p.fails >= m.cfg.SuspectAfter:
+			case p.fails >= suspectAfter:
 				p.state = PeerSuspect
 			}
 			continue
@@ -249,7 +248,7 @@ func (m *membership) rebuild() {
 	if cur != nil && sameMembers(cur.Members(), members) {
 		return
 	}
-	next := NewRing(m.cfg.Vnodes, members)
+	next := NewRing(members)
 	if cur != nil {
 		m.prev.Store(cur)
 	}

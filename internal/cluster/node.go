@@ -10,6 +10,27 @@ import (
 	"optiwise/internal/serve"
 )
 
+// Cluster tuning constants. Every node runs the same values; the ring's
+// vnodes (ring.go) must agree across nodes for keys to route alike.
+const (
+	// suspectAfter and deadAfter are the consecutive probe failures that
+	// demote a peer to suspect (still on the ring) and dead (off the
+	// ring) respectively.
+	suspectAfter = 2
+	deadAfter    = 4
+	// fetchTimeout bounds one peer-cache fetch or replica push: generous,
+	// because losing the fetch costs a full recomputation.
+	fetchTimeout = 10 * time.Second
+	// forwardAttempts is how many ring owners a node tries before
+	// executing the submission locally as a last resort.
+	forwardAttempts = 3
+	// replicaCount is how many ring owners (primary included) should hold
+	// each persisted result: completed results replicate to the key's
+	// next replicaCount-1 successors. Only meaningful on durable nodes
+	// (serve.Config.DataDir).
+	replicaCount = 2
+)
+
 // Config tunes a cluster Node. Self is required; everything else
 // defaults.
 type Config struct {
@@ -28,57 +49,16 @@ type Config struct {
 	PeersFile string
 	// ProbeInterval is the membership probe cadence (default 500ms).
 	ProbeInterval time.Duration
-	// SuspectAfter and DeadAfter are the consecutive probe failures that
-	// demote a peer to suspect (still on the ring) and dead (off the
-	// ring) respectively (defaults 2 and 4).
-	SuspectAfter int
-	DeadAfter    int
-	// FetchTimeout bounds one peer-cache fetch request (default 10s —
-	// generous because losing the fetch costs a full recomputation).
-	FetchTimeout time.Duration
-	// ForwardAttempts is how many ring owners a node tries before
-	// executing the submission locally as a last resort (default 3).
-	ForwardAttempts int
-	// Vnodes is the ring's virtual-node count per member (default
-	// DefaultVnodes). All nodes must agree on it.
-	Vnodes int
-	// ReplicaCount is how many ring owners (primary included) should
-	// hold each persisted result — completed results replicate to the
-	// key's next ReplicaCount-1 successors (default 2). Only meaningful
-	// on durable nodes (serve.Config.DataDir).
-	ReplicaCount int
 	// AntiEntropyInterval is the cadence of the replica repair pass,
 	// which exchanges digest maps with live peers and repairs both
 	// directions (default 3s; <0 disables the loop — Node.AntiEntropyNow
 	// still runs passes on demand).
 	AntiEntropyInterval time.Duration
-	// Client overrides the HTTP client used for probes, forwards,
-	// proxies, and peer fetches (default: a pooled client with a 2s
-	// dial/probe timeout; per-request deadlines come from contexts).
-	Client *http.Client
 }
 
 func (c Config) withDefaults() Config {
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = 500 * time.Millisecond
-	}
-	if c.SuspectAfter <= 0 {
-		c.SuspectAfter = 2
-	}
-	if c.DeadAfter <= c.SuspectAfter {
-		c.DeadAfter = c.SuspectAfter + 2
-	}
-	if c.FetchTimeout <= 0 {
-		c.FetchTimeout = 10 * time.Second
-	}
-	if c.ForwardAttempts <= 0 {
-		c.ForwardAttempts = 3
-	}
-	if c.Vnodes <= 0 {
-		c.Vnodes = DefaultVnodes
-	}
-	if c.ReplicaCount <= 0 {
-		c.ReplicaCount = 2
 	}
 	if c.AntiEntropyInterval == 0 {
 		c.AntiEntropyInterval = 3 * time.Second
@@ -127,21 +107,15 @@ func New(cfg Config, srv *serve.Server) (*Node, error) {
 	if cfg.Self == "" {
 		return nil, fmt.Errorf("cluster: Config.Self (advertised host:port) is required")
 	}
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{
-			Timeout: 0, // per-request contexts bound forwards and fetches
-			Transport: &http.Transport{
-				MaxIdleConnsPerHost:   4,
-				ResponseHeaderTimeout: 0,
-			},
-		}
-	}
 	reg := srv.Registry()
 	n := &Node{
-		cfg:    cfg,
-		srv:    srv,
-		client: client,
+		cfg: cfg,
+		srv: srv,
+		// One pooled client for forwards, proxies, fetches and replica
+		// pushes; per-request contexts bound each of them.
+		client: &http.Client{
+			Transport: &http.Transport{MaxIdleConnsPerHost: 4},
+		},
 		routes: newRouteTable(4096),
 		stopAE: make(chan struct{}),
 		metrics: nodeMetrics{

@@ -220,6 +220,21 @@ func forwardedJob(t *testing.T, nodes []*testNode) jobReply {
 	return jobReply{}
 }
 
+// TestClusterOneRoutePrefix: a cluster node serves the API under /v1
+// only; an /api/v1 path is neither routed nor proxied and answers 404.
+func TestClusterOneRoutePrefix(t *testing.T) {
+	nodes := startCluster(t, 2)
+	jr := forwardedJob(t, nodes)
+	for _, path := range []string{"/stats", "/jobs/" + jr.ID} {
+		if status, _ := getJSON(t, nodes[0].url()+"/v1"+path, nil); status != http.StatusOK {
+			t.Errorf("GET /v1%s: status %d, want 200", path, status)
+		}
+		if status, _ := getJSON(t, nodes[0].url()+"/api/v1"+path, nil); status != http.StatusNotFound {
+			t.Errorf("GET /api/v1%s: status %d, want 404", path, status)
+		}
+	}
+}
+
 // TestClusterStitchedTrace: a submission forwarded from node A to node
 // B exports one Chrome trace whose process rows name both nodes — B's
 // own span tree plus A's cluster.forward hop.
@@ -267,7 +282,7 @@ func TestClusterDrilldownProxied(t *testing.T) {
 			} `json:"loops"`
 		} `json:"functions"`
 	}
-	status, handled := getJSON(t, nodes[0].url()+"/api/v1/jobs/"+jr.ID+"/drilldown", &dd)
+	status, handled := getJSON(t, nodes[0].url()+"/v1/jobs/"+jr.ID+"/drilldown", &dd)
 	if status != http.StatusOK {
 		t.Fatalf("drilldown: status %d", status)
 	}

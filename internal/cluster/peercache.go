@@ -86,7 +86,7 @@ func (n *Node) fetchFrom(ctx context.Context, addr, key string) ([]byte, string,
 	}
 	start := time.Now()
 	traceID := obs.TraceIDFromContext(ctx)
-	ctx, cancel := context.WithTimeout(ctx, n.cfg.FetchTimeout)
+	ctx, cancel := context.WithTimeout(ctx, fetchTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
 		"http://"+addr+"/cluster/v1/results/"+key, nil)

@@ -46,7 +46,7 @@ func (n *Node) Push(key string, payload []byte, checksum, traceID string) {
 // member of the key's owner chain that is not self, provided it looks
 // alive (a suspect successor is left to the anti-entropy pass).
 func (n *Node) replicaTarget(key string) string {
-	for _, m := range n.mem.Ring().Owners(key, n.cfg.ReplicaCount) {
+	for _, m := range n.mem.Ring().Owners(key, replicaCount) {
 		if m == n.cfg.Self {
 			continue
 		}
@@ -70,7 +70,7 @@ func (n *Node) sendReplica(addr, key string, payload []byte, checksum, traceID s
 	}
 	start := time.Now()
 	payload = fault.Bytes(fault.SiteClusterReplicate, payload)
-	ctx, cancel := context.WithTimeout(context.Background(), n.cfg.FetchTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), fetchTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
 		"http://"+addr+"/cluster/v1/replicas/"+key, bytes.NewReader(payload))
@@ -233,7 +233,7 @@ func (n *Node) reconcile(addr string, local map[string]string) {
 
 // inOwners reports whether member is in key's replica owner chain.
 func (n *Node) inOwners(key, member string) bool {
-	for _, m := range n.mem.Ring().Owners(key, n.cfg.ReplicaCount) {
+	for _, m := range n.mem.Ring().Owners(key, replicaCount) {
 		if m == member {
 			return true
 		}
@@ -243,7 +243,7 @@ func (n *Node) inOwners(key, member string) bool {
 
 // fetchDigests pulls one partner's persisted digest map.
 func (n *Node) fetchDigests(addr string) (map[string]string, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), n.cfg.FetchTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), fetchTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
 		"http://"+addr+"/cluster/v1/digests", nil)

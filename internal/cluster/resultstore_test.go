@@ -17,6 +17,7 @@ import (
 
 	"optiwise"
 	"optiwise/internal/cluster"
+	"optiwise/internal/fault"
 	"optiwise/internal/serve"
 )
 
@@ -67,14 +68,19 @@ func exportOf(t *testing.T, tn *testNode, id string) []byte {
 }
 
 // TestClusterPeerFetchFromOwnerDisk: with the memory tier too small to
-// hold anything and replication off, a forwarded duplicate on the
-// non-owner can only be served from the owner's result segment — and
-// its export is byte-identical to the owner's.
+// hold anything and every replica push failing, a forwarded duplicate
+// on the non-owner can only be served from the owner's result segment —
+// and its export is byte-identical to the owner's.
 func TestClusterPeerFetchFromOwnerDisk(t *testing.T) {
-	nodes := startDurableClusterWith(t, 2, func(sc *serve.Config, cc *cluster.Config) {
+	nodes := startDurableClusterWith(t, 2, func(sc *serve.Config, _ *cluster.Config) {
 		sc.CacheBytes = 1
-		cc.ReplicaCount = 1
 	})
+	plan, err := fault.Parse("cluster.replicate:error:msg=replica wire down")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fault.Set(plan)
+	defer fault.Set(nil)
 	body := submission(5, 41)
 	first := postJob(t, nodes[0].url(), body, nil)
 	mustDone(t, first, "first submission")

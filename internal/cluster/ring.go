@@ -25,7 +25,6 @@ import (
 // owning the first point at or clockwise of the key's hash. Membership
 // changes build a new Ring, so readers never lock.
 type Ring struct {
-	vnodes  int
 	points  []ringPoint // sorted by hash, ties by member
 	members []string    // sorted, deduplicated
 }
@@ -35,24 +34,22 @@ type ringPoint struct {
 	member string
 }
 
-// DefaultVnodes balances ring smoothness against rebuild cost: at 128
-// points per member the max/mean load ratio across 3-7 nodes stays
-// within ~1.35 for uniformly hashed keys (see TestRingBalance).
-const DefaultVnodes = 128
+// vnodes balances ring smoothness against rebuild cost: at 128 points
+// per member the max/mean load ratio across 3-7 nodes stays within
+// ~1.35 for uniformly hashed keys (see TestRingBalance). Every node
+// must build the same ring, so it is a constant.
+const vnodes = 128
 
 // NewRing builds a ring over members (order-insensitive, duplicates
-// ignored). vnodes <= 0 selects DefaultVnodes.
-func NewRing(vnodes int, members []string) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVnodes
-	}
+// ignored).
+func NewRing(members []string) *Ring {
 	set := make(map[string]bool, len(members))
 	for _, m := range members {
 		if m != "" {
 			set[m] = true
 		}
 	}
-	r := &Ring{vnodes: vnodes}
+	r := &Ring{}
 	for m := range set {
 		r.members = append(r.members, m)
 	}

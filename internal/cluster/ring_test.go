@@ -35,7 +35,7 @@ func members(n int) []string {
 func TestRingBalance(t *testing.T) {
 	keys := testKeys(20000)
 	for nodes := 3; nodes <= 7; nodes++ {
-		r := NewRing(0, members(nodes))
+		r := NewRing(members(nodes))
 		load := make(map[string]int)
 		for _, k := range keys {
 			load[r.Owner(k)]++
@@ -58,11 +58,11 @@ func TestRingBalance(t *testing.T) {
 func TestRingMinimalDisruption(t *testing.T) {
 	keys := testKeys(10000)
 	base := members(4)
-	r4 := NewRing(0, base)
+	r4 := NewRing(base)
 
 	// Grow 4 -> 5.
 	added := "10.0.0.5:8077"
-	r5 := NewRing(0, append(append([]string(nil), base...), added))
+	r5 := NewRing(append(append([]string(nil), base...), added))
 	moved := 0
 	for _, k := range keys {
 		before, after := r4.Owner(k), r5.Owner(k)
@@ -80,7 +80,7 @@ func TestRingMinimalDisruption(t *testing.T) {
 	}
 
 	// Shrink 4 -> 3 (drop base[1]).
-	r3 := NewRing(0, append(append([]string(nil), base[:1]...), base[2:]...))
+	r3 := NewRing(append(append([]string(nil), base[:1]...), base[2:]...))
 	for _, k := range keys {
 		before, after := r4.Owner(k), r3.Owner(k)
 		if before != base[1] && before != after {
@@ -98,9 +98,9 @@ func TestRingMinimalDisruption(t *testing.T) {
 // node route independently.
 func TestRingDeterministicOwnership(t *testing.T) {
 	ms := members(5)
-	a := NewRing(0, ms)
+	a := NewRing(ms)
 	shuffled := []string{ms[3], ms[0], ms[4], ms[1], ms[2], ms[0], ""}
-	b := NewRing(0, shuffled)
+	b := NewRing(shuffled)
 	if a.Size() != 5 || b.Size() != 5 {
 		t.Fatalf("sizes: %d, %d (want 5; duplicates and empties dropped)", a.Size(), b.Size())
 	}
@@ -133,11 +133,11 @@ func TestRingEdgeCases(t *testing.T) {
 	if nilRing.Owner("k") != "" || nilRing.Size() != 0 || nilRing.Has("x") {
 		t.Fatal("nil ring must behave as empty")
 	}
-	empty := NewRing(0, nil)
+	empty := NewRing(nil)
 	if empty.Owner("k") != "" || empty.Owners("k", 3) != nil {
 		t.Fatal("empty ring must own nothing")
 	}
-	solo := NewRing(0, []string{"a:1"})
+	solo := NewRing([]string{"a:1"})
 	if solo.Owner("k") != "a:1" {
 		t.Fatal("single-member ring must own everything")
 	}

@@ -53,7 +53,7 @@ function closeES() {
 
 async function renderJobs() {
   let jobs;
-  try { jobs = (await getJSON("/api/v1/jobs")).jobs || []; }
+  try { jobs = (await getJSON("/v1/jobs")).jobs || []; }
   catch (e) { view.innerHTML = `<p class="err">${esc(e.message)}</p>`; return; }
   // Lineage regression badges: one stats probe answers how many
   // regressions the node has seen; per-lineage diffs load on the job
@@ -156,8 +156,8 @@ async function renderJob(id) {
       · machine ${esc(st.machine || "")} · retries ${st.retries || 0}
       ${st.error ? `<div class="err">${esc(st.error)}</div>` : ""}
       <div class="srcloc">trace ${esc(st.trace_id || "")}
-      · <a href="/api/v1/jobs/${esc(id)}/trace">stitched trace JSON</a>
-      · <a href="/api/v1/jobs/${esc(id)}/report?kind=full">report</a></div>`;
+      · <a href="/v1/jobs/${esc(id)}/trace">stitched trace JSON</a>
+      · <a href="/v1/jobs/${esc(id)}/report?kind=full">report</a></div>`;
   };
 
   const loadDone = async st => {
@@ -174,7 +174,7 @@ async function renderJob(id) {
     }
     if (st.state !== "done") return;
     let dd;
-    try { dd = await getJSON(`/api/v1/jobs/${encodeURIComponent(id)}/drilldown`); }
+    try { dd = await getJSON(`/v1/jobs/${encodeURIComponent(id)}/drilldown`); }
     catch (e) { bodyEl.innerHTML = `<p class="err">${esc(e.message)}</p>`; return; }
     const notes = [dd.degraded_note, dd.tiered_note].filter(Boolean)
       .map(n => `<p class="badge degraded">${esc(n)}</p>`).join("");
@@ -191,14 +191,14 @@ async function renderJob(id) {
   };
 
   try {
-    const st = await getJSON(`/api/v1/jobs/${encodeURIComponent(id)}`);
+    const st = await getJSON(`/v1/jobs/${encodeURIComponent(id)}`);
     showStatus(st);
     if (st.state === "done" || st.state === "failed" || st.state === "canceled") {
       await loadDone(st);
       return;
     }
     // Live job: subscribe to SSE pushes instead of polling.
-    eventSource = new EventSource(`/api/v1/jobs/${encodeURIComponent(id)}/events`);
+    eventSource = new EventSource(`/v1/jobs/${encodeURIComponent(id)}/events`);
     eventSource.addEventListener("status", ev => showStatus(JSON.parse(ev.data)));
     eventSource.addEventListener("windows", ev => {
       const snap = JSON.parse(ev.data);
@@ -220,7 +220,7 @@ async function renderJob(id) {
       closeES();
       const poll = setInterval(async () => {
         try {
-          const st = await getJSON(`/api/v1/jobs/${encodeURIComponent(id)}`);
+          const st = await getJSON(`/v1/jobs/${encodeURIComponent(id)}`);
           showStatus(st);
           if (st.state === "done" || st.state === "failed" || st.state === "canceled") {
             clearInterval(poll);
@@ -249,7 +249,7 @@ function gaugeOf(snap, name) {
 
 async function renderCluster() {
   let stats = null, fed = null;
-  try { stats = await getJSON("/api/v1/stats"); } catch (e) { /* keep nulls */ }
+  try { stats = await getJSON("/v1/stats"); } catch (e) { /* keep nulls */ }
   try { fed = await getJSON("/cluster/v1/metrics?format=json"); } catch (e) { /* single node */ }
 
   let ringHTML = "";
@@ -295,7 +295,7 @@ async function renderCluster() {
     `<p class="err">stats unavailable</p>`;
 
   // Live refresh: the stats SSE channel repaints the ring panel.
-  eventSource = new EventSource("/api/v1/stats/events");
+  eventSource = new EventSource("/v1/stats/events");
   let last = 0;
   eventSource.addEventListener("stats", () => {
     const now = Date.now();
@@ -328,7 +328,7 @@ async function renderFlight() {
 
 async function renderHeader() {
   try {
-    const st = await getJSON("/api/v1/stats");
+    const st = await getJSON("/v1/stats");
     const b = st.build || {};
     document.getElementById("buildinfo").textContent =
       `${b.version || "dev"} · ${b.go_version || ""} · ${(b.commit || "").slice(0, 12)} · up ${fmtDur(st.uptime_seconds || 0)}`;

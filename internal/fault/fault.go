@@ -253,25 +253,6 @@ func ActivateFromEnv() error {
 	return nil
 }
 
-// EnsureSpec makes sure the process-global plan matches spec. It is
-// the seam between Options.FaultSpec and the global registry: a
-// profiling run that asks for a spec installs it if injection is off,
-// accepts an already-active identical spec, and refuses to silently
-// replace a different active plan (two concurrent jobs cannot both
-// own the global registry).
-func EnsureSpec(spec string) error {
-	if strings.TrimSpace(spec) == "" {
-		return nil
-	}
-	if p := Active(); p != nil {
-		if p.Spec == spec {
-			return nil
-		}
-		return fmt.Errorf("fault: plan %q already active, cannot install %q", p.Spec, spec)
-	}
-	return Activate(spec)
-}
-
 // Parse compiles a spec string into a Plan (see package doc for the
 // grammar). Parsing never installs the plan.
 func Parse(spec string) (*Plan, error) {

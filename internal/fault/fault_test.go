@@ -185,24 +185,15 @@ func TestCorruptBytesDeterministic(t *testing.T) {
 	}
 }
 
-func TestActivateAndEnsureSpec(t *testing.T) {
+func TestActivate(t *testing.T) {
 	prev := Set(nil)
 	t.Cleanup(func() { Set(prev) })
 
 	if err := Activate(" "); err != nil || Enabled() {
 		t.Fatalf("blank Activate: err=%v enabled=%v", err, Enabled())
 	}
-	if err := EnsureSpec(""); err != nil {
-		t.Fatalf("empty EnsureSpec: %v", err)
-	}
-	if err := EnsureSpec("s:error:nth=1"); err != nil || !Enabled() {
-		t.Fatalf("EnsureSpec install: err=%v enabled=%v", err, Enabled())
-	}
-	if err := EnsureSpec("s:error:nth=1"); err != nil {
-		t.Fatalf("EnsureSpec same spec: %v", err)
-	}
-	if err := EnsureSpec("s:error:nth=2"); err == nil {
-		t.Fatal("EnsureSpec silently replaced a different active plan")
+	if err := Activate("s:error:nth=1"); err != nil || !Enabled() {
+		t.Fatalf("Activate install: err=%v enabled=%v", err, Enabled())
 	}
 	if err := Activate(""); err != nil || Enabled() {
 		t.Fatalf("Activate(\"\") should disable: err=%v enabled=%v", err, Enabled())

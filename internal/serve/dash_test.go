@@ -12,6 +12,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -112,6 +113,38 @@ func TestStatsBuildInfo(t *testing.T) {
 	}
 }
 
+// TestOneRoutePrefix: the API is served under /v1 only, and every path
+// literal in the embedded dashboard is a /v1 API path or one of the
+// cluster and debug endpoints, so the dashboard cannot call a prefix the
+// server does not route.
+func TestOneRoutePrefix(t *testing.T) {
+	_, ts := dashServer(t)
+	st := decodeStatus(t, postJSON(t, ts.URL+"/v1/jobs", map[string]any{
+		"source": progSource(30), "wait": true,
+	}))
+	for _, path := range []string{"/stats", "/jobs/" + st.ID} {
+		if status, _, _ := getBody(t, ts.URL+"/v1"+path); status != http.StatusOK {
+			t.Errorf("GET /v1%s: status %d, want 200", path, status)
+		}
+		if status, _, _ := getBody(t, ts.URL+"/api/v1"+path); status != http.StatusNotFound {
+			t.Errorf("GET /api/v1%s: status %d, want 404", path, status)
+		}
+	}
+
+	_, js, _ := getBody(t, ts.URL+"/ui/app.js")
+	literals := regexp.MustCompile("[\"'`](/[^\"'`\\s]*)").FindAllStringSubmatch(js, -1)
+	if len(literals) == 0 {
+		t.Fatal("no path literals found in app.js")
+	}
+	for _, m := range literals {
+		p := m[1]
+		if !strings.HasPrefix(p, "/v1/") && !strings.HasPrefix(p, "/cluster/v1/") &&
+			!strings.HasPrefix(p, "/debug/") {
+			t.Errorf("app.js path literal %q is not a /v1/ API path", p)
+		}
+	}
+}
+
 // TestJobListAndDrilldown: the dashboard's job list returns submitted
 // jobs newest-first, and the drill-down projection nests function →
 // loop → block → instruction.
@@ -130,7 +163,7 @@ func TestJobListAndDrilldown(t *testing.T) {
 			State string `json:"state"`
 		} `json:"jobs"`
 	}
-	resp, err := http.Get(ts.URL + "/api/v1/jobs")
+	resp, err := http.Get(ts.URL + "/v1/jobs")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +174,7 @@ func TestJobListAndDrilldown(t *testing.T) {
 	if len(list.Jobs) != 1 || list.Jobs[0].ID != st.ID || list.Jobs[0].State != "done" {
 		t.Fatalf("job list wrong: %+v", list.Jobs)
 	}
-	if status, _, _ := getBody(t, ts.URL+"/api/v1/jobs?limit=bogus"); status != http.StatusBadRequest {
+	if status, _, _ := getBody(t, ts.URL+"/v1/jobs?limit=bogus"); status != http.StatusBadRequest {
 		t.Errorf("bad limit accepted: %d", status)
 	}
 
@@ -165,7 +198,7 @@ func TestJobListAndDrilldown(t *testing.T) {
 			} `json:"blocks"`
 		} `json:"functions"`
 	}
-	resp, err = http.Get(ts.URL + "/api/v1/jobs/" + st.ID + "/drilldown")
+	resp, err = http.Get(ts.URL + "/v1/jobs/" + st.ID + "/drilldown")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +226,7 @@ func TestJobListAndDrilldown(t *testing.T) {
 	if insts == 0 {
 		t.Errorf("drilldown reached no instructions: %+v", dd.Functions)
 	}
-	if status, _, _ := getBody(t, ts.URL+"/api/v1/jobs/nosuch/drilldown"); status != http.StatusNotFound {
+	if status, _, _ := getBody(t, ts.URL+"/v1/jobs/nosuch/drilldown"); status != http.StatusNotFound {
 		t.Errorf("unknown job drilldown: status %d", status)
 	}
 }
@@ -245,7 +278,7 @@ func TestJobEventsSSE(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		ts.URL+"/api/v1/jobs/"+st.ID+"/events", nil)
+		ts.URL+"/v1/jobs/"+st.ID+"/events", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

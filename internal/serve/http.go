@@ -18,8 +18,7 @@ import (
 	"optiwise/internal/report"
 )
 
-// Handler returns the service's HTTP API. Every /v1 route is also
-// served under /api/v1 (the stable, gateway-friendly prefix):
+// Handler returns the service's HTTP API:
 //
 //	POST   /v1/jobs             submit a program (see submitRequest;
 //	                            honours a traceparent request header)
@@ -55,23 +54,19 @@ import (
 // mounted at /ui/.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	api := func(method, path string, h http.HandlerFunc) {
-		mux.HandleFunc(method+" /v1"+path, h)
-		mux.HandleFunc(method+" /api/v1"+path, h)
-	}
-	api("POST", "/jobs", s.SubmitHandler(nil))
-	api("GET", "/jobs", s.handleJobList)
-	api("GET", "/jobs/{id}", s.handleStatus)
-	api("GET", "/jobs/{id}/report", s.handleReport)
-	api("GET", "/jobs/{id}/trace", s.handleTrace)
-	api("GET", "/jobs/{id}/drilldown", s.handleDrilldown)
-	api("GET", "/jobs/{id}/windows", s.handleWindows)
-	api("GET", "/jobs/{id}/events", s.handleJobEvents)
-	api("DELETE", "/jobs/{id}", s.handleCancel)
-	api("GET", "/lineages/{key}", s.handleLineage)
-	api("GET", "/lineages/{key}/diff", s.handleLineageDiff)
-	api("GET", "/stats", s.handleStats)
-	api("GET", "/stats/events", s.handleStatsEvents)
+	mux.HandleFunc("POST /v1/jobs", s.SubmitHandler(nil))
+	mux.HandleFunc("GET /v1/jobs", s.handleJobList)
+	mux.HandleFunc("GET /v1/jobs/{id}", s.handleStatus)
+	mux.HandleFunc("GET /v1/jobs/{id}/report", s.handleReport)
+	mux.HandleFunc("GET /v1/jobs/{id}/trace", s.handleTrace)
+	mux.HandleFunc("GET /v1/jobs/{id}/drilldown", s.handleDrilldown)
+	mux.HandleFunc("GET /v1/jobs/{id}/windows", s.handleWindows)
+	mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleJobEvents)
+	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
+	mux.HandleFunc("GET /v1/lineages/{key}", s.handleLineage)
+	mux.HandleFunc("GET /v1/lineages/{key}/diff", s.handleLineageDiff)
+	mux.HandleFunc("GET /v1/stats", s.handleStats)
+	mux.HandleFunc("GET /v1/stats/events", s.handleStatsEvents)
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	mux.HandleFunc("GET /readyz", s.handleReady)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -599,7 +594,7 @@ func (s *Server) handleLineageDiff(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, err.Error())
 		return
 	}
-	opts := diff.Options{Threshold: s.cfg.RegressionThreshold}
+	opts := diff.Options{Threshold: regressionThreshold}
 	if v := r.URL.Query().Get("threshold"); v != "" {
 		t, err := strconv.ParseFloat(v, 64)
 		if err != nil {

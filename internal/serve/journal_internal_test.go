@@ -20,9 +20,9 @@ import (
 // replayed job would get a different key, and the original key's submit
 // record would be re-enqueued on every restart.
 func TestJournalSubmitRoundTrip(t *testing.T) {
-	// Canonical clears these (the observation hook and fault injection),
-	// so they never reach the key and are not journaled.
-	skip := map[string]bool{"OnIncrement": true, "FaultSpec": true}
+	// Canonical clears the observation hook, so it never reaches the
+	// key and is not journaled.
+	skip := map[string]bool{"OnIncrement": true}
 
 	var opts optiwise.Options
 	v := reflect.ValueOf(&opts).Elem()

@@ -100,18 +100,6 @@ type Config struct {
 	// installs one (dumps are then empty unless the embedding process
 	// installed a recorder itself).
 	FlightRecorderSize int
-	// LineageDepth bounds how many profile versions each lineage key
-	// retains, oldest evicted first (default 8). MaxLineages bounds the
-	// number of tracked lineage keys, least-recently touched evicted
-	// first (default 256).
-	LineageDepth int
-	MaxLineages  int
-	// RegressionThreshold is the relative CPI regression (0.10 = 10%)
-	// past which a newly recorded lineage version counts as a regression:
-	// the optiwise_profile_regressions_total counter moves and a flight
-	// record is written (default 0.10; <0 disables detection — versions
-	// are still recorded and the diff endpoint still works).
-	RegressionThreshold float64
 	// DataDir, when set, makes the server durable (DESIGN.md §13): every
 	// accepted execution is journaled to a WAL under this directory,
 	// completed full-fidelity results and submitted program images are
@@ -162,6 +150,19 @@ type ClusterStats struct {
 // maxRetainedDumps bounds the in-memory flight-dump history.
 const maxRetainedDumps = 8
 
+// Lineage policy: each lineage key retains lineageDepth profile
+// versions, oldest evicted first; the server tracks maxLineages keys,
+// least-recently touched evicted first; and a newly recorded version
+// whose CPI regresses by regressionThreshold (10%) or more counts as a
+// regression: the optiwise_profile_regressions_total counter moves and
+// a flight record is written. regressionThreshold is also the diff
+// endpoint's default threshold.
+const (
+	lineageDepth        = 8
+	maxLineages         = 256
+	regressionThreshold = 0.10
+)
+
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
@@ -200,15 +201,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RetryMaxDelay <= 0 {
 		c.RetryMaxDelay = time.Second
-	}
-	if c.LineageDepth <= 0 {
-		c.LineageDepth = 8
-	}
-	if c.MaxLineages <= 0 {
-		c.MaxLineages = 256
-	}
-	if c.RegressionThreshold == 0 {
-		c.RegressionThreshold = 0.10
 	}
 	return c
 }
@@ -310,7 +302,7 @@ func NewDurable(cfg Config) (*Server, error) {
 		queue:    make(chan *group, cfg.QueueDepth),
 		cache:    newResultCache(cfg.CacheBytes, reg),
 		programs: newProgramMemo(),
-		lineages: newLineageStore(cfg.LineageDepth, cfg.MaxLineages),
+		lineages: newLineageStore(lineageDepth, maxLineages),
 		reg:      reg,
 		metrics:  newServerMetrics(reg),
 		jobs:     make(map[string]*Job),
@@ -450,7 +442,7 @@ type Submission struct {
 	// when set and the job completes with a full-fidelity result, the
 	// combined profile is recorded as the lineage's newest version,
 	// diffed against the previous one for CPI regressions
-	// (Config.RegressionThreshold), and served by the
+	// (regressionThreshold, 10%), and served by the
 	// GET /v1/lineages/{key} endpoints. Empty opts out.
 	Lineage string
 }
@@ -1050,7 +1042,7 @@ func backoffDelay(base, max time.Duration, attempt int) time.Duration {
 // diffs it against the previous version for CPI regressions. Degraded
 // results never enter a lineage — a partial profile diffed against a
 // full one would report phantom deltas. A significant regression at or
-// past Config.RegressionThreshold moves the
+// past regressionThreshold (10%) moves the
 // optiwise_profile_regressions_total counter and writes a flight record
 // carrying the lineage, module, and worst relative delta; the versions
 // stay recorded either way, so GET /v1/lineages/{key}/diff can replay
@@ -1070,10 +1062,10 @@ func (s *Server) recordLineage(j *Job, res *optiwise.Result) {
 		IPC:     exp.IPC,
 		export:  exp,
 	})
-	if !added || prev == nil || s.cfg.RegressionThreshold < 0 {
+	if !added || prev == nil {
 		return
 	}
-	rep, err := diff.Compute(prev, exp, diff.Options{Threshold: s.cfg.RegressionThreshold})
+	rep, err := diff.Compute(prev, exp, diff.Options{Threshold: regressionThreshold})
 	if err != nil {
 		// Incomparable versions (options changed between submissions) are
 		// recorded but not judged; the diff endpoint surfaces the same

@@ -33,7 +33,7 @@ func TestTraceIDRoundTrip(t *testing.T) {
 		"options": map[string]any{"stream_window": 512},
 		"wait":    true,
 	})
-	req, _ := http.NewRequest("POST", ts.URL+"/api/v1/jobs", bytes.NewReader(body))
+	req, _ := http.NewRequest("POST", ts.URL+"/v1/jobs", bytes.NewReader(body))
 	req.Header.Set("Content-Type", "application/json")
 	req.Header.Set("traceparent", "00-"+testTraceID+"-00f067aa0ba902b7-01")
 	resp, err := http.DefaultClient.Do(req)
@@ -64,7 +64,7 @@ func TestTraceIDRoundTrip(t *testing.T) {
 	// the required fields, the serve.job root span and the pipeline
 	// stages are present, spans are stamped with the trace ID, and the
 	// telemetry window produced counter tracks.
-	tr, err := http.Get(ts.URL + "/api/v1/jobs/" + st.ID + "/trace")
+	tr, err := http.Get(ts.URL + "/v1/jobs/" + st.ID + "/trace")
 	if err != nil {
 		t.Fatal(err)
 	}

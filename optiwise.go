@@ -292,13 +292,6 @@ type Options struct {
 	// failed. Degraded results are never admitted to the service's
 	// result cache. See DESIGN.md §8.
 	AllowDegraded bool
-	// FaultSpec installs a deterministic fault-injection plan
-	// (internal/fault spec grammar) for this run, for chaos testing and
-	// failure-drill tooling. It is an execution harness, not a profile
-	// parameter: Canonical clears it, the profiling service never
-	// accepts one remotely, and a spec differing from an already-active
-	// global plan is an error rather than a silent replacement.
-	FaultSpec string
 }
 
 // DefaultHotThreshold is the tiered-mode hotness cutoff applied when
@@ -330,16 +323,12 @@ func (o *Options) fill() {
 // Canonical returns o with every defaulted (zero) field resolved to its
 // documented default. Two Options values that profile identically have
 // identical Canonical forms, which is what makes them usable as part of
-// a content-addressed cache key. FaultSpec is cleared: injected faults
-// change whether a run succeeds, never what a successful run computes (a
-// corrupted or aborted run yields an error or a degraded result, and
-// those are cache-ineligible). AllowDegraded survives: it changes
+// a content-addressed cache key. AllowDegraded survives: it changes
 // execution policy, but full successes are identical either way and
 // degraded results never reach the cache, so it is excluded from the
 // cache key separately (see serve.jobKey).
 func (o Options) Canonical() Options {
 	o.fill()
-	o.FaultSpec = ""
 	// A threshold without tiered mode is inert; clear it so it cannot
 	// split cache identity between otherwise identical submissions.
 	if !o.Tiered {
@@ -420,11 +409,6 @@ func (o Options) Validate() error {
 	if !(o.HotThreshold >= 0 && o.HotThreshold <= 1) {
 		return fmt.Errorf("optiwise: hot threshold %g outside (0, 1]", o.HotThreshold)
 	}
-	if o.FaultSpec != "" {
-		if _, err := fault.Parse(o.FaultSpec); err != nil {
-			return fmt.Errorf("optiwise: invalid fault spec: %w", err)
-		}
-	}
 	return nil
 }
 
@@ -467,11 +451,6 @@ func ProfileContext(ctx context.Context, prog *Program, opts Options) (*Result, 
 		return nil, err
 	}
 	opts.fill()
-	if opts.FaultSpec != "" {
-		if err := fault.EnsureSpec(opts.FaultSpec); err != nil {
-			return nil, err
-		}
-	}
 	span := obs.StartCtx(ctx, "profile").SetAttr("module", prog.Module())
 	defer span.End()
 	// Downstream stages (analyze, degraded analyze) parent under this
